@@ -53,19 +53,11 @@ fn parse_args() -> Result<Cli, String> {
         };
         match flag {
             "--table" => {
-                cli.table = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|_| "bad --table".to_string())?,
-                );
+                cli.table = Some(select(&value(&mut i)?, "table", &TABLES)?);
                 any_selection = true;
             }
             "--figure" => {
-                cli.figure = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|_| "bad --figure".to_string())?,
-                );
+                cli.figure = Some(select(&value(&mut i)?, "figure", &FIGURES)?);
                 any_selection = true;
             }
             "--system" => {
@@ -73,7 +65,11 @@ fn parse_args() -> Result<Cli, String> {
                 any_selection = true;
             }
             "--ablation" => {
-                cli.ablation = Some(value(&mut i)?.to_lowercase());
+                let name = value(&mut i)?.to_lowercase();
+                if name != "all" && !ABLATIONS.contains(&name.as_str()) {
+                    return Err(format!("no such ablation: {name}"));
+                }
+                cli.ablation = Some(name);
                 any_selection = true;
             }
             "--all" => {
@@ -132,6 +128,21 @@ fn parse_args() -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// The selections `parse_args` admits; anything else exits with status 2
+/// before any work runs.
+const TABLES: [u32; 4] = [1, 2, 3, 4];
+const FIGURES: [u32; 2] = [3, 4];
+const ABLATIONS: [&str; 5] = ["prior", "substitute", "software", "enclave", "backdoor"];
+
+/// Parses a numbered `what` selection, rejecting numbers outside `valid`.
+fn select(value: &str, what: &str, valid: &[u32]) -> Result<u32, String> {
+    match value.parse() {
+        Ok(n) if valid.contains(&n) => Ok(n),
+        Ok(_) => Err(format!("no such {what}: {value}")),
+        Err(_) => Err(format!("bad --{what}")),
+    }
+}
+
 const HELP: &str = "repro — regenerate the Pelta paper's tables and figures\n\
   --table 1|2|3|4    --figure 3|4    --system    --all\n\
   --ablation prior|substitute|software|enclave|backdoor|all\n\
@@ -149,32 +160,27 @@ fn main() {
     let datasets: Option<Vec<DatasetSpec>> = cli.dataset.map(|d| vec![d]);
     let dataset_slice = datasets.as_deref();
 
+    // Selections are validated in `parse_args`, so each match below ends
+    // on its last admitted value.
     let run_table = |n: u32| match n {
         1 => println!("{}", table1(&cli.config).render()),
         2 => println!("{}", table2(&cli.config)),
         3 => println!("{}", table3(&cli.config, dataset_slice).render()),
-        4 => println!("{}", table4(&cli.config, dataset_slice).render()),
-        other => eprintln!("no such table: {other}"),
+        _ => println!("{}", table4(&cli.config, dataset_slice).render()),
     };
     let run_figure = |n: u32| match n {
         3 => println!("{}", figure3(&cli.config).render()),
-        4 => println!("{}", figure4(&cli.config).render()),
-        other => eprintln!("no such figure: {other}"),
+        _ => println!("{}", figure4(&cli.config).render()),
     };
     let run_ablation = |name: &str| {
-        let names: Vec<&str> = if name == "all" {
-            vec!["prior", "substitute", "software", "enclave", "backdoor"]
-        } else {
-            vec![name]
-        };
-        for name in names {
+        let names: &[&str] = if name == "all" { &ABLATIONS } else { &[name] };
+        for &name in names {
             match name {
                 "prior" => println!("{}", ablation_prior_fidelity(&cli.config).render()),
                 "substitute" => println!("{}", ablation_substitute_budget(&cli.config).render()),
                 "software" => println!("{}", ablation_software_stack(&cli.config).render()),
                 "enclave" => println!("{}", ablation_enclave_budget(&cli.config).render()),
-                "backdoor" => println!("{}", backdoor_defense(&cli.config).render()),
-                other => eprintln!("no such ablation: {other} (see --help)"),
+                _ => println!("{}", backdoor_defense(&cli.config).render()),
             }
         }
     };

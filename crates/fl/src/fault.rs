@@ -659,18 +659,6 @@ impl Transport for FaultyTransport {
         }
     }
 
-    fn stalled(&self) -> bool {
-        let now = *self.clock.lock();
-        if self.inbound_dark(now.0) {
-            return false;
-        }
-        let state = self.state.lock();
-        if !state.held.is_empty() {
-            return true;
-        }
-        state.partition_until.is_some_and(|until| now < until) && self.inner.has_pending()
-    }
-
     fn has_pending(&self) -> bool {
         self.inner.has_pending() || !self.state.lock().held.is_empty()
     }
@@ -908,7 +896,7 @@ mod tests {
         let Delivery::Frame(first) = link.recv_checked().unwrap() else {
             panic!("the original must be delivered in its sweep");
         };
-        assert!(link.stalled(), "the copy is held for the next sweep");
+        assert!(link.has_pending(), "the copy is held for the next sweep");
         assert_eq!(link.recv_checked().unwrap(), Delivery::Empty);
         plan.set_sweep(1);
         let Delivery::Frame(second) = link.recv_checked().unwrap() else {
@@ -916,6 +904,6 @@ mod tests {
         };
         assert_eq!(first, second, "the duplicate must be bit-identical");
         assert_eq!(plan.stats().duplicated, 1);
-        assert!(!link.stalled());
+        assert!(!link.has_pending());
     }
 }

@@ -71,11 +71,12 @@ use crate::poisoning::{AdaptiveBackdoorAgent, BackdoorAgent, BackdoorClient};
 use crate::scenario::{AgentRole, ScenarioSpec};
 use crate::secure_agg::{pair_seeds_for_client, AggregatorMaskContext, ClientMaskContext};
 use crate::server::RoundSummary;
+use crate::sweep::{self, Arrival, SweepLinks, SweepOutcome};
 use crate::topology::{EdgeAggregator, GossipMesh, Topology};
 use crate::{
-    AggregationRule, BroadcastFrame, Delivery, FedAvgServer, FlError, MemberUpdate, Message,
-    ModelUpdate, NackReason, ParticipationPolicy, Result, ShieldedUpdateChannel, Transport,
-    TransportKind, UpdateCodec,
+    AggregationRule, BroadcastFrame, FedAvgServer, FlError, MemberUpdate, Message, ModelUpdate,
+    NackReason, ParticipationPolicy, Result, ShieldedUpdateChannel, Transport, TransportKind,
+    UpdateCodec,
 };
 
 /// Scenario schedule for one client: when it drops out, when it rejoins,
@@ -444,6 +445,43 @@ fn edge_dark(faults: &Option<FaultPlan>, edge: usize, round: usize) -> bool {
         plan.edge_crash(edge)
             .is_some_and(|(crash, rejoin)| round > crash && round < rejoin)
     })
+}
+
+/// One lockstep member sweep over every edge outside its dark window — a
+/// dark edge is a dead process and pumps nothing.
+fn pump_live_edges(
+    edges: &mut [EdgeAggregator],
+    faults: &Option<FaultPlan>,
+    round: usize,
+    sweep: usize,
+) -> Result<SweepOutcome> {
+    let mut outcome = SweepOutcome::default();
+    for edge in edges.iter_mut() {
+        if !edge_dark(faults, edge.edge_id(), round) {
+            outcome |= edge.pump(sweep)?;
+        }
+    }
+    Ok(outcome)
+}
+
+/// The star's seat links, each gated by its seat's scheduled latency.
+struct Seats<'a> {
+    links: &'a [Box<dyn Transport>],
+    slots: &'a [Slot],
+}
+
+impl SweepLinks for Seats<'_> {
+    fn count(&self) -> usize {
+        self.links.len()
+    }
+
+    fn link(&self, index: usize) -> &dyn Transport {
+        self.links[index].as_ref()
+    }
+
+    fn latency(&self, index: usize) -> usize {
+        self.slots[index].schedule.latency
+    }
 }
 
 impl Federation {
@@ -1048,7 +1086,8 @@ impl Federation {
     /// handshakes, rejoins, stray RoundEnd acknowledgements) through the
     /// topology fabric: star links feed the server directly, edges mirror
     /// and relay, the gossip coordinator surfaces everything as control
-    /// traffic.
+    /// traffic. This idle drain is not a sweep: it polls with the plain,
+    /// unclocked `recv` (`docs/determinism.md` §3).
     fn pump_links(&mut self) -> Result<()> {
         let Federation {
             server,
@@ -1121,20 +1160,20 @@ impl Federation {
         }
     }
 
-    /// Drains the round's update traffic through the fabric in
-    /// deterministic sweeps and returns `(sealed bytes, edge summaries,
-    /// gossip frames)`.
+    /// Drains the round's update traffic through the fabric with the sweep
+    /// engine ([`crate::sweep`], `docs/determinism.md` §3) and returns
+    /// `(sealed bytes, edge summaries, gossip frames, mask stash)`.
     ///
-    /// * **Star** — ascending client id, one message per link per sweep,
-    ///   each client's messages gated by its scheduled latency; shielded
-    ///   segments are reassembled through the server's enclave channel
-    ///   before delivery.
-    /// * **Hierarchical** — the same sweep discipline runs per subtree at
-    ///   the edges; edges then close in ascending edge order (per-level
+    /// * **Star** — the active seats, each gated by its scheduled latency;
+    ///   shielded segments are reassembled through the server's enclave
+    ///   channel before delivery.
+    /// * **Hierarchical** — every live edge sweeps its active members in
+    ///   lockstep; edges then close in ascending edge order (per-level
     ///   quorum/straggler semantics) and forward combined frames, which the
     ///   root unwraps member-by-member in ascending client order — unsealing
-    ///   each member through its enclave channel — before the edges relay
-    ///   any refusals back down.
+    ///   each member through its enclave channel — while the uplink sweep
+    ///   carries on the member sweep's clock; the edges finally relay any
+    ///   refusals back down.
     /// * **Gossip** — latency-gated collect sweeps feed each peer's daemon,
     ///   the mesh floods to quiescence, and the coordinator folds the
     ///   converged union through the same state machine.
@@ -1148,123 +1187,46 @@ impl Federation {
             faults,
             ..
         } = self;
+        let faults = &*faults;
         // Under secure aggregation sealed blobs are stashed instead of
         // opened; the stash feeds the post-round enclave fold.
         let mut mask_stash: Option<MaskStash> = masks.as_ref().map(|_| MaskStash::new());
         let max_latency = slots.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
+        let mut shielded_bytes = 0usize;
         match fabric {
             Fabric::Star { links } => {
-                let mut shielded_bytes = 0usize;
-                // All of the round's client→server traffic is queued before
-                // delivery starts (agents already stepped; responses flow
-                // server→client), so the seats with pending uplink traffic
-                // are fixed at sweep 0 and the active set only shrinks —
-                // each sweep visits active seats instead of the whole
-                // population, in the same ascending-client-id order.
-                let mut active: std::collections::BTreeSet<usize> = (0..links.len())
-                    .filter(|&index| links[index].has_pending())
-                    .collect();
-                let mut sweep = 0usize;
-                loop {
-                    if let Some(plan) = faults {
-                        plan.set_sweep(sweep);
-                    }
-                    let mut delivered = false;
-                    let mut pending_future = false;
-                    let mut drained = Vec::new();
-                    for &index in &active {
-                        if slots[index].schedule.latency > sweep {
-                            // Active ⇒ the link still holds traffic.
-                            pending_future = true;
-                            continue;
-                        }
-                        match links[index].recv_checked()? {
-                            Delivery::Empty => {
-                                if links[index].has_pending() {
-                                    // A fault wrapper is holding traffic
-                                    // (reorder, partition, retransmission)
-                                    // for a later sweep.
-                                    pending_future = true;
-                                } else {
-                                    drained.push(index);
-                                }
-                                continue;
+                let mut seats = Seats { links, slots };
+                let mut active = None;
+                sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
+                    sweep::sweep_active(&mut seats, sweep, &mut active, |seats, index, arrival| {
+                        let message = match arrival {
+                            Arrival::Frame(message) => message,
+                            Arrival::Damaged { sender, round } => {
+                                server.deliver_corrupt(sender, round);
+                                return Ok(());
                             }
-                            Delivery::Frame(message) => {
-                                delivered = true;
-                                let (message, sealed) = reassemble(
-                                    server.parameters(),
-                                    server_shield.as_ref(),
-                                    mask_stash.as_mut(),
-                                    message,
-                                )?;
-                                shielded_bytes += sealed;
-                                for response in server.deliver(&message) {
-                                    links[index].send(&response)?;
-                                }
-                            }
-                            Delivery::Faulted {
-                                sender,
-                                round,
-                                lost,
-                            } => {
-                                delivered = true;
-                                // A damaged delivery burns the straggler
-                                // budget like any delivered frame; a frame
-                                // lost outright does not — nothing arrived.
-                                // Either way the sender gets the refusal
-                                // that triggers retransmission.
-                                let responses = if lost {
-                                    vec![Message::Nack {
-                                        client_id: sender,
-                                        round,
-                                        reason: NackReason::CorruptFrame,
-                                    }]
-                                } else {
-                                    server.deliver_corrupt(sender, round)
-                                };
-                                for response in responses {
-                                    links[index].send(&response)?;
-                                }
-                            }
+                        };
+                        let (message, sealed) = reassemble(
+                            server.parameters(),
+                            server_shield.as_ref(),
+                            mask_stash.as_mut(),
+                            message,
+                        )?;
+                        shielded_bytes += sealed;
+                        for response in server.deliver(&message) {
+                            seats.link(index).send(&response)?;
                         }
-                        if !links[index].has_pending() {
-                            drained.push(index);
-                        }
-                    }
-                    for index in drained {
-                        active.remove(&index);
-                    }
-                    if !delivered && !pending_future && sweep >= max_latency {
-                        return Ok((shielded_bytes, Vec::new(), 0, mask_stash));
-                    }
-                    sweep += 1;
-                }
+                        Ok(())
+                    })
+                })?;
+                Ok((shielded_bytes, Vec::new(), 0, mask_stash))
             }
             Fabric::Hierarchical { edges, uplinks } => {
                 // Phase 1: member → edge sweeps, all subtrees in lockstep.
-                // Dark edges are dead processes: they pump nothing.
                 let round = server.round();
-                let mut sweep = 0usize;
-                loop {
-                    if let Some(plan) = faults {
-                        plan.set_sweep(sweep);
-                    }
-                    let mut delivered = false;
-                    let mut pending_future = false;
-                    for edge in edges.iter_mut() {
-                        if edge_dark(faults, edge.edge_id(), round) {
-                            continue;
-                        }
-                        let pump = edge.pump(sweep)?;
-                        delivered |= pump.delivered;
-                        pending_future |= pump.pending_future;
-                    }
-                    if !delivered && !pending_future && sweep >= max_latency {
-                        break;
-                    }
-                    sweep += 1;
-                }
+                let last_sweep = sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
+                    pump_live_edges(edges, faults, round, sweep)
+                })?;
                 // Phase 2: edges close their subtree rounds and forward —
                 // unless this is the round a scripted crash kills the edge:
                 // it dies here, mid-round, with its stash, and the root
@@ -1295,92 +1257,63 @@ impl Federation {
                     }
                 }
                 // Phase 3: the root unwraps the combined frames. The sweep
-                // clock keeps ticking from phase 1 so fault wrappers on the
+                // clock carries on from phase 1 so fault wrappers on the
                 // uplinks release their held/retransmitted frames; a second
                 // combined frame from an origin already folded (a duplicated
                 // uplink frame) is refused wholesale, first-wins.
-                let mut shielded_bytes = 0usize;
-                let mut folded_origins: std::collections::BTreeSet<usize> =
-                    std::collections::BTreeSet::new();
-                loop {
-                    if let Some(plan) = faults {
-                        plan.set_sweep(sweep);
-                    }
-                    let mut delivered = false;
-                    let mut pending_future = false;
-                    for uplink in uplinks.iter_mut() {
-                        match uplink.recv_checked()? {
-                            Delivery::Empty => {
-                                pending_future |= uplink.has_pending();
-                                continue;
-                            }
-                            Delivery::Frame(message) => {
-                                delivered = true;
-                                match message {
-                                    Message::AggregateUpdate {
-                                        origin,
-                                        round: frame_round,
-                                        members,
-                                    } => {
-                                        if !folded_origins.insert(origin) {
-                                            uplink.send(&Message::Nack {
-                                                client_id: origin,
-                                                round: frame_round,
-                                                reason: NackReason::Duplicate,
-                                            })?;
-                                            continue;
-                                        }
-                                        for member in members {
-                                            let wrapped = Message::Update {
-                                                update: member.update,
-                                                shielded: member.shielded,
-                                            };
-                                            let (wrapped, sealed) = reassemble(
-                                                server.parameters(),
-                                                server_shield.as_ref(),
-                                                mask_stash.as_mut(),
-                                                wrapped,
-                                            )?;
-                                            shielded_bytes += sealed;
-                                            for response in server.deliver(&wrapped) {
-                                                uplink.send(&response)?;
-                                            }
-                                        }
-                                    }
-                                    other => {
-                                        for response in server.deliver(&other) {
-                                            uplink.send(&response)?;
-                                        }
-                                    }
+                let mut folded_origins = std::collections::BTreeSet::new();
+                let edge_count = uplinks.len();
+                sweep::run(faults.as_ref(), last_sweep, 0, |sweep| {
+                    sweep::sweep_every(
+                        uplinks.as_mut_slice(),
+                        sweep,
+                        0..edge_count,
+                        |uplinks, edge, arrival| {
+                            let uplink = uplinks.link(edge);
+                            let message = match arrival {
+                                Arrival::Frame(message) => message,
+                                Arrival::Damaged { sender, round } => {
+                                    server.deliver_corrupt(sender, round);
+                                    return Ok(());
                                 }
+                            };
+                            let Message::AggregateUpdate {
+                                origin,
+                                round,
+                                members,
+                            } = message
+                            else {
+                                for response in server.deliver(&message) {
+                                    uplink.send(&response)?;
+                                }
+                                return Ok(());
+                            };
+                            if !folded_origins.insert(origin) {
+                                return uplink.send(&Message::Nack {
+                                    client_id: origin,
+                                    round,
+                                    reason: NackReason::Duplicate,
+                                });
                             }
-                            Delivery::Faulted {
-                                sender,
-                                round: frame_round,
-                                lost,
-                            } => {
-                                delivered = true;
-                                let responses = if lost {
-                                    vec![Message::Nack {
-                                        client_id: sender,
-                                        round: frame_round,
-                                        reason: NackReason::CorruptFrame,
-                                    }]
-                                } else {
-                                    server.deliver_corrupt(sender, frame_round)
-                                };
-                                for response in responses {
+                            for member in members {
+                                let (wrapped, sealed) = reassemble(
+                                    server.parameters(),
+                                    server_shield.as_ref(),
+                                    mask_stash.as_mut(),
+                                    Message::Update {
+                                        update: member.update,
+                                        shielded: member.shielded,
+                                    },
+                                )?;
+                                shielded_bytes += sealed;
+                                for response in server.deliver(&wrapped) {
                                     uplink.send(&response)?;
                                 }
                             }
-                        }
-                        pending_future |= uplink.has_pending();
-                    }
-                    if !delivered && !pending_future {
-                        break;
-                    }
-                    sweep += 1;
-                }
+                            Ok(())
+                        },
+                    )
+                })?;
                 // Phase 4: edges relay the root's refusals to their members.
                 for edge in edges.iter_mut() {
                     if edge_dark(faults, edge.edge_id(), round) {
@@ -1393,22 +1326,20 @@ impl Federation {
             Fabric::Gossip { mesh } => {
                 // Phase 1: collect each peer's own update and the round's
                 // control traffic over the coordinator links.
-                let mut sweep = 0usize;
-                loop {
-                    if let Some(plan) = faults {
-                        plan.set_sweep(sweep);
-                    }
-                    let pump = mesh.pump_collect(sweep)?;
-                    for (peer, message) in pump.control {
-                        for response in server.deliver(&message) {
-                            mesh.send_to(peer, &response)?;
+                let mut active = None;
+                sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
+                    sweep::sweep_active(mesh, sweep, &mut active, |mesh, peer, arrival| {
+                        let Arrival::Frame(message) = arrival else {
+                            return Ok(());
+                        };
+                        if let Some(control) = mesh.admit(peer, message)? {
+                            for response in server.deliver(&control) {
+                                mesh.send_to(peer, &response)?;
+                            }
                         }
-                    }
-                    if !pump.delivered && !pump.pending_future && sweep >= max_latency {
-                        break;
-                    }
-                    sweep += 1;
-                }
+                        Ok(())
+                    })
+                })?;
                 // Phase 2: flood the mesh to quiescence.
                 let gossip_messages = mesh.exchange()?;
                 // Phase 3: the coordinator folds the converged union through
@@ -1537,11 +1468,12 @@ impl Federation {
     /// [`Message::MaskShare`] request naming the dead seats to every
     /// reporter (directly over the star links, or relayed through the
     /// edges), steps the agents so they answer, and drains the responses
-    /// under the round's sweep discipline — latency gates, the fault plan's
-    /// logical clock and `CorruptFrame`-Nack retransmission included. A
-    /// reporter whose response is lost is re-asked (fresh fate draws) up to
-    /// a bounded number of attempts; a reporter that never answers is a
-    /// protocol failure, because its orphaned masks cannot be cancelled.
+    /// with the sweep engine — latency gates, the fault plan's logical clock
+    /// (restarted at sweep 0 on every attempt) and `CorruptFrame`-Nack
+    /// retransmission included (`docs/determinism.md` §3). A reporter whose
+    /// response is lost is re-asked (fresh fate draws) up to a bounded
+    /// number of attempts; a reporter that never answers is a protocol
+    /// failure, because its orphaned masks cannot be cancelled.
     fn sweep_mask_shares(
         &mut self,
         round: usize,
@@ -1555,11 +1487,7 @@ impl Federation {
             faults,
             ..
         } = self;
-        if matches!(fabric, Fabric::Gossip { .. }) {
-            return Err(FlError::InvalidConfig {
-                reason: "secure aggregation never runs over gossip".to_string(),
-            });
-        }
+        let faults = &*faults;
         let request = BroadcastFrame::new(Message::MaskShare {
             client_id: usize::MAX,
             round,
@@ -1579,7 +1507,8 @@ impl Federation {
             }
             // Deliver the request. It is control traffic: the fault shims
             // pass it clean apart from crash suppression, and crashed seats
-            // are never reporters.
+            // are never reporters. Validation keeps secure aggregation off
+            // gossip meshes, so there is nothing to ask there.
             match fabric {
                 Fabric::Star { links } => {
                     for &id in &pending {
@@ -1594,7 +1523,7 @@ impl Federation {
                         }
                     }
                 }
-                Fabric::Gossip { .. } => unreachable!("refused above"),
+                Fabric::Gossip { .. } => {}
             }
             // Agents answer from their mask contexts; no training happens
             // outside a RoundStart, so sequential stepping is cheap and
@@ -1602,101 +1531,49 @@ impl Federation {
             for &id in &pending {
                 slots[id].agent.step(false)?;
             }
-            // Drain the responses with the round's sweep discipline.
-            let mut sweep = 0usize;
-            loop {
-                if let Some(plan) = &*faults {
-                    plan.set_sweep(sweep);
-                }
-                let mut delivered = false;
-                let mut pending_future = false;
-                match fabric {
-                    Fabric::Star { links } => {
-                        for &id in &pending {
-                            if slots[id].schedule.latency > sweep {
-                                pending_future |= links[id].has_pending();
-                                continue;
-                            }
-                            match links[id].recv_checked()? {
-                                Delivery::Empty => {}
-                                Delivery::Frame(Message::MaskShare {
-                                    client_id,
-                                    round: share_round,
-                                    seats,
-                                    seeds,
-                                }) if !seeds.is_empty() && share_round == round => {
-                                    delivered = true;
-                                    shares
-                                        .entry(client_id)
-                                        .or_insert_with(|| seats.into_iter().zip(seeds).collect());
-                                }
-                                Delivery::Frame(_) => delivered = true,
-                                Delivery::Faulted {
-                                    sender,
-                                    round: frame_round,
-                                    ..
-                                } => {
-                                    // The refusal triggers the wrapper's
-                                    // bounded retransmission, exactly like a
-                                    // faulted update.
-                                    delivered = true;
-                                    links[id].send(&Message::Nack {
-                                        client_id: sender,
-                                        round: frame_round,
-                                        reason: NackReason::CorruptFrame,
-                                    })?;
-                                }
-                            }
-                            pending_future |= links[id].has_pending();
-                        }
+            // Drain the responses: every pending reporter's star link, or
+            // the edges' member sweeps followed by every uplink.
+            let mut collect = |arrival| {
+                if let Arrival::Frame(Message::MaskShare {
+                    client_id,
+                    round: share_round,
+                    seats,
+                    seeds,
+                }) = arrival
+                {
+                    if !seeds.is_empty() && share_round == round {
+                        shares
+                            .entry(client_id)
+                            .or_insert_with(|| seats.into_iter().zip(seeds).collect());
                     }
+                }
+                Ok(())
+            };
+            sweep::run(
+                faults.as_ref(),
+                0,
+                max_latency,
+                |sweep| match &mut *fabric {
+                    Fabric::Star { links } => sweep::sweep_every(
+                        &mut Seats { links, slots },
+                        sweep,
+                        pending.iter().copied(),
+                        |_, _, arrival| collect(arrival),
+                    ),
                     Fabric::Hierarchical { edges, uplinks } => {
-                        for edge in edges.iter_mut() {
-                            if edge_dark(faults, edge.edge_id(), round) {
-                                continue;
-                            }
-                            let pump = edge.pump(sweep)?;
-                            delivered |= pump.delivered;
-                            pending_future |= pump.pending_future;
-                        }
-                        for uplink in uplinks.iter_mut() {
-                            match uplink.recv_checked()? {
-                                Delivery::Empty => {}
-                                Delivery::Frame(Message::MaskShare {
-                                    client_id,
-                                    round: share_round,
-                                    seats,
-                                    seeds,
-                                }) if !seeds.is_empty() && share_round == round => {
-                                    delivered = true;
-                                    shares
-                                        .entry(client_id)
-                                        .or_insert_with(|| seats.into_iter().zip(seeds).collect());
-                                }
-                                Delivery::Frame(_) => delivered = true,
-                                Delivery::Faulted {
-                                    sender,
-                                    round: frame_round,
-                                    ..
-                                } => {
-                                    delivered = true;
-                                    uplink.send(&Message::Nack {
-                                        client_id: sender,
-                                        round: frame_round,
-                                        reason: NackReason::CorruptFrame,
-                                    })?;
-                                }
-                            }
-                            pending_future |= uplink.has_pending();
-                        }
+                        let mut outcome = pump_live_edges(edges, faults, round, sweep)?;
+                        let edge_count = uplinks.len();
+                        outcome |= sweep::sweep_every(
+                            uplinks.as_mut_slice(),
+                            sweep,
+                            0..edge_count,
+                            |_, _, arrival| collect(arrival),
+                        )?;
+                        Ok(outcome)
                     }
-                    Fabric::Gossip { .. } => unreachable!("refused above"),
-                }
-                if !delivered && !pending_future && sweep >= max_latency {
-                    break;
-                }
-                sweep += 1;
-            }
+                    Fabric::Gossip { .. } => Ok(SweepOutcome::default()),
+                },
+            )?;
         }
         let missing: Vec<usize> = reporters
             .iter()

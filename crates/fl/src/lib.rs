@@ -145,6 +145,7 @@ mod scenario;
 pub mod secure_agg;
 mod server;
 mod shielded;
+mod sweep;
 pub mod topology;
 mod transport;
 
@@ -170,7 +171,8 @@ pub use scenario::{AgentRole, RoleAssignment, ScenarioSpec};
 pub use secure_agg::{pair_seeds_for_client, AggregatorMaskContext, ClientMaskContext};
 pub use server::{FedAvgServer, ParticipationPolicy, RoundCheckpoint, RoundPhase, RoundSummary};
 pub use shielded::{ShieldedTransferReport, ShieldedUpdateChannel};
-pub use topology::{EdgeAggregator, EdgePump, Topology};
+pub use sweep::SweepOutcome;
+pub use topology::{EdgeAggregator, Topology};
 pub use transport::{
     BroadcastFrame, Delivery, InMemoryTransport, SerializedTransport, Transport, TransportKind,
 };

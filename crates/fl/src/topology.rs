@@ -50,9 +50,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::robust::{aggregate_with_rule, validate_update_schema};
 use crate::server::{RoundCheckpoint, RoundSummary};
+use crate::sweep::{self, Arrival, SweepLinks, SweepOutcome};
 use crate::{
-    AggregationRule, BroadcastFrame, Delivery, FedAvgServer, FlError, MemberUpdate, Message,
-    ModelUpdate, NackReason, ParticipationPolicy, Result, Transport, TransportKind, UpdateCodec,
+    AggregationRule, BroadcastFrame, FedAvgServer, FlError, MemberUpdate, Message, ModelUpdate,
+    NackReason, ParticipationPolicy, Result, Transport, TransportKind, UpdateCodec,
 };
 
 /// How a federation routes updates to the consensus point.
@@ -231,15 +232,6 @@ struct EdgeMember {
     latency: usize,
 }
 
-/// What one latency-gated delivery sweep over an edge's member links did.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EdgePump {
-    /// Whether any message was delivered this sweep.
-    pub delivered: bool,
-    /// Whether a latency-gated link still holds traffic for a later sweep.
-    pub pending_future: bool,
-}
-
 /// An edge aggregator of a two-level hierarchical federation.
 ///
 /// It holds the edge-side ends of its members' links and the edge-side end
@@ -393,9 +385,9 @@ impl EdgeAggregator {
         Ok(())
     }
 
-    /// One latency-gated delivery sweep over the member links, ascending
-    /// client id, one message per link — the per-subtree replica of the
-    /// star runtime's sweep discipline.
+    /// One delivery sweep over the member links with the runtime's sweep
+    /// engine (`docs/determinism.md` §3): ascending client id, one poll per
+    /// member, each gated by its latency. The caller ticks the fault clock.
     ///
     /// Only *active* members (queued traffic) are visited: all member
     /// traffic of a sweep phase is queued before sweep 0, so the active set
@@ -404,75 +396,29 @@ impl EdgeAggregator {
     ///
     /// # Errors
     /// Returns an error if a transport fails.
-    pub fn pump(&mut self, sweep: usize) -> Result<EdgePump> {
-        let mut outcome = EdgePump::default();
-        let mut active = match self.active.take() {
-            Some(set) if sweep != 0 => set,
-            _ => (0..self.members.len())
-                .filter(|&index| self.members[index].link.has_pending())
-                .collect(),
-        };
-        let mut drained = Vec::new();
-        for &index in &active {
-            if self.members[index].latency > sweep {
-                // Active ⇒ the link still holds traffic for a later sweep.
-                outcome.pending_future = true;
-                continue;
-            }
-            match self.members[index].link.recv_checked()? {
-                Delivery::Empty => {
-                    if self.members[index].link.has_pending() {
-                        // A fault wrapper is holding traffic (reorder,
-                        // partition, scheduled retransmission) for a later
-                        // sweep — the seat stays active.
-                        outcome.pending_future = true;
-                    } else {
-                        drained.push(index);
+    pub fn pump(&mut self, sweep: usize) -> Result<SweepOutcome> {
+        let mut active = self.active.take();
+        let outcome =
+            sweep::sweep_active(
+                self,
+                sweep,
+                &mut active,
+                |edge, index, arrival| match arrival {
+                    Arrival::Frame(message) => edge.route_upward(index, message),
+                    Arrival::Damaged { sender, round } => {
+                        edge.server.deliver_corrupt(sender, round);
+                        Ok(())
                     }
-                    continue;
-                }
-                Delivery::Frame(message) => {
-                    outcome.delivered = true;
-                    self.route_upward(index, message)?;
-                }
-                Delivery::Faulted {
-                    sender,
-                    round,
-                    lost,
-                } => {
-                    outcome.delivered = true;
-                    // A damaged delivery burns the edge's straggler budget
-                    // like any delivered frame; a frame lost outright does
-                    // not — nothing arrived. Either way the sender gets the
-                    // CorruptFrame refusal that triggers retransmission.
-                    let responses = if lost {
-                        vec![Message::Nack {
-                            client_id: sender,
-                            round,
-                            reason: NackReason::CorruptFrame,
-                        }]
-                    } else {
-                        self.server.deliver_corrupt(sender, round)
-                    };
-                    for response in responses {
-                        self.members[index].link.send(&response)?;
-                    }
-                }
-            }
-            if !self.members[index].link.has_pending() {
-                drained.push(index);
-            }
-        }
-        for index in drained {
-            active.remove(&index);
-        }
-        self.active = Some(active);
-        Ok(outcome)
+                },
+            );
+        self.active = active;
+        outcome
     }
 
     /// Drains the member links completely (between rounds — Join
-    /// handshakes, rejoins, stray acknowledgements). Returns whether
-    /// anything was delivered.
+    /// handshakes, rejoins, stray acknowledgements) with the plain,
+    /// unclocked `recv`: an idle drain, not a sweep (`docs/determinism.md`
+    /// §3). Returns whether anything was delivered.
     ///
     /// # Errors
     /// Returns an error if a transport fails.
@@ -703,6 +649,21 @@ impl EdgeAggregator {
     }
 }
 
+/// An edge's member links, each gated by the member's latency.
+impl SweepLinks for EdgeAggregator {
+    fn count(&self) -> usize {
+        self.members.len()
+    }
+
+    fn link(&self, index: usize) -> &dyn Transport {
+        self.members[index].link.as_ref()
+    }
+
+    fn latency(&self, index: usize) -> usize {
+        self.members[index].latency
+    }
+}
+
 /// Fills the parameters missing from a (shielded) update's clear segment
 /// with the current broadcast values, in canonical order — the edge-local
 /// mirror of the root's enclave reassembly: sealed segments contribute zero
@@ -743,16 +704,6 @@ struct GossipPeer {
     known: BTreeMap<usize, MemberUpdate>,
 }
 
-/// What one latency-gated collect sweep over the coordinator links did.
-#[derive(Default)]
-pub(crate) struct GossipPump {
-    pub(crate) delivered: bool,
-    pub(crate) pending_future: bool,
-    /// Non-update traffic (Join/Leave/junk) for the coordinator's state
-    /// machine, in deterministic (ascending peer) order.
-    pub(crate) control: Vec<(usize, Message)>,
-}
-
 /// The runtime fabric of a gossip federation: a directed ring mesh that
 /// floods member updates in deterministic sweeps and exposes every peer's
 /// converged update set for the consensus fold.
@@ -760,9 +711,6 @@ pub(crate) struct GossipMesh {
     peers: Vec<GossipPeer>,
     round: Option<usize>,
     participants: BTreeSet<usize>,
-    /// Peer indices with queued coordinator traffic during a collect phase
-    /// (rebuilt at sweep 0; only ever shrinks within a phase).
-    active: Option<BTreeSet<usize>>,
 }
 
 impl GossipMesh {
@@ -815,7 +763,6 @@ impl GossipMesh {
             peers,
             round: None,
             participants: BTreeSet::new(),
-            active: None,
         }
     }
 
@@ -839,7 +786,6 @@ impl GossipMesh {
         };
         self.round = Some(*round);
         self.participants = participants.iter().copied().collect();
-        self.active = None;
         for peer in &mut self.peers {
             peer.known.clear();
             for link in &mut peer.out_links {
@@ -852,10 +798,11 @@ impl GossipMesh {
         Ok(())
     }
 
-    /// One latency-gated collect sweep over the coordinator links: a peer's
-    /// own round-`r` [`Message::Update`] enters its knowledge; everything
-    /// else is surfaced as control traffic for the coordinator's state
-    /// machine.
+    /// The daemon's admission check for one intact frame on peer `index`'s
+    /// coordinator link, run by the runtime's collect sweep
+    /// ([`crate::sweep`]): a peer's own round-`r` [`Message::Update`]
+    /// enters its knowledge; everything else is returned as control
+    /// traffic for the coordinator's state machine.
     ///
     /// Adversarial frames never abort the run here: the daemon knows whose
     /// link it is, so an update under a spoofed client id, for a stale
@@ -872,109 +819,46 @@ impl GossipMesh {
     /// # Errors
     /// Returns an error if a transport fails or an update carries sealed
     /// segments (gossip has no attested central enclave to open them).
-    pub(crate) fn pump_collect(&mut self, sweep: usize) -> Result<GossipPump> {
-        let round = self.round;
-        let mut outcome = GossipPump::default();
-        // Only *active* peers (queued coordinator traffic) are visited: all
-        // of a collect phase's traffic is queued before sweep 0, so the
-        // active set is rebuilt there and only shrinks afterwards.
-        let mut active = match self.active.take() {
-            Some(set) if sweep != 0 => set,
-            _ => (0..self.peers.len())
-                .filter(|&index| self.peers[index].coordinator.has_pending())
-                .collect(),
+    pub(crate) fn admit(&mut self, index: usize, message: Message) -> Result<Option<Message>> {
+        let Message::Update { update, shielded } = message else {
+            return Ok(Some(message));
         };
-        let mut drained = Vec::new();
-        for &index in &active {
-            let peer = &mut self.peers[index];
-            if peer.latency > sweep {
-                // Active ⇒ the link still holds traffic for a later sweep.
-                outcome.pending_future = true;
-                continue;
-            }
-            let message = match peer.coordinator.recv_checked()? {
-                Delivery::Empty => {
-                    if peer.coordinator.has_pending() {
-                        // A fault wrapper is holding traffic for a later
-                        // sweep — the peer stays active.
-                        outcome.pending_future = true;
-                    } else {
-                        drained.push(index);
-                    }
-                    continue;
-                }
-                Delivery::Faulted {
-                    round: faulted_round,
-                    ..
-                } => {
-                    outcome.delivered = true;
-                    // The daemon knows whose link it is: the refusal is
-                    // addressed to the peer itself (never the id inside a
-                    // damaged frame) and doubles as the retransmission
-                    // trigger at the fault wrapper.
-                    peer.coordinator.send(&Message::Nack {
-                        client_id: peer.id,
-                        round: faulted_round,
-                        reason: NackReason::CorruptFrame,
-                    })?;
-                    if !peer.coordinator.has_pending() {
-                        drained.push(index);
-                    }
-                    continue;
-                }
-                Delivery::Frame(message) => message,
-            };
-            outcome.delivered = true;
-            if !peer.coordinator.has_pending() {
-                drained.push(index);
-            }
-            match message {
-                Message::Update { update, shielded } => {
-                    if !shielded.is_empty() {
-                        return Err(FlError::InvalidConfig {
-                            reason: format!(
-                                "gossip peer {} sent sealed segments, which no peer can open",
-                                update.client_id
-                            ),
-                        });
-                    }
-                    let legitimate = update.client_id == peer.id
-                        && Some(update.round) == round
-                        && self.participants.contains(&peer.id);
-                    if legitimate {
-                        peer.known
-                            .entry(update.client_id)
-                            .or_insert(MemberUpdate::clear(update));
-                    } else {
-                        let reason = if update.client_id != peer.id {
-                            NackReason::Rejected(format!(
-                                "update claims client {} on client {}'s link",
-                                update.client_id, peer.id
-                            ))
-                        } else if Some(update.round) != round {
-                            NackReason::StaleRound
-                        } else {
-                            NackReason::NotParticipating
-                        };
-                        peer.coordinator.send(&Message::Nack {
-                            client_id: peer.id,
-                            round: update.round,
-                            reason,
-                        })?;
-                    }
-                }
-                other => outcome.control.push((peer.id, other)),
-            }
+        let peer = &mut self.peers[index];
+        if !shielded.is_empty() {
+            return Err(FlError::InvalidConfig {
+                reason: format!(
+                    "gossip peer {} sent sealed segments, which no peer can open",
+                    update.client_id
+                ),
+            });
         }
-        for index in drained {
-            active.remove(&index);
-        }
-        self.active = Some(active);
-        Ok(outcome)
+        let reason = if update.client_id != peer.id {
+            NackReason::Rejected(format!(
+                "update claims client {} on client {}'s link",
+                update.client_id, peer.id
+            ))
+        } else if Some(update.round) != self.round {
+            NackReason::StaleRound
+        } else if !self.participants.contains(&peer.id) {
+            NackReason::NotParticipating
+        } else {
+            peer.known
+                .entry(update.client_id)
+                .or_insert(MemberUpdate::clear(update));
+            return Ok(None);
+        };
+        peer.coordinator.send(&Message::Nack {
+            client_id: peer.id,
+            round: update.round,
+            reason,
+        })?;
+        Ok(None)
     }
 
-    /// Drains the coordinator links completely between rounds; everything
-    /// is control traffic (there is no open round for updates to enter).
+    /// Drains the coordinator links completely between rounds with the
+    /// plain, unclocked `recv` — an idle drain, not a sweep
+    /// (`docs/determinism.md` §3); everything is control traffic (there is
+    /// no open round for updates to enter).
     ///
     /// # Errors
     /// Returns an error if a transport fails.
@@ -1120,6 +1004,60 @@ impl GossipMesh {
             }
         }
         (messages, bytes)
+    }
+}
+
+/// The coordinator links, each gated by its peer's latency. The daemon
+/// knows whose link it is, so a faulted frame's refusal goes to the peer
+/// itself, never to the id inside the damaged frame.
+impl SweepLinks for GossipMesh {
+    fn count(&self) -> usize {
+        self.peers.len()
+    }
+
+    fn link(&self, index: usize) -> &dyn Transport {
+        self.peers[index].coordinator.as_ref()
+    }
+
+    fn latency(&self, index: usize) -> usize {
+        self.peers[index].latency
+    }
+
+    fn refusal_addressee(&self, index: usize, _sender: usize) -> usize {
+        self.peers[index].id
+    }
+}
+
+/// What one collect sweep did, with the control traffic surfaced rather
+/// than delivered — see [`GossipMesh::pump_collect`].
+#[cfg(test)]
+pub(crate) struct CollectSweep {
+    pub(crate) delivered: bool,
+    pub(crate) pending_future: bool,
+    pub(crate) control: Vec<(usize, Message)>,
+}
+
+#[cfg(test)]
+impl GossipMesh {
+    /// One collect sweep through the sweep engine and the daemons'
+    /// admission check, without a coordinator state machine: the runtime
+    /// runs the same sweep from `Federation::deliver_round`, delivering the
+    /// control traffic to its server instead. The unit tests below have
+    /// no faults or latencies, so rebuilding the active set every sweep
+    /// polls the same links the runtime's shrinking set does.
+    pub(crate) fn pump_collect(&mut self, sweep: usize) -> Result<CollectSweep> {
+        let mut control = Vec::new();
+        let outcome = sweep::sweep_active(self, sweep, &mut None, |mesh, peer, arrival| {
+            if let Arrival::Frame(message) = arrival {
+                control.extend(mesh.admit(peer, message)?.map(|message| (peer, message)));
+            }
+            Ok(())
+        })?;
+        Ok(CollectSweep {
+            delivered: outcome.delivered,
+            pending_future: outcome.pending_future,
+            control,
+        })
     }
 }
 

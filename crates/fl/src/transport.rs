@@ -215,13 +215,6 @@ pub trait Transport: Send {
         })
     }
 
-    /// Whether the link is holding traffic it will only release in a later
-    /// sweep (reorder holds, partition windows, scheduled retransmissions).
-    /// Healthy transports deliver eagerly and are never stalled.
-    fn stalled(&self) -> bool {
-        false
-    }
-
     /// Whether a message from the peer is waiting.
     fn has_pending(&self) -> bool;
 
