@@ -1267,7 +1267,10 @@ fn main() {
                 baseline,
                 &json,
                 &["kernel_gflops_1t", "kernel_gflops_nt"],
-                &["kernel_ms_1t", "kernel_ms_nt"],
+                // `threads_1` is the ViT train step at one thread; its
+                // `threads_n` twin is left out because it is the same
+                // measurement on a one-thread host.
+                &["kernel_ms_1t", "kernel_ms_nt", "threads_1"],
                 tolerance,
             )),
             None => eprintln!("perf-check: no committed {out_path} baseline, skipping kernels"),

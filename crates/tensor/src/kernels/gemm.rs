@@ -149,7 +149,10 @@ fn a_at(trans_a: bool, a: &[f32], m: usize, k: usize, i: usize, p: usize) -> f32
     }
 }
 
-/// Dense triple loop for small problems (accumulates into `out`).
+/// Dense triple loop for small problems (accumulates into `out`). A
+/// transposed B is first copied `[k, n]` into the thread's B packing buffer,
+/// so the inner loop always reads a contiguous row of `op(B)`; each output
+/// still adds `a·b` products (multiply, then add) in ascending `p`.
 #[allow(clippy::too_many_arguments)]
 fn small_gemm(
     trans_a: bool,
@@ -161,19 +164,37 @@ fn small_gemm(
     n: usize,
     out: &mut [f32],
 ) {
-    for i in 0..m {
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for p in 0..k {
+    if !trans_b {
+        small_gemm_rows(trans_a, a, b, m, k, n, out);
+        return;
+    }
+    with_pack_buffer(&PACK_B_BUF, |buf| {
+        ensure_len(buf, k * n);
+        let bt = &mut buf[..k * n];
+        for (j, b_row) in b.chunks_exact(k).enumerate() {
+            for (p, &v) in b_row.iter().enumerate() {
+                bt[p * n + j] = v;
+            }
+        }
+        small_gemm_rows(trans_a, a, bt, m, k, n, out);
+    });
+}
+
+/// The i–p–j loop of [`small_gemm`] over a row-major `[k, n]` B.
+fn small_gemm_rows(
+    trans_a: bool,
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        for (p, b_row) in b.chunks_exact(n).enumerate() {
             let av = a_at(trans_a, a, m, k, i, p);
-            if trans_b {
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o += av * b[j * k + p];
-                }
-            } else {
-                let b_row = &b[p * n..(p + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The compute backend behind every hot `Tensor` operation.
 //!
-//! Three families of kernels live here, all running on the shared
+//! Four families of kernels live here; the first three run on the shared
 //! [`crate::pool`] thread pool:
 //!
 //! * [`gemm`] — cache-blocked, panel-packed matrix multiplication with
@@ -8,7 +8,9 @@
 //! * [`conv`] — 2-D convolution forward and both gradients lowered to
 //!   im2col/col2im plus the blocked GEMM;
 //! * the parallel element-wise map/zip and chunked ordered reductions in
-//!   this module, used by the large-tensor paths of `ops.rs` / `reduce.rs`.
+//!   this module, used by the large-tensor paths of `ops.rs` / `reduce.rs`;
+//! * the single-threaded row walkers in `strided`, behind mixed-shape
+//!   broadcasting, `reduce_to_shape` and `permute`.
 //!
 //! # Determinism
 //!
@@ -25,6 +27,7 @@
 pub mod conv;
 pub mod gemm;
 pub mod reference;
+pub(crate) mod strided;
 
 use crate::pool::ThreadPool;
 

@@ -4,14 +4,120 @@
 //!
 //! * **oracles** — the property tests assert the blocked/parallel kernels in
 //!   [`super::gemm`] and [`super::conv`] match them within tolerance over
-//!   randomised shapes, strides, paddings and thread counts;
+//!   randomised shapes, strides, paddings and thread counts, and that the
+//!   row-walking broadcast, reduction and permutation kernels behind
+//!   `Tensor::add` and friends, `Tensor::reduce_to_shape`, `Tensor::permute`
+//!   and `Tensor::sum_axis` match the per-element loops here bit for bit;
 //! * **baselines** — the `perf` binary of `pelta-bench` measures speedup of
 //!   the packed kernels against them on the paper workloads.
 //!
 //! They assume pre-validated operands (the public `Tensor` methods do the
 //! shape checking before dispatching to the fast kernels).
 
-use crate::{Conv2dSpec, Result, Tensor};
+use crate::{Conv2dSpec, Result, Shape, Tensor, TensorError};
+
+/// Per-element broadcasting zip `f(a, b)`: every output offset is
+/// unflattened into an index and mapped back to each operand's offset.
+///
+/// # Errors
+/// Returns [`TensorError::ShapeMismatch`] if the shapes are not
+/// broadcast-compatible.
+pub fn naive_broadcast_zip<F: Fn(f32, f32) -> f32>(a: &Tensor, b: &Tensor, f: F) -> Result<Tensor> {
+    let lhs_shape = a.shape();
+    let rhs_shape = b.shape();
+    let out_shape = lhs_shape.broadcast_with(&rhs_shape)?;
+    let numel = out_shape.numel();
+    let mut data = Vec::with_capacity(numel);
+    for offset in 0..numel {
+        let out_index = out_shape.unflatten_index(offset)?;
+        let x = a.data()[lhs_shape.broadcast_source_offset(&out_index)];
+        let y = b.data()[rhs_shape.broadcast_source_offset(&out_index)];
+        data.push(f(x, y));
+    }
+    Tensor::from_vec(data, out_shape.dims())
+}
+
+/// Per-element `Tensor::reduce_to_shape`: each source offset, in ascending
+/// order, is added onto its destination, which starts at +0.0. A target
+/// equal to the source shape returns a copy.
+///
+/// # Errors
+/// Returns [`TensorError::ShapeMismatch`] if `target` does not broadcast to
+/// the source shape.
+pub fn naive_reduce_to_shape(src: &Tensor, target: &[usize]) -> Result<Tensor> {
+    let target_shape = Shape::new(target);
+    if src.shape().same_dims(&target_shape) {
+        return Ok(src.clone());
+    }
+    let broadcast = target_shape.broadcast_with(&src.shape())?;
+    if !broadcast.same_dims(&src.shape()) {
+        return Err(TensorError::ShapeMismatch {
+            op: "reduce_to_shape",
+            lhs: src.dims().to_vec(),
+            rhs: target.to_vec(),
+        });
+    }
+    let mut out = Tensor::zeros(target);
+    let src_shape = src.shape();
+    for offset in 0..src.numel() {
+        let idx = src_shape.unflatten_index(offset)?;
+        let dst = target_shape.broadcast_source_offset(&idx);
+        out.data_mut()[dst] += src.data()[offset];
+    }
+    Ok(out)
+}
+
+/// Per-element axis permutation; `axes` must be a permutation of
+/// `0..rank`.
+///
+/// # Errors
+/// Returns an error if an index falls outside its shape (it never does for
+/// a valid permutation).
+pub fn naive_permute(t: &Tensor, axes: &[usize]) -> Result<Tensor> {
+    let src_shape = t.shape();
+    let new_dims: Vec<usize> = axes.iter().map(|&a| t.dims()[a]).collect();
+    let dst_shape = Shape::new(&new_dims);
+    let mut data = vec![0.0f32; t.numel()];
+    for (dst_offset, d) in data.iter_mut().enumerate() {
+        let dst_index = dst_shape.unflatten_index(dst_offset)?;
+        let mut src_index = vec![0usize; t.rank()];
+        for (dst_axis, &src_axis) in axes.iter().enumerate() {
+            src_index[src_axis] = dst_index[dst_axis];
+        }
+        *d = t.data()[src_shape.flatten_index(&src_index)?];
+    }
+    Tensor::from_vec(data, &new_dims)
+}
+
+/// Outer/middle/inner loop `Tensor::sum_axis`: each output starts at +0.0
+/// and adds its terms in ascending source offset.
+///
+/// # Errors
+/// Never for an `axis` below the rank.
+///
+/// # Panics
+/// Panics if `axis >= rank`.
+pub fn naive_sum_axis(t: &Tensor, axis: usize, keep_dims: bool) -> Result<Tensor> {
+    let dims = t.dims();
+    let outer: usize = dims[..axis].iter().product();
+    let mid = dims[axis];
+    let inner: usize = dims[axis + 1..].iter().product();
+    let mut data = vec![0.0f32; outer * inner];
+    for o in 0..outer {
+        for m in 0..mid {
+            let base = (o * mid + m) * inner;
+            for i in 0..inner {
+                data[o * inner + i] += t.data()[base + i];
+            }
+        }
+    }
+    let shape = if keep_dims {
+        t.shape().collapse_axis(axis)?
+    } else {
+        t.shape().remove_axis(axis)?
+    };
+    Tensor::from_vec(data, shape.dims())
+}
 
 /// Naive i-k-j matrix multiplication `[m, k] × [k, n] → [m, n]`.
 ///

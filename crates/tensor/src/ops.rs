@@ -174,7 +174,9 @@ impl Tensor {
         self.broadcast_zip(other, "minimum", f32::min)
     }
 
-    /// Generic broadcasting binary zip.
+    /// Generic broadcasting binary zip. Identical shapes zip chunk-parallel;
+    /// mixed shapes walk the output row by row with each operand's
+    /// broadcast strides.
     fn broadcast_zip<F: Fn(f32, f32) -> f32 + Sync>(
         &self,
         other: &Tensor,
@@ -203,14 +205,15 @@ impl Tensor {
                     lhs: self.dims().to_vec(),
                     rhs: other.dims().to_vec(),
                 })?;
-        let numel = out_shape.numel();
-        let mut data = Vec::with_capacity(numel);
-        for offset in 0..numel {
-            let out_index = out_shape.unflatten_index(offset)?;
-            let a = self.data()[lhs_shape.broadcast_source_offset(&out_index)];
-            let b = other.data()[rhs_shape.broadcast_source_offset(&out_index)];
-            data.push(f(a, b));
-        }
+        let rank = out_shape.rank();
+        let data = crate::kernels::strided::broadcast_zip(
+            self.data(),
+            &lhs_shape.broadcast_strides(rank),
+            other.data(),
+            &rhs_shape.broadcast_strides(rank),
+            out_shape.dims(),
+            f,
+        );
         Tensor::from_vec(data, out_shape.dims())
     }
 
@@ -218,7 +221,8 @@ impl Tensor {
     /// over the broadcast axes.
     ///
     /// This is the adjoint of broadcasting: if `y = broadcast(x)` then
-    /// `dL/dx = reduce_to_shape(dL/dy, shape(x))`.
+    /// `dL/dx = reduce_to_shape(dL/dy, shape(x))`. Each output element sums
+    /// its terms in ascending source offset, starting from +0.0.
     ///
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] if `target` cannot be obtained
@@ -238,12 +242,12 @@ impl Tensor {
             });
         }
         let mut out = Tensor::zeros(target);
-        let src_shape = self.shape();
-        for offset in 0..self.numel() {
-            let idx = src_shape.unflatten_index(offset)?;
-            let dst = target_shape.broadcast_source_offset(&idx);
-            out.data_mut()[dst] += self.data()[offset];
-        }
+        crate::kernels::strided::reduce_into(
+            self.data(),
+            self.dims(),
+            out.data_mut(),
+            &target_shape.broadcast_strides(self.rank()),
+        );
         Ok(out)
     }
 
@@ -398,6 +402,21 @@ mod tests {
         let to_scalar = grad.reduce_to_shape(&[]).unwrap();
         assert_eq!(to_scalar.item().unwrap(), 6.0);
         assert!(grad.reduce_to_shape(&[4]).is_err());
+    }
+
+    #[test]
+    fn zero_length_axes_broadcast_and_reduce() {
+        let empty = Tensor::zeros(&[0, 32]);
+        let row = Tensor::zeros(&[32]);
+        assert_eq!(empty.add(&row).unwrap().dims(), &[0, 32]);
+        assert_eq!(row.add(&empty).unwrap().dims(), &[0, 32]);
+        let col = Tensor::zeros(&[0, 1]);
+        assert_eq!(col.mul(&row).unwrap().dims(), &[0, 32]);
+        let reduced = empty.reduce_to_shape(&[32]).unwrap();
+        assert_eq!(reduced.dims(), &[32]);
+        assert!(reduced.data().iter().all(|x| x.to_bits() == 0));
+        assert_eq!(empty.reduce_to_shape(&[1, 1]).unwrap().data(), &[0.0]);
+        assert!(empty.reduce_to_shape(&[2, 32]).is_err());
     }
 
     #[test]

@@ -103,7 +103,9 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Sum along `axis`, optionally keeping the reduced dimension.
+    /// Sum along `axis`, optionally keeping the reduced dimension. Each
+    /// output element adds its terms in ascending source offset, starting
+    /// from +0.0.
     ///
     /// # Errors
     /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`.
@@ -120,11 +122,19 @@ impl Tensor {
         let mid = dims[axis];
         let inner: usize = dims[axis + 1..].iter().product();
         let mut data = vec![0.0f32; outer * inner];
-        for o in 0..outer {
-            for m in 0..mid {
-                let base = (o * mid + m) * inner;
-                for i in 0..inner {
-                    data[o * inner + i] += self.data()[base + i];
+        if inner == 1 && mid > 0 {
+            // Only length-1 axes follow the reduced one, so each output's
+            // terms form one contiguous row.
+            for (o, row) in data.iter_mut().zip(self.data().chunks_exact(mid)) {
+                *o = row.iter().fold(0.0, |acc, &x| acc + x);
+            }
+        } else {
+            for o in 0..outer {
+                for m in 0..mid {
+                    let base = (o * mid + m) * inner;
+                    for i in 0..inner {
+                        data[o * inner + i] += self.data()[base + i];
+                    }
                 }
             }
         }

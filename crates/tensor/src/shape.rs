@@ -94,9 +94,10 @@ impl Shape {
     /// Unflattens a linear offset into a multi-dimensional index.
     ///
     /// # Errors
-    /// Returns [`TensorError::IndexOutOfBounds`] if `offset >= numel`.
+    /// Returns [`TensorError::IndexOutOfBounds`] if `offset >= numel` (every
+    /// offset, for a shape with a length-0 axis).
     pub fn unflatten_index(&self, offset: usize) -> Result<Vec<usize>, TensorError> {
-        if offset >= self.numel().max(1) {
+        if offset >= self.numel() {
             return Err(TensorError::IndexOutOfBounds {
                 index: vec![offset],
                 shape: self.dims.clone(),
@@ -113,7 +114,8 @@ impl Shape {
     }
 
     /// Computes the broadcast shape of `self` and `other` following NumPy
-    /// semantics: trailing dimensions must be equal or one of them must be 1.
+    /// semantics: trailing dimensions must be equal or one of them must be 1,
+    /// and a length-1 axis takes the other side's length, even 0.
     ///
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] if the shapes are not
@@ -132,15 +134,18 @@ impl Shape {
             } else {
                 other.dims[i - (rank - other.rank())]
             };
-            if a == b || a == 1 || b == 1 {
-                *d = a.max(b);
-            } else {
-                return Err(TensorError::ShapeMismatch {
-                    op: "broadcast",
-                    lhs: self.dims.clone(),
-                    rhs: other.dims.clone(),
-                });
-            }
+            *d = match (a, b) {
+                (1, b) => b,
+                (a, 1) => a,
+                (a, b) if a == b => a,
+                _ => {
+                    return Err(TensorError::ShapeMismatch {
+                        op: "broadcast",
+                        lhs: self.dims.clone(),
+                        rhs: other.dims.clone(),
+                    })
+                }
+            };
         }
         Ok(Shape { dims })
     }
@@ -157,6 +162,21 @@ impl Shape {
             offset += i * strides[axis];
         }
         offset
+    }
+
+    /// Per-axis strides for reading this shape's data along a broadcast
+    /// shape of rank `out_rank` (at least this shape's rank): the row-major
+    /// stride on every axis this shape holds at full length, 0 on the
+    /// leading axes it lacks and on its length-1 axes.
+    pub(crate) fn broadcast_strides(&self, out_rank: usize) -> Vec<usize> {
+        let pad = out_rank - self.rank();
+        let mut strides = vec![0usize; out_rank];
+        for (axis, stride) in self.strides().into_iter().enumerate() {
+            if self.dims[axis] != 1 {
+                strides[axis + pad] = stride;
+            }
+        }
+        strides
     }
 
     /// Whether `self` and `other` have identical dimensions.
@@ -253,6 +273,12 @@ mod tests {
         assert!(s.flatten_index(&[2, 0]).is_err());
         assert!(s.flatten_index(&[0]).is_err());
         assert!(s.unflatten_index(4).is_err());
+        assert!(Shape::new(&[2, 0]).unflatten_index(0).is_err());
+        assert!(Shape::new(&[0]).unflatten_index(0).is_err());
+        assert_eq!(
+            Shape::scalar().unflatten_index(0).unwrap(),
+            Vec::<usize>::new()
+        );
     }
 
     #[test]
@@ -267,6 +293,9 @@ mod tests {
         let a = Shape::new(&[4, 1, 3]);
         let b = Shape::new(&[2, 3]);
         assert_eq!(a.broadcast_with(&b).unwrap(), Shape::new(&[4, 2, 3]));
+        let empty = Shape::new(&[0]);
+        assert_eq!(Shape::new(&[1]).broadcast_with(&empty).unwrap(), empty);
+        assert_eq!(empty.broadcast_with(&Shape::new(&[1])).unwrap(), empty);
     }
 
     #[test]
@@ -282,6 +311,7 @@ mod tests {
         let a = Shape::new(&[2, 3]);
         let b = Shape::new(&[4, 3]);
         assert!(a.broadcast_with(&b).is_err());
+        assert!(Shape::new(&[2]).broadcast_with(&Shape::new(&[0])).is_err());
     }
 
     #[test]

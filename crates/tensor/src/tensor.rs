@@ -295,18 +295,10 @@ impl Tensor {
             }
             seen[a] = true;
         }
-        let src_shape = self.shape();
         let new_dims: Vec<usize> = axes.iter().map(|&a| self.shape[a]).collect();
-        let dst_shape = Shape::new(&new_dims);
-        let mut data = vec![0.0f32; self.data.len()];
-        for dst_offset in 0..self.data.len() {
-            let dst_index = dst_shape.unflatten_index(dst_offset)?;
-            let mut src_index = vec![0usize; self.rank()];
-            for (dst_axis, &src_axis) in axes.iter().enumerate() {
-                src_index[src_axis] = dst_index[dst_axis];
-            }
-            data[dst_offset] = self.data[src_shape.flatten_index(&src_index)?];
-        }
+        let src_strides = self.shape().strides();
+        let strides: Vec<usize> = axes.iter().map(|&a| src_strides[a]).collect();
+        let data = crate::kernels::strided::gather(&self.data, &strides, &new_dims);
         Ok(Tensor {
             shape: new_dims,
             data,
@@ -347,17 +339,16 @@ impl Tensor {
                 rank: self.rank(),
             });
         }
-        if start + len > self.shape[axis] {
-            return Err(TensorError::InvalidArgument {
+        let end = start
+            .checked_add(len)
+            .filter(|&end| end <= self.shape[axis])
+            .ok_or_else(|| TensorError::InvalidArgument {
                 op: "narrow",
                 reason: format!(
-                    "range {}..{} exceeds axis length {}",
-                    start,
-                    start + len,
+                    "{len} elements from {start} exceed axis length {}",
                     self.shape[axis]
                 ),
-            });
-        }
+            })?;
         let mut new_dims = self.shape.clone();
         new_dims[axis] = len;
         let outer: usize = self.shape[..axis].iter().product();
@@ -365,7 +356,7 @@ impl Tensor {
         let mut data = Vec::with_capacity(outer * len * inner);
         for o in 0..outer {
             let base = o * self.shape[axis] * inner;
-            data.extend_from_slice(&self.data[base + start * inner..base + (start + len) * inner]);
+            data.extend_from_slice(&self.data[base + start * inner..base + end * inner]);
         }
         Ok(Tensor {
             shape: new_dims,
@@ -662,6 +653,17 @@ mod tests {
         assert_eq!(col.data(), &[1.0, 5.0, 9.0]);
         assert!(t.narrow(0, 2, 2).is_err());
         assert!(t.index_axis(2, 0).is_err());
+    }
+
+    #[test]
+    fn narrow_rejects_a_range_past_usize_max() {
+        let t = Tensor::arange(12).reshape(&[3, 4]).unwrap();
+        for (start, len) in [(usize::MAX, 2), (2, usize::MAX), (usize::MAX, usize::MAX)] {
+            assert!(matches!(
+                t.narrow(0, start, len),
+                Err(TensorError::InvalidArgument { op: "narrow", .. })
+            ));
+        }
     }
 
     #[test]

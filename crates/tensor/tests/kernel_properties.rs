@@ -5,12 +5,15 @@
 //! reference loops in `pelta_tensor::kernels::reference` over randomised
 //! shapes, strides and paddings — and against itself across thread counts,
 //! where the determinism contract requires **bitwise** identical results.
+//! The row-walking broadcast, broadcast-reduction, permutation and
+//! row-sum kernels, and the small GEMM's transposed-B path, must match
+//! their per-element references bitwise too.
 
 use pelta_tensor::kernels::{conv, gemm::gemm, reference};
 use pelta_tensor::pool::ThreadPool;
 use pelta_tensor::{Conv2dSpec, Tensor};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Absolute tolerance for fast-vs-naive comparisons (the FMA kernels round
@@ -45,6 +48,72 @@ impl ToBits for [f32] {
         self.iter().map(|x| x.to_bits()).collect()
     }
 }
+
+/// Bit-level edge cases mixed into generated tensors: one quiet NaN pattern
+/// (so which operand a NaN result propagates from cannot matter), both
+/// signed zeros, subnormals of both signs and the smallest normal.
+const EDGE_VALUES: [f32; 8] = [
+    f32::NAN,
+    0.0,
+    -0.0,
+    f32::from_bits(1),
+    -f32::from_bits(1),
+    f32::from_bits(0x0040_0000),
+    -f32::from_bits(0x0040_0000),
+    f32::MIN_POSITIVE,
+];
+
+/// A tensor of shape `dims` whose elements are an edge value one time in
+/// four and a uniform draw from `[-4, 4)` otherwise.
+fn edge_tensor(rng: &mut ChaCha8Rng, dims: &[usize]) -> Tensor {
+    let data = (0..dims.iter().product::<usize>())
+        .map(|_| {
+            if rng.gen_range(0..4usize) == 0 {
+                EDGE_VALUES[rng.gen_range(0..EDGE_VALUES.len())]
+            } else {
+                rng.gen_range(-4.0f32..4.0)
+            }
+        })
+        .collect();
+    Tensor::from_vec(data, dims).unwrap()
+}
+
+/// Rank 0–4 dimensions from `0..=7`, with extra weight on length 1 and
+/// an occasional length 0.
+fn random_dims(rng: &mut ChaCha8Rng) -> Vec<usize> {
+    let rank = rng.gen_range(0..=4usize);
+    (0..rank)
+        .map(|_| match rng.gen_range(0..10usize) {
+            0 => 0,
+            1 | 2 => 1,
+            d => d - 2,
+        })
+        .collect()
+}
+
+/// A shape that broadcasts to `out`: some leading axes dropped, and each
+/// remaining axis kept or set to 1.
+fn broadcast_operand(rng: &mut ChaCha8Rng, out: &[usize]) -> Vec<usize> {
+    let dropped = rng.gen_range(0..=out.len());
+    out[dropped..]
+        .iter()
+        .map(|&d| if rng.gen_range(0..3usize) == 0 { 1 } else { d })
+        .collect()
+}
+
+type TensorOp = fn(&Tensor, &Tensor) -> pelta_tensor::Result<Tensor>;
+type ScalarOp = fn(f32, f32) -> f32;
+
+/// Each public broadcasting binary op beside the scalar function it
+/// applies.
+const BINARY_OPS: [(&str, TensorOp, ScalarOp); 6] = [
+    ("add", Tensor::add, |a, b| a + b),
+    ("sub", Tensor::sub, |a, b| a - b),
+    ("mul", Tensor::mul, |a, b| a * b),
+    ("div", Tensor::div, |a, b| a / b),
+    ("maximum", Tensor::maximum, f32::max),
+    ("minimum", Tensor::minimum, f32::min),
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -202,6 +271,140 @@ proptest! {
             let slice = fast.index_axis(0, bi).unwrap();
             assert_close(slice.data(), naive.data(), "batch_matmul");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// All six broadcasting binary ops, in both operand orders, over ranks
+    /// 0–4 with length-1, length-0 and missing leading axes, match the
+    /// per-element reference bit for bit.
+    #[test]
+    fn prop_broadcast_ops_match_reference_bitwise(seed in 0u64..1_000_000) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let out = random_dims(&mut rng);
+        let a_dims = broadcast_operand(&mut rng, &out);
+        let b_dims = broadcast_operand(&mut rng, &out);
+        let a = edge_tensor(&mut rng, &a_dims);
+        let b = edge_tensor(&mut rng, &b_dims);
+        for (name, op, f) in BINARY_OPS {
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let fast = op(x, y).unwrap();
+                let naive = reference::naive_broadcast_zip(x, y, f).unwrap();
+                prop_assert_eq!(fast.dims(), naive.dims());
+                prop_assert!(
+                    fast.data().to_bits_vec() == naive.data().to_bits_vec(),
+                    "{name} {:?} by {:?}: {:?} vs reference {:?}",
+                    x.dims(), y.dims(), fast.data(), naive.data()
+                );
+            }
+        }
+    }
+
+    /// `reduce_to_shape` to every target shape that broadcasts to the
+    /// source (leading axes dropped, any subset of the rest collapsed to 1)
+    /// matches the per-element reference bit for bit.
+    #[test]
+    fn prop_reduce_to_shape_matches_reference_bitwise(seed in 0u64..1_000_000) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let dims = random_dims(&mut rng);
+        let src = edge_tensor(&mut rng, &dims);
+        for dropped in 0..=dims.len() {
+            let kept = &dims[dropped..];
+            for ones in 0..1usize << kept.len() {
+                let target: Vec<usize> = kept
+                    .iter()
+                    .enumerate()
+                    .map(|(axis, &d)| if ones >> axis & 1 == 1 { 1 } else { d })
+                    .collect();
+                let fast = src.reduce_to_shape(&target).unwrap();
+                let naive = reference::naive_reduce_to_shape(&src, &target).unwrap();
+                prop_assert_eq!(fast.dims(), naive.dims());
+                prop_assert!(
+                    fast.data().to_bits_vec() == naive.data().to_bits_vec(),
+                    "{dims:?} to {target:?}: {:?} vs reference {:?}",
+                    fast.data(), naive.data()
+                );
+            }
+        }
+    }
+
+    /// `permute` under a random permutation matches the reference.
+    #[test]
+    fn prop_permute_matches_reference_bitwise(seed in 0u64..1_000_000) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let dims = random_dims(&mut rng);
+        let t = edge_tensor(&mut rng, &dims);
+        let mut axes: Vec<usize> = (0..dims.len()).collect();
+        for i in (1..axes.len()).rev() {
+            axes.swap(i, rng.gen_range(0..=i));
+        }
+        let fast = t.permute(&axes).unwrap();
+        let naive = reference::naive_permute(&t, &axes).unwrap();
+        prop_assert_eq!(fast.dims(), naive.dims());
+        prop_assert!(
+            fast.data().to_bits_vec() == naive.data().to_bits_vec(),
+            "{dims:?} permuted by {axes:?}"
+        );
+    }
+
+    /// `sum_axis` on every axis matches the reference bit for bit, and a
+    /// last-axis row of only -0.0 sums to +0.0.
+    #[test]
+    fn prop_sum_axis_matches_reference_bitwise(seed in 0u64..1_000_000) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut dims = random_dims(&mut rng);
+        if dims.is_empty() {
+            dims.push(3);
+        }
+        let mut t = edge_tensor(&mut rng, &dims);
+        let last = dims.len() - 1;
+        let row = dims[last];
+        if t.numel() > 0 {
+            t.data_mut()[..row].fill(-0.0);
+            let sums = t.sum_axis(last, false).unwrap();
+            prop_assert_eq!(sums.data()[0].to_bits(), 0.0f32.to_bits());
+        }
+        for axis in 0..dims.len() {
+            for keep_dims in [false, true] {
+                let fast = t.sum_axis(axis, keep_dims).unwrap();
+                let naive = reference::naive_sum_axis(&t, axis, keep_dims).unwrap();
+                prop_assert_eq!(fast.dims(), naive.dims());
+                prop_assert!(
+                    fast.data().to_bits_vec() == naive.data().to_bits_vec(),
+                    "{dims:?} summed over axis {axis}"
+                );
+            }
+        }
+    }
+
+    /// Below the small-GEMM cutoff (every `m·k·n` here is under 48³),
+    /// `gemm` with a transposed B matches `gemm` on the explicitly
+    /// transposed B bit for bit, for either layout of A.
+    #[test]
+    fn prop_small_gemm_trans_b_matches_explicit_transpose_bitwise(
+        m in 1usize..48,
+        k in 1usize..48,
+        n in 1usize..48,
+        trans_a in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let trans_a = trans_a == 1;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let a_dims = if trans_a { [k, m] } else { [m, k] };
+        let a = edge_tensor(&mut rng, &a_dims);
+        let b = edge_tensor(&mut rng, &[n, k]);
+        let b_t = b.transpose().unwrap();
+        let pool = ThreadPool::new(1);
+        let mut packed = vec![0.0f32; m * n];
+        gemm(&pool, trans_a, a.data(), true, b.data(), m, k, n, &mut packed, false);
+        let mut plain = vec![0.0f32; m * n];
+        gemm(&pool, trans_a, a.data(), false, b_t.data(), m, k, n, &mut plain, false);
+        prop_assert!(
+            packed.to_bits_vec() == plain.to_bits_vec(),
+            "m={m} k={k} n={n} trans_a={trans_a}"
+        );
     }
 }
 
