@@ -11,12 +11,14 @@
 //! gossip collect sweep and both arms of the secure-aggregation
 //! `MaskShare` drain, under latency schedules, straggler deadlines,
 //! mid-round churn, a Nack-spamming free rider, every fault class and
-//! scripted seat and edge crashes.
+//! scripted seat and edge crashes. The role-mix scenarios put every
+//! adversarial role (static and adaptive backdoor, probing, free rider)
+//! into one Krum population on each topology.
 //!
 //! Only host-independent integers are pinned: every [`RoundSummary`] field
-//! (root and per edge), the per-round byte and gossip counters, the run's
-//! message and wire-byte totals, the full [`FaultStats`] and the root's
-//! individual-blob unseal count. Floats and model bits are deliberately
+//! (root and per edge), the per-round byte, gossip and adversarial-action
+//! counters, the run's message and wire-byte totals, the full
+//! [`FaultStats`] and the root's individual-blob unseal count. Floats and model bits are deliberately
 //! left out — GEMM micro-kernel selection is host-specific, so they are
 //! only replay-stable within one machine. Because the fault wrappers draw
 //! partition fates on every poll, even of an idle link, a change in *which*
@@ -30,8 +32,9 @@
 use pelta_autodiff::{Graph, NodeId};
 use pelta_data::{Dataset, DatasetSpec, GeneratorConfig};
 use pelta_fl::{
-    AgentRole, ClientSchedule, CrashPoint, CrashTarget, FaultConfig, FaultStats, Federation,
-    FederationConfig, ParticipationPolicy, RoundSummary, ScenarioSpec, Topology, UpdateCodec,
+    AgentRole, AggregationRule, AttackKind, ClientSchedule, CrashPoint, CrashTarget, FaultConfig,
+    FaultStats, Federation, FederationConfig, ParticipationPolicy, RoundSummary, ScenarioSpec,
+    Topology, TrojanTrigger, UpdateCodec,
 };
 use pelta_models::{Architecture, ImageModel, TrainingConfig};
 use pelta_nn::{Linear, Module, Param};
@@ -199,6 +202,62 @@ fn secure(topology: Topology) -> ScenarioSpec {
     })
 }
 
+/// Every adversarial role in one population under Krum, next to two honest
+/// seats (seat 1 slow): a static and an adaptive backdoor (the adaptive
+/// seat halves its boost each round Krum suppresses it), a compromised
+/// client probing every broadcast behind honest cover traffic, and a
+/// Nack-spamming free rider. Unshielded: the `TinyMlp` frontier is rank 2,
+/// which the shielded probe cannot upsample.
+fn role_mix(topology: Topology) -> ScenarioSpec {
+    let trigger = TrojanTrigger::new(3, 1.0, 0).expect("valid trigger");
+    ScenarioSpec::honest(FederationConfig {
+        topology,
+        rule: AggregationRule::Krum { f: 1 },
+        policy: ParticipationPolicy {
+            quorum: 6,
+            sample: 0,
+            straggler_deadline: 0,
+        },
+        schedules: vec![latency(1, 1)],
+        ..base(6, 4)
+    })
+    .with_role(
+        2,
+        AgentRole::Backdoor {
+            trigger,
+            poison_fraction: 0.5,
+            boost: 4,
+            training: None,
+        },
+    )
+    .with_role(
+        3,
+        AgentRole::AdaptiveBackdoor {
+            trigger,
+            poison_fraction: 0.5,
+            max_boost: 8,
+            training: None,
+        },
+    )
+    .with_role(
+        4,
+        AgentRole::Probing {
+            attack: AttackKind::Pgd,
+            epsilon: 0.05,
+            steps: 2,
+            probe_samples: 2,
+        },
+    )
+    .with_role(
+        5,
+        AgentRole::FreeRider {
+            claimed_samples: 0,
+            spam: 1,
+            perturbation: 0.01,
+        },
+    )
+}
+
 fn write_summary(out: &mut String, label: &str, s: &RoundSummary) {
     out.push_str(&format!(
         "{label} {}: participants={:?} reporters={:?} stragglers={:?} dropouts={:?} \
@@ -243,8 +302,11 @@ fn render(spec: &ScenarioSpec) -> String {
     for record in &history.rounds {
         write_summary(&mut out, "round", &record.summary);
         out.push_str(&format!(
-            "  upload_bytes={} shielded_bytes={} gossip_messages={}\n",
-            record.upload_bytes, record.shielded_bytes, record.gossip_messages
+            "  upload_bytes={} shielded_bytes={} gossip_messages={} adversarial_actions={}\n",
+            record.upload_bytes,
+            record.shielded_bytes,
+            record.gossip_messages,
+            record.adversarial_actions
         ));
         for (edge, summary) in record.edge_summaries.iter().enumerate() {
             write_summary(&mut out, &format!("  edge {edge} round"), summary);
@@ -422,5 +484,29 @@ fn secure_hierarchical_dropout_under_faults() {
     check(
         "secure_hierarchical_dropout_under_faults",
         secure(Topology::hierarchical(vec![vec![0, 2], vec![1, 3]])),
+    );
+}
+
+/// Every role on the star.
+#[test]
+fn star_role_mix_krum() {
+    check("star_role_mix_krum", role_mix(Topology::Star));
+}
+
+/// Every role on the hierarchy, adversaries split across both edges.
+#[test]
+fn hierarchical_role_mix_krum() {
+    check(
+        "hierarchical_role_mix_krum",
+        role_mix(Topology::hierarchical(vec![vec![0, 2, 4], vec![1, 3, 5]])),
+    );
+}
+
+/// Every role on the gossip mesh.
+#[test]
+fn gossip_role_mix_krum() {
+    check(
+        "gossip_role_mix_krum",
+        role_mix(Topology::Gossip { fanout: 2 }),
     );
 }
