@@ -1,18 +1,13 @@
-//! Federated clients: the [`FederationAgent`] abstraction every scheduler
-//! participant (honest or malicious) implements, the honest local-training
-//! core ([`FlClient`]), the parameter import/export helpers shared with the
-//! server and the adversaries, and the message-driven [`ClientAgent`] that
-//! speaks the wire protocol over a [`Transport`].
+//! The honest local-training core ([`FlClient`]) and the parameter
+//! import/export helpers shared with the server, the adversaries and the
+//! federation's seats.
 
 use pelta_data::ClientShard;
 use pelta_models::{train_classifier, ImageModel, ParameterSegment, TrainingConfig};
 use pelta_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-use crate::malicious::EvasionReport;
-use crate::poisoning::PoisonReport;
-use crate::secure_agg::ClientMaskContext;
-use crate::{FlError, GlobalModel, Message, ModelUpdate, Result, ShieldedUpdateChannel, Transport};
+use crate::{FlError, GlobalModel, ModelUpdate, Result};
 
 /// Exports a model's parameters as `(name, tensor)` pairs in canonical
 /// order.
@@ -56,8 +51,8 @@ pub fn import_parameters<M: ImageModel + ?Sized>(
 
 /// Partitions named parameters into the **shielded** and **clear** segments
 /// under `model`'s shield plan, both keeping their relative (canonical)
-/// order. This is the single place the segment split lives: the
-/// [`ClientAgent`] uses it on a trained update before sealing, and
+/// order. This is the single place the segment split lives: the honest
+/// seat uses it on a trained update before sealing, and
 /// [`export_segments`] on a fresh export.
 #[allow(clippy::type_complexity)]
 pub fn split_segments<M: ImageModel + ?Sized>(
@@ -178,262 +173,6 @@ impl FlClient {
     }
 }
 
-/// What an adversarial agent did in a step (honest agents report nothing
-/// here). Surfaced so scenario harnesses can attribute attacks to rounds
-/// without reaching into agent internals.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdversarialAction {
-    /// A backdoor client shipped a poisoned (possibly boosted) update.
-    Poisoned(PoisonReport),
-    /// A compromised client probed its replica of the broadcast model with
-    /// an evasion attack (and still reported an honest-looking update).
-    Probed(EvasionReport),
-    /// A free rider echoed the broadcast back as its "update" after sending
-    /// this many junk messages to burn the straggler-deadline budget.
-    FreeRode {
-        /// Junk messages sent before the echoed update.
-        spam_messages: usize,
-    },
-}
-
-/// What one agent step actually did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepOutcome {
-    /// The local training report, when the step trained honestly and sent an
-    /// update.
-    pub trained: Option<LocalTrainingReport>,
-    /// Whether the step answered a broadcast with a mid-round Leave.
-    pub left: bool,
-    /// The adversarial action taken this step, for malicious agents.
-    pub adversarial: Option<AdversarialAction>,
-}
-
-impl StepOutcome {
-    /// An outcome that did nothing (empty inbox).
-    pub fn idle() -> Self {
-        StepOutcome {
-            trained: None,
-            left: false,
-            adversarial: None,
-        }
-    }
-}
-
-/// One seat in the federation's deterministic scheduler: an agent bound to
-/// one end of a duplex [`Transport`] link, speaking [`Message`]s.
-///
-/// The honest [`ClientAgent`] and the adversaries
-/// ([`crate::BackdoorAgent`], [`crate::FreeRiderAgent`],
-/// [`crate::ProbingAgent`]) all implement this trait, so
-/// [`crate::Federation`] drives mixed honest/malicious populations through
-/// the same delivery sweeps — the server can only tell them apart by what
-/// their updates *contain*, never by message shape or scheduling.
-///
-/// Agents are **topology-oblivious**: the far end of their link may be the
-/// central server, an edge aggregator relaying a subtree, or a gossip
-/// peer's coordinator daemon ([`crate::Topology`]) — the protocol an agent
-/// speaks is identical in every case, which is what lets one scenario
-/// replay bit-identically across topologies.
-pub trait FederationAgent: Send {
-    /// The client id this agent occupies in the federation.
-    fn id(&self) -> usize;
-
-    /// Announces the agent to the server (initial connection or rejoin).
-    ///
-    /// # Errors
-    /// Returns an error if the transport rejects the message.
-    fn join(&self) -> Result<()>;
-
-    /// Drains the inbox and reacts to each message. With `drop_this_round`
-    /// set, a received [`Message::RoundStart`] is answered by a mid-round
-    /// [`Message::Leave`] instead of an update — the dropout scenario of the
-    /// participation policy, which applies to adversaries exactly as it does
-    /// to honest clients.
-    ///
-    /// # Errors
-    /// Returns an error if local work fails or the transport rejects a
-    /// reply.
-    fn step(&mut self, drop_this_round: bool) -> Result<StepOutcome>;
-
-    /// Messages this agent has sent over its transport.
-    fn transport_messages(&self) -> usize;
-
-    /// Logical wire bytes this agent has sent over its transport.
-    fn transport_bytes(&self) -> usize;
-
-    /// Number of Nacks the server has sent this agent.
-    fn nacks_received(&self) -> usize;
-}
-
-/// The honest [`FederationAgent`]: an [`FlClient`] bound to one end of a
-/// [`Transport`] link, optionally with an attested shielded-update channel.
-///
-/// The agent is passive between rounds; [`FederationAgent::step`] drains its
-/// inbox and reacts: a [`Message::RoundStart`] triggers local training and
-/// an update (or a mid-round [`Message::Leave`] when the scenario drops the
-/// client this round); [`Message::RoundEnd`] and [`Message::Nack`] are
-/// recorded. The federation runtime steps all agents in parallel on the
-/// shared compute pool.
-pub struct ClientAgent {
-    client: FlClient,
-    transport: Box<dyn Transport>,
-    shield: Option<ShieldedUpdateChannel>,
-    mask: Option<ClientMaskContext>,
-    nacks_received: usize,
-}
-
-impl ClientAgent {
-    /// Binds a client to its transport endpoint; `shield` carries the
-    /// established enclave channel when the deployment seals shielded
-    /// parameter segments.
-    pub fn new(
-        client: FlClient,
-        transport: Box<dyn Transport>,
-        shield: Option<ShieldedUpdateChannel>,
-    ) -> Self {
-        ClientAgent {
-            client,
-            transport,
-            shield,
-            mask: None,
-            nacks_received: 0,
-        }
-    }
-
-    /// Attaches the pairwise-mask context of a secure-aggregation
-    /// deployment: shielded segments are masked on the bit lattice before
-    /// sealing, and [`Message::MaskShare`] requests are answered with this
-    /// context's reconstruction shares. Requires a shield channel — masking
-    /// clear parameters would just corrupt them.
-    pub fn with_mask_context(mut self, mask: ClientMaskContext) -> Self {
-        debug_assert!(
-            self.shield.is_some(),
-            "a mask context without a shield channel masks nothing"
-        );
-        self.mask = Some(mask);
-        self
-    }
-
-    /// The wrapped training client.
-    pub fn client(&self) -> &FlClient {
-        &self.client
-    }
-
-    /// The shielded-update channel, when the deployment runs one.
-    pub fn shield(&self) -> Option<&ShieldedUpdateChannel> {
-        self.shield.as_ref()
-    }
-
-    /// Wraps a trained update into its wire message, sealing the shielded
-    /// parameter segment through the enclave channel when one is attached.
-    /// Under secure aggregation the segment is pairwise-masked first, so
-    /// the blobs an aggregator could open individually only ever contain
-    /// masked bits.
-    fn assemble_update(&self, update: ModelUpdate) -> Result<Message> {
-        let Some(shield) = &self.shield else {
-            return Ok(Message::Update {
-                update,
-                shielded: Vec::new(),
-            });
-        };
-        let ModelUpdate {
-            client_id,
-            round,
-            num_samples,
-            parameters,
-        } = update;
-        let (mut shielded_segment, clear) = split_segments(self.client.model(), parameters);
-        if let Some(mask) = &self.mask {
-            mask.mask_segment(round, &mut shielded_segment);
-        }
-        let (blobs, _report) = shield.seal_segments(&shielded_segment)?;
-        Ok(Message::Update {
-            update: ModelUpdate {
-                client_id,
-                round,
-                num_samples,
-                parameters: clear,
-            },
-            shielded: blobs,
-        })
-    }
-}
-
-impl FederationAgent for ClientAgent {
-    fn id(&self) -> usize {
-        self.client.id()
-    }
-
-    fn join(&self) -> Result<()> {
-        self.transport.send(&Message::Join {
-            client_id: self.client.id(),
-        })
-    }
-
-    /// A received [`Message::RoundStart`] triggers honest local training and
-    /// an update (sealed through the enclave channel when one is attached);
-    /// a client that was not sampled this round receives no broadcast and
-    /// does nothing — the runtime must not assume a scheduled dropout
-    /// happened unless `left` says so.
-    fn step(&mut self, drop_this_round: bool) -> Result<StepOutcome> {
-        let mut outcome = StepOutcome::idle();
-        while let Some(message) = self.transport.recv()? {
-            match message {
-                Message::RoundStart { global, .. } => {
-                    if drop_this_round {
-                        self.transport.send(&Message::Leave {
-                            client_id: self.client.id(),
-                        })?;
-                        outcome.left = true;
-                        continue;
-                    }
-                    let (update, report) = self.client.local_round(&global)?;
-                    let message = self.assemble_update(update)?;
-                    self.transport.send(&message)?;
-                    outcome.trained = Some(report);
-                }
-                Message::Nack { .. } => self.nacks_received += 1,
-                // A mask-reconstruction request (seeds empty) is answered
-                // with this client's shares for the named dead seats; a
-                // response (seeds present) is server-bound and ignored if
-                // misrouted, like any other server-bound kind.
-                Message::MaskShare {
-                    round,
-                    seats,
-                    seeds,
-                    ..
-                } if seeds.is_empty() => {
-                    if let Some(mask) = &self.mask {
-                        let shares = mask.shares_for(&seats);
-                        self.transport.send(&Message::MaskShare {
-                            client_id: self.client.id(),
-                            round,
-                            seats,
-                            seeds: shares,
-                        })?;
-                    }
-                }
-                // RoundEnd closes the round; Join/Leave/Update are
-                // client→server only and ignored if misrouted.
-                _ => {}
-            }
-        }
-        Ok(outcome)
-    }
-
-    fn transport_messages(&self) -> usize {
-        self.transport.messages_sent()
-    }
-
-    fn transport_bytes(&self) -> usize {
-        self.transport.bytes_sent()
-    }
-
-    fn nacks_received(&self) -> usize {
-        self.nacks_received
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,37 +232,6 @@ mod tests {
         assert!(matches!(
             import_parameters(&mut a, truncated),
             Err(FlError::SchemaMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn step_reports_what_actually_happened() {
-        use crate::transport::InMemoryTransport;
-        use crate::Transport;
-
-        let (client_setup, _global) = tiny_setup(7);
-        let (client_end, server_end) = InMemoryTransport::pair();
-        let mut agent = ClientAgent::new(client_setup, Box::new(client_end), None);
-
-        // An empty inbox with a scheduled drop does nothing: the client was
-        // not sampled, received no broadcast, and must NOT count as left.
-        let outcome = agent.step(true).unwrap();
-        assert!(!outcome.left);
-        assert!(outcome.trained.is_none());
-        assert!(!server_end.has_pending());
-
-        // A broadcast answered under the drop flag is a real mid-round
-        // Leave.
-        let (_, global) = tiny_setup(7);
-        server_end
-            .send(&Message::RoundStart { round: 0, global })
-            .unwrap();
-        let outcome = agent.step(true).unwrap();
-        assert!(outcome.left);
-        assert!(outcome.trained.is_none());
-        assert!(matches!(
-            server_end.recv().unwrap().unwrap(),
-            Message::Leave { client_id: 0 }
         ));
     }
 

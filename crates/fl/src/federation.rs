@@ -2,17 +2,15 @@
 //! state machine, parallel local training, deterministic message delivery,
 //! and central evaluation.
 //!
-//! Each client seat holds a [`FederationAgent`] — the honest [`ClientAgent`]
-//! or one of the adversaries ([`crate::BackdoorAgent`],
-//! [`crate::FreeRiderAgent`], [`crate::ProbingAgent`], assigned via
-//! [`ScenarioSpec`]) — bound to one end of a duplex [`Transport`] link; the
-//! server holds the other end. A round proceeds as
+//! Each client seat — honest, or one of the adversaries a [`ScenarioSpec`]
+//! assigns as its [`AgentRole`] — is bound to one end of a duplex
+//! [`Transport`] link; the server holds the other end. A round proceeds as
 //!
 //! 1. scheduled rejoins send [`Message::Join`]; all pending client→server
 //!    traffic is delivered;
 //! 2. the server samples participants ([`FedAvgServer::begin_round`]) and
 //!    the runtime broadcasts [`Message::RoundStart`] over their links;
-//! 3. agents step in parallel on the shared compute pool — training is
+//! 3. seats step in parallel on the shared compute pool — training is
 //!    concurrent, but **message delivery is not**: the runtime drains the
 //!    links in deterministic sweeps (ascending client id, one message per
 //!    link per sweep, a client's traffic lagging by its scheduled latency),
@@ -23,7 +21,7 @@
 //!    renormalise over the reporters under the weighted rules), and the
 //!    runtime broadcasts [`Message::RoundEnd`].
 //!
-//! Adversaries are scheduled exactly like honest agents — same sweeps, same
+//! Adversaries are scheduled exactly like honest seats — same sweeps, same
 //! latency schedules, same dropout semantics — so protocol-timing attacks
 //! (Nack-spam against the straggler deadline, reporting just before it,
 //! boosting after observing the broadcast) play out deterministically and
@@ -56,19 +54,16 @@ use std::collections::BTreeMap;
 
 use pelta_data::{federated_split, Dataset, Partition};
 use pelta_models::{accuracy, ImageModel, TrainingConfig, ViTConfig, VisionTransformer};
-use pelta_tee::{verify_report, CostLedger, SealedBlob};
+use pelta_tee::{CostLedger, SealedBlob};
 use pelta_tensor::{pool, SeedStream, Tensor};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::client::{
-    export_parameters, import_parameters, split_segments, ClientAgent, FederationAgent, FlClient,
-};
+use crate::client::{export_parameters, import_parameters, split_segments};
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
-use crate::malicious::{FreeRiderAgent, ProbingAgent};
-use crate::poisoning::{AdaptiveBackdoorAgent, BackdoorAgent, BackdoorClient};
 use crate::scenario::{AgentRole, ScenarioSpec};
+use crate::seat::Seat;
 use crate::secure_agg::{pair_seeds_for_client, AggregatorMaskContext, ClientMaskContext};
 use crate::server::RoundSummary;
 use crate::sweep::{self, Arrival, SweepLinks, SweepOutcome};
@@ -364,17 +359,7 @@ pub struct RunHistory {
     pub total_wire_bytes: usize,
 }
 
-/// One client's seat in the federation: its agent (honest or malicious),
-/// its schedule, and whether it is currently online. The runtime-side end
-/// of the agent's link lives in the [`Fabric`] — where it is attached
-/// depends on the topology.
-struct Slot {
-    agent: Box<dyn FederationAgent>,
-    schedule: ClientSchedule,
-    online: bool,
-}
-
-/// The topology-dependent routing fabric between the agents' links and the
+/// The topology-dependent routing fabric between the seats' links and the
 /// consensus point (see [`crate::topology`]).
 enum Fabric {
     /// Every runtime-side link end feeds the central server directly,
@@ -387,13 +372,13 @@ enum Fabric {
         uplinks: Vec<Box<dyn Transport>>,
     },
     /// A peer mesh floods updates; the coordinator keeps the runtime-side
-    /// agent-link ends inside the mesh.
+    /// seat-link ends inside the mesh.
     Gossip { mesh: GossipMesh },
 }
 
 impl Fabric {
     /// Messages and logical bytes sent by the fabric's runtime-side link
-    /// ends (the counterpart of the agents' own counters).
+    /// ends (the counterpart of the seats' own counters).
     fn traffic(&self) -> (usize, usize) {
         match self {
             Fabric::Star { links } => links
@@ -415,7 +400,7 @@ impl Fabric {
     }
 }
 
-/// A running federation: one message-driven server, `clients` agents
+/// A running federation: one message-driven server, `clients` seats
 /// (honest by default, adversarial where a [`ScenarioSpec`] says so) on
 /// transport links, a topology fabric routing their traffic, and a central
 /// evaluation replica.
@@ -426,7 +411,7 @@ pub struct Federation {
     /// verifies reconstruction shares against (`None` unless
     /// [`FederationConfig::secure_aggregation`] is set).
     masks: Option<AggregatorMaskContext>,
-    slots: Vec<Slot>,
+    seats: Vec<Seat>,
     fabric: Fabric,
     eval_model: Box<dyn ImageModel>,
     dataset: Dataset,
@@ -465,12 +450,12 @@ fn pump_live_edges(
 }
 
 /// The star's seat links, each gated by its seat's scheduled latency.
-struct Seats<'a> {
+struct StarSeats<'a> {
     links: &'a [Box<dyn Transport>],
-    slots: &'a [Slot],
+    seats: &'a [Seat],
 }
 
-impl SweepLinks for Seats<'_> {
+impl SweepLinks for StarSeats<'_> {
     fn count(&self) -> usize {
         self.links.len()
     }
@@ -480,7 +465,7 @@ impl SweepLinks for Seats<'_> {
     }
 
     fn latency(&self, index: usize) -> usize {
-        self.slots[index].schedule.latency
+        self.seats[index].schedule.latency
     }
 }
 
@@ -510,20 +495,21 @@ impl Federation {
         )
     }
 
-    /// Builds a federation from a [`ScenarioSpec`]: every seat gets the
-    /// agent its role prescribes (honest by default), all speaking
+    /// Builds a federation from a [`ScenarioSpec`]: every seat plays the
+    /// role the spec assigns it (honest by default), all speaking
     /// [`Message`] over their transport links and scheduled by the same
     /// deterministic delivery sweeps. `factory` produces the model replicas
     /// (honest local models, attacker replicas, the evaluation model — all
-    /// sharing one architecture). Every agent joins over its link; when
-    /// `shield_updates` is set, each honest client's enclave is attested
-    /// before it is admitted (adversaries send clear updates — a malicious
-    /// node would not cooperate with sealing, and the server accepts a
-    /// complete clear parameter list).
+    /// sharing one architecture). Every seat joins over its link, in
+    /// ascending seat order; when `shield_updates` is set, each honest
+    /// seat's enclave is attested before it is admitted (adversaries send
+    /// clear updates — a malicious node would not cooperate with sealing,
+    /// and the server accepts a complete clear parameter list).
     ///
     /// # Errors
     /// Returns an error if the configuration or population mix is
-    /// degenerate, an adversary's budget is invalid, or attestation fails.
+    /// degenerate, the dataset has fewer training samples than seats, an
+    /// adversary's budget is invalid, or attestation fails.
     pub fn from_scenario<F>(
         dataset: &Dataset,
         spec: &ScenarioSpec,
@@ -539,6 +525,18 @@ impl Federation {
         // plan, partition, population mix — is rejected here, before any
         // shard is cut or link constructed.
         spec.validate()?;
+        // Every partition gives each seat a sample once there are at least
+        // as many samples as seats; an empty shard could not train, probe
+        // or claim a weight.
+        if dataset.len() < config.clients {
+            return Err(FlError::InvalidConfig {
+                reason: format!(
+                    "dataset has {} training samples for {} seats; every seat needs at least one",
+                    dataset.len(),
+                    config.clients
+                ),
+            });
+        }
         let fault_plan = config
             .faults
             .as_ref()
@@ -579,146 +577,37 @@ impl Federation {
         for schedule in &config.schedules {
             schedule_of.entry(schedule.client_id).or_insert(schedule);
         }
-        let mut slots = Vec::with_capacity(config.clients);
+        let mut seats = Vec::with_capacity(config.clients);
         let mut runtime_ends: Vec<Option<Box<dyn Transport>>> = Vec::with_capacity(config.clients);
         for (id, shard) in shards.into_iter().enumerate() {
             let (client_end, server_end) = config.transport.duplex_with(config.codec);
-            let role = roles.get(&id).map_or(AgentRole::Honest, |r| (*r).clone());
-            let agent: Box<dyn FederationAgent> = match role {
-                AgentRole::Honest => {
-                    let model = factory(&mut seeds.derive_indexed("model", id as u64));
-                    let client = FlClient::new(id, shard, model, config.local_training.clone());
-                    let shield = if config.shield_updates {
-                        let nonce = seeds.derive_indexed("attest", id as u64).gen::<u64>();
-                        let channel = ShieldedUpdateChannel::connect(nonce)?;
-                        // WaTZ-style admission: the server verifies the
-                        // client's enclave report against the expected
-                        // measurement before trusting its sealed segments.
-                        let report = channel.attest(nonce);
-                        verify_report(&report, channel.measurement(), nonce)
-                            .map_err(FlError::from)?;
-                        Some(channel)
-                    } else {
-                        None
-                    };
-                    let mut agent = ClientAgent::new(client, client_end, shield);
-                    if let Some(nonces) = &mask_nonces {
-                        let measurement = server_shield
-                            .as_ref()
-                            .expect("secure aggregation implies shield_updates")
-                            .measurement();
-                        agent = agent.with_mask_context(ClientMaskContext::new(
-                            id,
-                            pair_seeds_for_client(measurement, nonces, id),
-                        ));
-                    }
-                    Box::new(agent)
-                }
-                AgentRole::Backdoor {
-                    trigger,
-                    poison_fraction,
-                    boost,
-                    training,
-                } => {
-                    let model = factory(&mut seeds.derive_indexed("model", id as u64));
-                    let client = BackdoorClient::new(
-                        id,
-                        shard,
-                        model,
-                        training.unwrap_or_else(|| config.local_training.clone()),
-                        trigger,
-                        poison_fraction,
-                        boost,
-                    )?;
-                    Box::new(BackdoorAgent::new(
-                        client,
-                        client_end,
-                        seeds.derive_indexed("adversary", id as u64),
-                    ))
-                }
-                AgentRole::AdaptiveBackdoor {
-                    trigger,
-                    poison_fraction,
-                    max_boost,
-                    training,
-                } => {
-                    let model = factory(&mut seeds.derive_indexed("model", id as u64));
-                    let client = BackdoorClient::new(
-                        id,
-                        shard,
-                        model,
-                        training.unwrap_or_else(|| config.local_training.clone()),
-                        trigger,
-                        poison_fraction,
-                        max_boost,
-                    )?;
-                    Box::new(AdaptiveBackdoorAgent::new(
-                        client,
-                        client_end,
-                        seeds.derive_indexed("adversary", id as u64),
-                    ))
-                }
-                AgentRole::FreeRider {
-                    claimed_samples,
-                    spam,
-                    perturbation,
-                } => {
-                    let claimed = if claimed_samples == 0 {
-                        shard.len()
-                    } else {
-                        claimed_samples
-                    };
-                    Box::new(FreeRiderAgent::new(
-                        id,
-                        claimed,
-                        spam,
-                        perturbation,
-                        client_end,
-                        seeds.derive_indexed("adversary", id as u64),
-                    )?)
-                }
-                AgentRole::Probing {
-                    attack,
-                    epsilon,
-                    steps,
-                    probe_samples,
-                } => {
-                    let model = factory(&mut seeds.derive_indexed("model", id as u64));
-                    let replica = factory(&mut seeds.derive_indexed("replica", id as u64));
-                    let client = FlClient::new(id, shard, model, config.local_training.clone());
-                    Box::new(ProbingAgent::new(
-                        client,
-                        replica,
-                        config.shield_updates,
-                        attack,
-                        epsilon,
-                        steps,
-                        probe_samples,
-                        client_end,
-                        seeds.derive_indexed("adversary", id as u64),
-                    )?)
-                }
-            };
-            agent.join()?;
+            let mask = mask_nonces.as_ref().map(|nonces| {
+                let measurement = server_shield
+                    .as_ref()
+                    .expect("secure aggregation implies shield_updates")
+                    .measurement();
+                ClientMaskContext::new(id, pair_seeds_for_client(measurement, nonces, id))
+            });
             let schedule = schedule_of
                 .get(&id)
                 .map(|s| (*s).clone())
                 .unwrap_or_else(|| ClientSchedule::punctual(id));
-            // The fault shim wraps the runtime-side end only: the agent's
-            // own end stays clean, so every fault is a *link* fault and the
-            // agent-side protocol logic needs no fault awareness.
+            let role = roles.get(&id).copied().unwrap_or(&AgentRole::Honest);
+            let seat = Seat::new(
+                id, role, shard, client_end, schedule, config, mask, seeds, &factory,
+            )?;
+            seat.join()?;
+            // The fault shim wraps the runtime-side end only: the seat's own
+            // end stays clean, so every fault is a *link* fault and the
+            // seat-side protocol logic needs no fault awareness.
             let server_end = match &fault_plan {
                 Some(plan) => plan.wrap_seat(id, server_end),
                 None => server_end,
             };
             runtime_ends.push(Some(server_end));
-            slots.push(Slot {
-                agent,
-                schedule,
-                online: true,
-            });
+            seats.push(seat);
         }
-        let latency_of = |id: usize| slots.get(id).map(|slot| slot.schedule.latency).unwrap_or(0);
+        let latency_of = |id: usize| seats.get(id).map(|seat| seat.schedule.latency).unwrap_or(0);
         let fabric = match &config.topology {
             Topology::Star => Fabric::Star {
                 links: runtime_ends
@@ -778,7 +667,7 @@ impl Federation {
             server,
             server_shield,
             masks,
-            slots,
+            seats,
             fabric,
             eval_model,
             dataset: dataset.clone(),
@@ -838,7 +727,7 @@ impl Federation {
 
     /// Number of client seats (online or not).
     pub fn num_clients(&self) -> usize {
-        self.slots.len()
+        self.seats.len()
     }
 
     /// The aggregation server.
@@ -900,12 +789,12 @@ impl Federation {
             // state machine from the coordinator's checkpoint before any
             // round can open over it.
             if let Some(plan) = self.faults.clone() {
-                for (seat, slot) in self.slots.iter_mut().enumerate() {
+                for (id, seat) in self.seats.iter().enumerate() {
                     if plan
-                        .seat_crash(seat)
+                        .seat_crash(id)
                         .is_some_and(|(_, rejoin)| rejoin == round_index)
                     {
-                        slot.agent.join()?;
+                        seat.join()?;
                     }
                 }
                 if let Fabric::Hierarchical { edges, .. } = &self.fabric {
@@ -930,11 +819,8 @@ impl Federation {
                 }
             }
             // Scheduled rejoins announce themselves before the round opens.
-            for slot in &mut self.slots {
-                if !slot.online && slot.schedule.rejoin_at_round == Some(round_index) {
-                    slot.agent.join()?;
-                    slot.online = true;
-                }
+            for seat in &mut self.seats {
+                seat.rejoin(round_index)?;
             }
             self.pump_links()?;
 
@@ -978,18 +864,10 @@ impl Federation {
                 Fabric::Gossip { mesh } => mesh.open_round(&frame, &participants)?,
             }
 
-            // Parallel local training: each agent drains its own inbox and
-            // queues its reply; no shared state crosses agents. A slot only
-            // goes offline when its agent actually sent the mid-round Leave
-            // — a scheduled dropper that was not sampled this round received
-            // no broadcast and stays connected.
-            let results = pool::parallel_map_mut(&pool::global(), &mut self.slots, |_, slot| {
-                let drop_now = slot.schedule.drop_at_round == Some(round_index);
-                let stepped = slot.agent.step(drop_now);
-                if matches!(&stepped, Ok(outcome) if outcome.left) {
-                    slot.online = false;
-                }
-                stepped
+            // Parallel local training: each seat drains its own inbox and
+            // queues its reply; no shared state crosses seats.
+            let results = pool::parallel_map_mut(&pool::global(), &mut self.seats, |_, seat| {
+                seat.step(round_index)
             });
             let mut loss_sum = 0.0f32;
             let mut reporters = 0usize;
@@ -1000,7 +878,7 @@ impl Federation {
                     loss_sum += report.epoch_losses.last().copied().unwrap_or(0.0);
                     reporters += 1;
                 }
-                if outcome.adversarial.is_some() {
+                if outcome.adversarial {
                     adversarial_actions += 1;
                 }
             }
@@ -1063,14 +941,9 @@ impl Federation {
         let final_accuracy = rounds.last().map(|r| r.global_accuracy).unwrap_or(0.0);
         let (fabric_messages, fabric_bytes) = self.fabric.traffic();
         let (total_messages, total_wire_bytes) = self
-            .slots
+            .seats
             .iter()
-            .map(|slot| {
-                (
-                    slot.agent.transport_messages(),
-                    slot.agent.transport_bytes(),
-                )
-            })
+            .map(Seat::traffic)
             .fold((fabric_messages, fabric_bytes), |(m, b), (dm, db)| {
                 (m + dm, b + db)
             });
@@ -1182,7 +1055,7 @@ impl Federation {
             server,
             server_shield,
             masks,
-            slots,
+            seats,
             fabric,
             faults,
             ..
@@ -1191,14 +1064,14 @@ impl Federation {
         // Under secure aggregation sealed blobs are stashed instead of
         // opened; the stash feeds the post-round enclave fold.
         let mut mask_stash: Option<MaskStash> = masks.as_ref().map(|_| MaskStash::new());
-        let max_latency = slots.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
+        let max_latency = seats.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
         let mut shielded_bytes = 0usize;
         match fabric {
             Fabric::Star { links } => {
-                let mut seats = Seats { links, slots };
+                let mut star = StarSeats { links, seats };
                 let mut active = None;
                 sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
-                    sweep::sweep_active(&mut seats, sweep, &mut active, |seats, index, arrival| {
+                    sweep::sweep_active(&mut star, sweep, &mut active, |star, index, arrival| {
                         let message = match arrival {
                             Arrival::Frame(message) => message,
                             Arrival::Damaged { sender, round } => {
@@ -1214,7 +1087,7 @@ impl Federation {
                         )?;
                         shielded_bytes += sealed;
                         for response in server.deliver(&message) {
-                            seats.link(index).send(&response)?;
+                            star.link(index).send(&response)?;
                         }
                         Ok(())
                     })
@@ -1364,11 +1237,11 @@ impl Federation {
     /// over the star links, via the edges' downstream relays, or over the
     /// gossip coordinator links.
     fn send_round_end(&mut self, summary: &RoundSummary) -> Result<()> {
-        let Federation { slots, fabric, .. } = self;
+        let Federation { seats, fabric, .. } = self;
         match fabric {
             Fabric::Star { links } => {
                 for &id in &summary.participants {
-                    if slots[id].online {
+                    if seats[id].online {
                         links[id].send(&Message::RoundEnd {
                             round: summary.round,
                         })?;
@@ -1387,7 +1260,7 @@ impl Federation {
             }
             Fabric::Gossip { mesh } => {
                 for &id in &summary.participants {
-                    if slots[id].online {
+                    if seats[id].online {
                         mesh.send_to(
                             id,
                             &Message::RoundEnd {
@@ -1467,7 +1340,7 @@ impl Federation {
     /// The in-protocol mask-reconstruction sweep: broadcasts a
     /// [`Message::MaskShare`] request naming the dead seats to every
     /// reporter (directly over the star links, or relayed through the
-    /// edges), steps the agents so they answer, and drains the responses
+    /// edges), steps the seats so they answer, and drains the responses
     /// with the sweep engine — latency gates, the fault plan's logical clock
     /// (restarted at sweep 0 on every attempt) and `CorruptFrame`-Nack
     /// retransmission included (`docs/determinism.md` §3). A reporter whose
@@ -1482,7 +1355,7 @@ impl Federation {
     ) -> Result<BTreeMap<usize, BTreeMap<usize, u64>>> {
         const MASK_SHARE_ATTEMPTS: usize = 3;
         let Federation {
-            slots,
+            seats,
             fabric,
             faults,
             ..
@@ -1495,7 +1368,7 @@ impl Federation {
             seeds: Vec::new(),
         });
         let mut shares: BTreeMap<usize, BTreeMap<usize, u64>> = BTreeMap::new();
-        let max_latency = slots.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
+        let max_latency = seats.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
         for _attempt in 0..MASK_SHARE_ATTEMPTS {
             let pending: Vec<usize> = reporters
                 .iter()
@@ -1525,11 +1398,11 @@ impl Federation {
                 }
                 Fabric::Gossip { .. } => {}
             }
-            // Agents answer from their mask contexts; no training happens
+            // Seats answer from their mask contexts; no training happens
             // outside a RoundStart, so sequential stepping is cheap and
             // trivially deterministic.
             for &id in &pending {
-                slots[id].agent.step(false)?;
+                seats[id].step(round)?;
             }
             // Drain the responses: every pending reporter's star link, or
             // the edges' member sweeps followed by every uplink.
@@ -1555,7 +1428,7 @@ impl Federation {
                 max_latency,
                 |sweep| match &mut *fabric {
                     Fabric::Star { links } => sweep::sweep_every(
-                        &mut Seats { links, slots },
+                        &mut StarSeats { links, seats },
                         sweep,
                         pending.iter().copied(),
                         |_, _, arrival| collect(arrival),
@@ -1741,6 +1614,57 @@ mod tests {
             ..FederationConfig::default()
         };
         assert!(Federation::vit_federation(&dataset, &bad, Partition::Iid, &mut seeds).is_err());
+    }
+
+    /// Fewer training samples than seats is refused up front for every
+    /// role, before any shard is cut, seat built or Join sent: an honest
+    /// seat would never report, and a free rider or a probing seat on the
+    /// empty shard would fail mid-build.
+    #[test]
+    fn fewer_samples_than_seats_is_rejected_up_front() {
+        let dataset = Dataset::generate(
+            DatasetSpec::Cifar10Like,
+            &GeneratorConfig {
+                train_samples: 3,
+                test_samples: 4,
+                ..GeneratorConfig::default()
+            },
+            10,
+        );
+        let honest = ScenarioSpec::honest(FederationConfig {
+            clients: 4,
+            rounds: 1,
+            local_training: quick_training(),
+            eval_samples: 4,
+            ..FederationConfig::default()
+        });
+        let free_rider = honest.clone().with_role(
+            3,
+            AgentRole::FreeRider {
+                claimed_samples: 0,
+                spam: 0,
+                perturbation: 0.0,
+            },
+        );
+        let probing = honest.clone().with_role(
+            3,
+            AgentRole::Probing {
+                attack: crate::AttackKind::Fgsm,
+                epsilon: 0.05,
+                steps: 1,
+                probe_samples: 1,
+            },
+        );
+        for spec in [honest, free_rider, probing] {
+            let refused = Federation::vit_scenario(&dataset, &spec, &mut SeedStream::new(10))
+                .err()
+                .expect("fewer samples than seats must be refused");
+            let reason = refused.to_string();
+            assert!(
+                reason.contains("3 training samples for 4 seats"),
+                "{reason}"
+            );
+        }
     }
 
     #[test]

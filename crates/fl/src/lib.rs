@@ -38,18 +38,20 @@
 //!   mathematical necessity; either way the bits are identical to a
 //!   buffered fold because buffered aggregation *is* the same fold, driven
 //!   from a loop.
-//! * **Agent layer** — every seat implements [`FederationAgent`]: the
-//!   honest [`ClientAgent`] ([`FlClient`] is its local-training core), the
-//!   [`BackdoorAgent`] shipping boosted trigger-poisoned updates (the
-//!   [`AdaptiveBackdoorAgent`] re-tunes its boost each round against the
-//!   aggregation outcome it observes), the
-//!   [`FreeRiderAgent`] echoing the broadcast under a lying weight while
-//!   Nack-spamming the straggler deadline, and the [`ProbingAgent`] running
-//!   white-box evasion probes behind honest cover traffic. A
-//!   [`ScenarioSpec`] assigns roles to seats (and selects the data
-//!   partition — IID, label skew, or Dirichlet(α)); the server cannot tell
-//!   adversaries apart by message shape or scheduling, only (possibly) by
-//!   its aggregation rule.
+//! * **Seat layer** — every client seat is one runtime-private seat type
+//!   that owns the link, the `Join` handshake, the inbox drain, the
+//!   scheduled mid-round `Leave` and the traffic counters; only its answer
+//!   to a broadcast depends on its [`AgentRole`]. The honest seat trains
+//!   with an [`FlClient`]; a backdoor seat ships boosted trigger-poisoned
+//!   updates from a [`BackdoorClient`] (the adaptive variant re-tunes its
+//!   boost each round against the aggregation outcome it observes); a free
+//!   rider echoes the broadcast under a lying weight while Nack-spamming
+//!   the straggler deadline; and a probing seat runs white-box evasion
+//!   probes of every broadcast with a [`CompromisedClient`] behind honest
+//!   cover traffic. A [`ScenarioSpec`] assigns roles to seats (and selects
+//!   the data partition — IID, label skew, or Dirichlet(α)); the server
+//!   cannot tell adversaries apart by message shape or scheduling, only
+//!   (possibly) by its aggregation rule.
 //! * **Topology layer** — a [`Topology`] routes the updates to the
 //!   consensus point: the flat [`Topology::Star`] hub, a
 //!   [`Topology::Hierarchical`] tree of [`EdgeAggregator`]s (each reusing
@@ -142,6 +144,7 @@ mod message;
 mod poisoning;
 pub mod robust;
 mod scenario;
+mod seat;
 pub mod secure_agg;
 mod server;
 mod shielded;
@@ -150,22 +153,19 @@ pub mod topology;
 mod transport;
 
 pub use client::{
-    export_parameters, export_segments, import_parameters, split_segments, AdversarialAction,
-    ClientAgent, FederationAgent, FlClient, LocalTrainingReport, StepOutcome,
+    export_parameters, export_segments, import_parameters, split_segments, FlClient,
+    LocalTrainingReport,
 };
 pub use codec::UpdateCodec;
 pub use error::FlError;
 pub use fault::{CrashPoint, CrashTarget, FaultConfig, FaultPlan, FaultStats};
 pub use federation::{ClientSchedule, Federation, FederationConfig, RoundRecord, RunHistory};
-pub use malicious::{AttackKind, CompromisedClient, EvasionReport, FreeRiderAgent, ProbingAgent};
+pub use malicious::{AttackKind, CompromisedClient, EvasionReport};
 pub use message::{
     GlobalModel, MemberUpdate, Message, ModelUpdate, NackReason, CODED_PROTOCOL_VERSION,
     MASK_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
-pub use poisoning::{
-    backdoor_success_rate, AdaptiveBackdoorAgent, BackdoorAgent, BackdoorClient, PoisonReport,
-    TrojanTrigger,
-};
+pub use poisoning::{backdoor_success_rate, BackdoorClient, PoisonReport, TrojanTrigger};
 pub use robust::{aggregate_with_rule, AggregationFold, AggregationRule, RobustAggregator};
 pub use scenario::{AgentRole, RoleAssignment, ScenarioSpec};
 pub use secure_agg::{pair_seeds_for_client, AggregatorMaskContext, ClientMaskContext};

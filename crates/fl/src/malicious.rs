@@ -1,17 +1,12 @@
-//! The malicious participants of the threat model (§III) that follow the
-//! FL wire protocol while working against the federation:
+//! The evasion side of the threat model (§III): the [`CompromisedClient`]
+//! follows the FL wire protocol honestly but probes its local copy of the
+//! broadcast model to craft adversarial examples. An
+//! [`crate::AgentRole::Probing`] seat puts it in the scheduler loop, probing
+//! every broadcast while it trains honestly as cover traffic.
 //!
-//! * [`CompromisedClient`] — honest-but-curious: it probes its local copy of
-//!   the broadcast model to craft adversarial examples. [`ProbingAgent`]
-//!   puts it in the scheduler loop, training honestly as cover traffic while
-//!   probing every broadcast.
-//! * [`FreeRiderAgent`] — a protocol-timing adversary: it never trains,
-//!   echoes the broadcast back as its "update" under a lying sample weight,
-//!   and can spam junk frames to burn the server's straggler-deadline
-//!   budget (the deadline is counted in delivered messages, so spam pushes
-//!   honest laggards past it).
-//!
-//! The backdoor-poisoning counterpart lives in [`crate::poisoning`].
+//! The backdoor-poisoning counterpart lives in [`crate::poisoning`]; the
+//! free rider, which never trains, needs no client of its own
+//! ([`crate::AgentRole::FreeRider`]).
 
 use std::sync::Arc;
 
@@ -23,8 +18,8 @@ use pelta_tensor::Tensor;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::client::{import_parameters, FederationAgent, FlClient, StepOutcome};
-use crate::{AdversarialAction, FlError, Message, ModelUpdate, Result, Transport};
+use crate::client::import_parameters;
+use crate::{FlError, GlobalModel, Result};
 
 /// Which evasion attack the compromised client launches against its local
 /// model copy.
@@ -96,35 +91,26 @@ impl CompromisedClient {
         })
     }
 
-    /// Builds a compromised client whose replica is loaded from the same
-    /// [`Message::RoundStart`] broadcast every honest client receives — the
-    /// honest-but-curious attacker follows the wire protocol exactly and
-    /// only differs in what it *does* with the model afterwards.
+    /// Loads a round's broadcast into the replica in place. The probing
+    /// seat calls this on every [`crate::Message::RoundStart`], so one
+    /// client serves the whole run: the honest-but-curious attacker follows
+    /// the wire protocol exactly and only differs in what it *does* with
+    /// the model afterwards.
     ///
     /// # Errors
-    /// Returns an error if the message is not a round start, the broadcast
-    /// does not match the replica architecture, or the attack budget is
-    /// degenerate.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_round_start(
-        id: usize,
-        message: &Message,
-        mut replica: Box<dyn ImageModel>,
-        shielded: bool,
-        attack: AttackKind,
-        epsilon: f32,
-        steps: usize,
-    ) -> Result<Self> {
-        let Message::RoundStart { global, .. } = message else {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "compromised client expected RoundStart, got {}",
-                    message.kind()
-                ),
-            });
-        };
-        import_parameters(replica.as_mut(), &global.parameters)?;
-        Self::new(id, Arc::from(replica), shielded, attack, epsilon, steps)
+    /// Returns an error if the replica is still shared with an oracle or
+    /// the broadcast does not match the replica architecture.
+    pub(crate) fn load_broadcast(&mut self, global: &GlobalModel) -> Result<()> {
+        let replica = Arc::get_mut(&mut self.model).ok_or_else(|| FlError::InvalidConfig {
+            reason: "probing replica is aliased outside the client".to_string(),
+        })?;
+        import_parameters(replica, &global.parameters)
+    }
+
+    /// The replica under probe.
+    #[cfg(test)]
+    pub(crate) fn replica(&self) -> &dyn ImageModel {
+        self.model.as_ref()
     }
 
     /// The client's identifier.
@@ -195,302 +181,6 @@ impl CompromisedClient {
     }
 }
 
-/// The free-riding/straggling adversary as a scheduler participant.
-///
-/// It contributes nothing: on every [`Message::RoundStart`] it first sends
-/// `spam` junk frames (misrouted `RoundEnd`s the server answers with Nacks —
-/// each one still counts against the straggler deadline, which is measured
-/// in **delivered messages**), then echoes the broadcast parameters back as
-/// its "update", optionally blurred by a small uniform perturbation so the
-/// echo is not byte-identical to the broadcast, under a lying
-/// `claimed_samples` FedAvg weight. Combined with a [`crate::ClientSchedule`]
-/// latency it is also the adversary that reports just before the deadline.
-pub struct FreeRiderAgent {
-    id: usize,
-    claimed_samples: usize,
-    spam: usize,
-    perturbation: f32,
-    transport: Box<dyn Transport>,
-    rng: ChaCha8Rng,
-    nacks_received: usize,
-}
-
-impl FreeRiderAgent {
-    /// Creates a free rider on its transport endpoint. `claimed_samples` is
-    /// the FedAvg weight it lies about, `spam` the junk frames it sends per
-    /// round, `perturbation` the half-width of the uniform noise stamped on
-    /// the echoed parameters (0 sends the broadcast back verbatim).
-    ///
-    /// # Errors
-    /// Returns an error if the claimed weight is zero (the server rejects
-    /// zero-sample updates, which would expose the adversary immediately) or
-    /// the perturbation is negative or non-finite.
-    pub fn new(
-        id: usize,
-        claimed_samples: usize,
-        spam: usize,
-        perturbation: f32,
-        transport: Box<dyn Transport>,
-        rng: ChaCha8Rng,
-    ) -> Result<Self> {
-        if claimed_samples == 0 {
-            return Err(FlError::InvalidConfig {
-                reason: "free rider must claim at least one sample".to_string(),
-            });
-        }
-        if perturbation < 0.0 || !perturbation.is_finite() {
-            return Err(FlError::InvalidConfig {
-                reason: format!("perturbation must be finite and non-negative, got {perturbation}"),
-            });
-        }
-        Ok(FreeRiderAgent {
-            id,
-            claimed_samples,
-            spam,
-            perturbation,
-            transport,
-            rng,
-            nacks_received: 0,
-        })
-    }
-}
-
-impl FederationAgent for FreeRiderAgent {
-    fn id(&self) -> usize {
-        self.id
-    }
-
-    fn join(&self) -> Result<()> {
-        self.transport.send(&Message::Join { client_id: self.id })
-    }
-
-    fn step(&mut self, drop_this_round: bool) -> Result<StepOutcome> {
-        let mut outcome = StepOutcome::idle();
-        while let Some(message) = self.transport.recv()? {
-            match message {
-                Message::RoundStart { round, global } => {
-                    if drop_this_round {
-                        self.transport
-                            .send(&Message::Leave { client_id: self.id })?;
-                        outcome.left = true;
-                        continue;
-                    }
-                    // Nack-spam: every junk frame the server delivers while
-                    // collecting advances its deadline counter.
-                    for _ in 0..self.spam {
-                        self.transport.send(&Message::RoundEnd { round })?;
-                    }
-                    let mut parameters = Vec::with_capacity(global.parameters.len());
-                    for (name, value) in &global.parameters {
-                        let echoed = if self.perturbation > 0.0 {
-                            let noise = Tensor::rand_uniform(
-                                value.dims(),
-                                -self.perturbation,
-                                self.perturbation,
-                                &mut self.rng,
-                            );
-                            value.add(&noise)?
-                        } else {
-                            value.clone()
-                        };
-                        parameters.push((name.clone(), echoed));
-                    }
-                    self.transport.send(&Message::Update {
-                        update: ModelUpdate {
-                            client_id: self.id,
-                            round: global.round,
-                            num_samples: self.claimed_samples,
-                            parameters,
-                        },
-                        shielded: Vec::new(),
-                    })?;
-                    outcome.adversarial = Some(AdversarialAction::FreeRode {
-                        spam_messages: self.spam,
-                    });
-                }
-                Message::Nack { .. } => self.nacks_received += 1,
-                _ => {}
-            }
-        }
-        Ok(outcome)
-    }
-
-    fn transport_messages(&self) -> usize {
-        self.transport.messages_sent()
-    }
-
-    fn transport_bytes(&self) -> usize {
-        self.transport.bytes_sent()
-    }
-
-    fn nacks_received(&self) -> usize {
-        self.nacks_received
-    }
-}
-
-/// The compromised client as a scheduler participant: honest-but-curious on
-/// the wire, malicious in what it does with the broadcast.
-///
-/// Every [`Message::RoundStart`] is handled twice. First the broadcast
-/// parameters are loaded into a private replica and probed with a white-box
-/// evasion attack on a fixed batch of the agent's own samples (through the
-/// Pelta shield when the deployment is shielded). Then the wrapped honest
-/// [`FlClient`] trains and reports a perfectly ordinary update — the cover
-/// traffic that keeps the probe invisible to the server.
-pub struct ProbingAgent {
-    client: FlClient,
-    replica: Arc<dyn ImageModel>,
-    shielded: bool,
-    attack: AttackKind,
-    epsilon: f32,
-    steps: usize,
-    probe_images: Tensor,
-    probe_labels: Vec<usize>,
-    transport: Box<dyn Transport>,
-    rng: ChaCha8Rng,
-    nacks_received: usize,
-    probes: Vec<EvasionReport>,
-}
-
-impl ProbingAgent {
-    /// Binds an honest training client and a probing replica of the same
-    /// architecture to a transport endpoint. The probe batch is the first
-    /// `probe_samples` samples of the client's own shard (capped at the
-    /// shard size).
-    ///
-    /// # Errors
-    /// Returns an error if the attack budget is degenerate or the probe
-    /// batch would be empty.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        client: FlClient,
-        replica: Box<dyn ImageModel>,
-        shielded: bool,
-        attack: AttackKind,
-        epsilon: f32,
-        steps: usize,
-        probe_samples: usize,
-        transport: Box<dyn Transport>,
-        rng: ChaCha8Rng,
-    ) -> Result<Self> {
-        if !epsilon.is_finite() || epsilon <= 0.0 || steps == 0 {
-            return Err(FlError::InvalidConfig {
-                reason: "attack epsilon and steps must be positive and finite".to_string(),
-            });
-        }
-        let images = client.shard().dataset.train_images();
-        let labels = client.shard().dataset.train_labels();
-        let available = images.dims()[0];
-        let n = probe_samples.min(available);
-        if n == 0 {
-            return Err(FlError::InvalidConfig {
-                reason: "probing agent needs at least one probe sample".to_string(),
-            });
-        }
-        let sample_len: usize = images.dims()[1..].iter().product();
-        let mut dims = images.dims().to_vec();
-        dims[0] = n;
-        let probe_images = Tensor::from_vec(images.data()[..n * sample_len].to_vec(), &dims)
-            .map_err(FlError::from)?;
-        let probe_labels = labels[..n].to_vec();
-        Ok(ProbingAgent {
-            client,
-            replica: Arc::from(replica),
-            shielded,
-            attack,
-            epsilon,
-            steps,
-            probe_images,
-            probe_labels,
-            transport,
-            rng,
-            nacks_received: 0,
-            probes: Vec::new(),
-        })
-    }
-
-    /// The evasion reports collected so far, one per probed round.
-    pub fn probes(&self) -> &[EvasionReport] {
-        &self.probes
-    }
-}
-
-impl FederationAgent for ProbingAgent {
-    fn id(&self) -> usize {
-        self.client.id()
-    }
-
-    fn join(&self) -> Result<()> {
-        self.transport.send(&Message::Join {
-            client_id: self.client.id(),
-        })
-    }
-
-    fn step(&mut self, drop_this_round: bool) -> Result<StepOutcome> {
-        let mut outcome = StepOutcome::idle();
-        while let Some(message) = self.transport.recv()? {
-            match message {
-                Message::RoundStart { global, .. } => {
-                    if drop_this_round {
-                        self.transport.send(&Message::Leave {
-                            client_id: self.client.id(),
-                        })?;
-                        outcome.left = true;
-                        continue;
-                    }
-                    // Probe the broadcast: the replica is uniquely held
-                    // between rounds, so the fresh parameters load in place.
-                    let replica_mut =
-                        Arc::get_mut(&mut self.replica).ok_or_else(|| FlError::InvalidConfig {
-                            reason: "probing replica is aliased outside the agent".to_string(),
-                        })?;
-                    import_parameters(replica_mut, &global.parameters)?;
-                    let compromised = CompromisedClient::new(
-                        self.client.id(),
-                        Arc::clone(&self.replica),
-                        self.shielded,
-                        self.attack,
-                        self.epsilon,
-                        self.steps,
-                    )?;
-                    let (_, report) = compromised.craft_adversarial_examples(
-                        &self.probe_images,
-                        &self.probe_labels,
-                        &mut self.rng,
-                    )?;
-                    drop(compromised);
-                    self.probes.push(report.clone());
-                    outcome.adversarial = Some(AdversarialAction::Probed(report));
-
-                    // Cover traffic: an honest local round, indistinguishable
-                    // from any other client's update.
-                    let (update, trained) = self.client.local_round(&global)?;
-                    self.transport.send(&Message::Update {
-                        update,
-                        shielded: Vec::new(),
-                    })?;
-                    outcome.trained = Some(trained);
-                }
-                Message::Nack { .. } => self.nacks_received += 1,
-                _ => {}
-            }
-        }
-        Ok(outcome)
-    }
-
-    fn transport_messages(&self) -> usize {
-        self.transport.messages_sent()
-    }
-
-    fn transport_bytes(&self) -> usize {
-        self.transport.bytes_sent()
-    }
-
-    fn nacks_received(&self) -> usize {
-        self.nacks_received
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,66 +238,6 @@ mod tests {
                 assert_eq!(report.enclave_world_switches, 0);
             }
         }
-    }
-
-    #[test]
-    fn replica_loads_from_a_round_start_message() {
-        use crate::client::export_parameters;
-        use crate::{GlobalModel, Message};
-        use pelta_models::{ViTConfig, VisionTransformer};
-
-        let mut seeds = SeedStream::new(21);
-        let source = VisionTransformer::new(
-            ViTConfig::vit_b16_scaled(8, 3, 4),
-            &mut seeds.derive("source"),
-        )
-        .unwrap();
-        let broadcast = Message::RoundStart {
-            round: 0,
-            global: GlobalModel {
-                round: 0,
-                parameters: export_parameters(&source),
-            },
-        };
-        let fresh = Box::new(
-            VisionTransformer::new(
-                ViTConfig::vit_b16_scaled(8, 3, 4),
-                &mut seeds.derive("fresh"),
-            )
-            .unwrap(),
-        );
-        let client = CompromisedClient::from_round_start(
-            2,
-            &broadcast,
-            fresh,
-            false,
-            AttackKind::Fgsm,
-            0.05,
-            1,
-        )
-        .unwrap();
-        assert_eq!(client.id(), 2);
-        // The replica now carries the broadcast weights: identical logits.
-        let x = Tensor::rand_uniform(&[2, 3, 8, 8], 0.2, 0.8, &mut seeds.derive("x"));
-        let from_source = predict(&source, &x).unwrap();
-        let from_replica = predict(client.model.as_ref(), &x).unwrap();
-        assert_eq!(from_source, from_replica);
-        // A non-broadcast message is refused.
-        let not_broadcast = Message::RoundEnd { round: 0 };
-        let fresh = Box::new(
-            VisionTransformer::new(ViTConfig::vit_b16_scaled(8, 3, 4), &mut seeds.derive("f2"))
-                .unwrap(),
-        );
-        assert!(CompromisedClient::from_round_start(
-            2,
-            &not_broadcast,
-            fresh,
-            false,
-            AttackKind::Fgsm,
-            0.05,
-            1
-        )
-        .is_err());
     }
 
     #[test]

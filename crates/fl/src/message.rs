@@ -53,8 +53,9 @@
 //! refused or misrouted frame with a [`Message::Nack`] and keeps going; a
 //! spammer gains no parse-level leverage, but *delivered* junk still counts
 //! against the straggler deadline (see [`crate::ParticipationPolicy`]),
-//! which is exactly the timing surface the free-riding adversary of
-//! [`crate::FreeRiderAgent`] exploits and the scenario tests pin down.
+//! which is exactly the timing surface the free-riding seat
+//! ([`crate::AgentRole::FreeRider`]) exploits and the scenario tests pin
+//! down.
 
 use pelta_tee::SealedBlob;
 use pelta_tensor::Tensor;
@@ -1226,17 +1227,26 @@ mod tests {
         frame.extend_from_slice(&checksum.to_le_bytes());
         let err = Message::decode(&frame).unwrap_err();
         assert!(err.to_string().contains("larger than remaining payload"));
+        // A tensor built from such dims is refused the same way.
+        assert!(Tensor::from_vec(vec![], &[usize::MAX, 2]).is_err());
         // Zero-element tensors with huge sibling dims remain decodable —
-        // their element count is legitimately zero.
-        let empty = Tensor::from_vec(vec![], &[usize::MAX, 0]).unwrap();
-        let message = Message::RoundStart {
-            round: 0,
-            global: GlobalModel {
+        // their element count is legitimately zero, even where the product
+        // of the leading dims alone would overflow.
+        for dims in [
+            vec![usize::MAX, 0],
+            vec![2, usize::MAX, 0],
+            vec![usize::MAX, 2, 0],
+        ] {
+            let empty = Tensor::from_vec(vec![], &dims).unwrap();
+            let message = Message::RoundStart {
                 round: 0,
-                parameters: vec![("w".to_string(), empty)],
-            },
-        };
-        assert_eq!(Message::decode(&message.encode()).unwrap(), message);
+                global: GlobalModel {
+                    round: 0,
+                    parameters: vec![("w".to_string(), empty)],
+                },
+            };
+            assert_eq!(Message::decode(&message.encode()).unwrap(), message);
+        }
     }
 
     #[test]

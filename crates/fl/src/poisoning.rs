@@ -16,11 +16,10 @@ use pelta_data::ClientShard;
 use pelta_models::{accuracy, predict, train_classifier, ImageModel, TrainingConfig};
 use pelta_tensor::Tensor;
 use rand::Rng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::client::{export_parameters, import_parameters, FederationAgent, StepOutcome};
-use crate::{AdversarialAction, FlError, GlobalModel, Message, ModelUpdate, Result, Transport};
+use crate::client::{export_parameters, import_parameters};
+use crate::{FlError, GlobalModel, ModelUpdate, Result};
 
 /// A trojan trigger: a small bright square stamped into a corner of the
 /// image, paired with the attacker's target class.
@@ -311,127 +310,12 @@ impl BackdoorClient {
             },
         ))
     }
-
-    /// The wire-protocol face of [`BackdoorClient::poisoned_round`]: the
-    /// attacker consumes the same [`Message::RoundStart`] every honest
-    /// client receives and answers with a protocol-conformant
-    /// [`Message::Update`] — the server cannot tell it apart by message
-    /// shape, only (possibly) by its robust aggregation rule.
-    ///
-    /// # Errors
-    /// Returns an error if the message is not a round start or local
-    /// training fails.
-    pub fn handle_round_start<R: Rng + ?Sized>(
-        &mut self,
-        message: &Message,
-        rng: &mut R,
-    ) -> Result<(Message, PoisonReport)> {
-        let Message::RoundStart { global, .. } = message else {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "backdoor client expected RoundStart, got {}",
-                    message.kind()
-                ),
-            });
-        };
-        let (update, report) = self.poisoned_round(global, rng)?;
-        Ok((
-            Message::Update {
-                update,
-                shielded: Vec::new(),
-            },
-            report,
-        ))
-    }
 }
 
-/// The backdoor attacker as a first-class scheduler participant: a
-/// [`BackdoorClient`] bound to a [`Transport`] link, racing the honest
-/// agents inside the federation's deterministic delivery sweeps.
-///
-/// On every [`Message::RoundStart`] it observes the broadcast metadata
-/// (round index and the *current* global parameters — which is exactly what
-/// makes the boosted model-replacement update effective), trains on its
-/// poisoned shard and answers with a protocol-conformant boosted
-/// [`Message::Update`]. The server cannot tell it apart by message shape or
-/// timing, only (possibly) by its robust aggregation rule.
-pub struct BackdoorAgent {
-    client: BackdoorClient,
-    transport: Box<dyn Transport>,
-    rng: ChaCha8Rng,
-    nacks_received: usize,
-}
-
-impl BackdoorAgent {
-    /// Binds a backdoor client to its transport endpoint. `rng` drives the
-    /// per-round poisoning draws; seed it deterministically (the federation
-    /// derives it from the scenario seed stream) to keep runs replayable.
-    pub fn new(client: BackdoorClient, transport: Box<dyn Transport>, rng: ChaCha8Rng) -> Self {
-        BackdoorAgent {
-            client,
-            transport,
-            rng,
-            nacks_received: 0,
-        }
-    }
-
-    /// The wrapped backdoor client.
-    pub fn client(&self) -> &BackdoorClient {
-        &self.client
-    }
-}
-
-impl FederationAgent for BackdoorAgent {
-    fn id(&self) -> usize {
-        self.client.id()
-    }
-
-    fn join(&self) -> Result<()> {
-        self.transport.send(&Message::Join {
-            client_id: self.client.id(),
-        })
-    }
-
-    fn step(&mut self, drop_this_round: bool) -> Result<StepOutcome> {
-        let mut outcome = StepOutcome::idle();
-        while let Some(message) = self.transport.recv()? {
-            match message {
-                Message::RoundStart { .. } => {
-                    if drop_this_round {
-                        self.transport.send(&Message::Leave {
-                            client_id: self.client.id(),
-                        })?;
-                        outcome.left = true;
-                        continue;
-                    }
-                    let (reply, report) =
-                        self.client.handle_round_start(&message, &mut self.rng)?;
-                    self.transport.send(&reply)?;
-                    outcome.adversarial = Some(AdversarialAction::Poisoned(report));
-                }
-                Message::Nack { .. } => self.nacks_received += 1,
-                _ => {}
-            }
-        }
-        Ok(outcome)
-    }
-
-    fn transport_messages(&self) -> usize {
-        self.transport.messages_sent()
-    }
-
-    fn transport_bytes(&self) -> usize {
-        self.transport.bytes_sent()
-    }
-
-    fn nacks_received(&self) -> usize {
-        self.nacks_received
-    }
-}
-
-/// The *adaptive* backdoor attacker: a [`BackdoorClient`] whose boost is
-/// re-tuned every round against the aggregation outcome the attacker
-/// observes on the wire — without ever knowing which
+/// The *adaptive* backdoor attacker's boost schedule
+/// ([`crate::AgentRole::AdaptiveBackdoor`]): the boost of a
+/// [`BackdoorClient`] is re-tuned every round against the aggregation
+/// outcome the attacker observes on the wire, without ever knowing which
 /// [`crate::AggregationRule`] the server runs.
 ///
 /// The probe is the broadcast itself. The attacker keeps the parameters it
@@ -444,65 +328,53 @@ impl FederationAgent for BackdoorAgent {
 /// whole-model L2 norms accumulated in `f64` in schema order, so the
 /// adaptation path — like everything else in the scheduler — replays
 /// bit-identically across repeats, transports and `PELTA_THREADS` values.
-pub struct AdaptiveBackdoorAgent {
-    client: BackdoorClient,
-    transport: Box<dyn Transport>,
-    rng: ChaCha8Rng,
-    nacks_received: usize,
+pub(crate) struct AdaptiveBoost {
     max_boost: usize,
     last_sent: Option<Vec<(String, Tensor)>>,
     last_global: Option<Vec<(String, Tensor)>>,
-    boost_history: Vec<usize>,
 }
 
-impl AdaptiveBackdoorAgent {
-    /// Binds an adaptive backdoor client to its transport endpoint. The
-    /// client's construction-time boost is the schedule's upper bound
-    /// (`max_boost`) and the first round ships at it; `rng` drives the
-    /// per-round poisoning draws.
-    pub fn new(client: BackdoorClient, transport: Box<dyn Transport>, rng: ChaCha8Rng) -> Self {
-        let max_boost = client.boost();
-        AdaptiveBackdoorAgent {
-            client,
-            transport,
-            rng,
-            nacks_received: 0,
+impl AdaptiveBoost {
+    /// A schedule capped at `max_boost`; the client's construction-time
+    /// boost is that cap, so the first round ships at it.
+    pub(crate) fn new(max_boost: usize) -> Self {
+        AdaptiveBoost {
             max_boost,
             last_sent: None,
             last_global: None,
-            boost_history: Vec::new(),
         }
     }
 
-    /// The wrapped backdoor client.
-    pub fn client(&self) -> &BackdoorClient {
-        &self.client
-    }
-
-    /// The boost used in each round shipped so far — the adaptation
-    /// trajectory, for analyses and tests.
-    pub fn boost_history(&self) -> &[usize] {
-        &self.boost_history
-    }
-
-    /// Re-tunes the boost against the newly observed broadcast before this
-    /// round's update is trained.
-    fn adapt(&mut self, global: &GlobalModel) -> Result<()> {
+    /// One adaptive poisoned round: re-tune `client`'s boost against the
+    /// newly observed broadcast, record the broadcast, then train and
+    /// record the update about to be sent.
+    ///
+    /// # Errors
+    /// Returns an error if the broadcast does not match the local
+    /// architecture or local training fails.
+    pub(crate) fn poisoned_round<R: Rng + ?Sized>(
+        &mut self,
+        client: &mut BackdoorClient,
+        global: &GlobalModel,
+        rng: &mut R,
+    ) -> Result<(ModelUpdate, PoisonReport)> {
         if let (Some(sent), Some(previous)) = (&self.last_sent, &self.last_global) {
             let toward_attacker = param_distance(&global.parameters, sent)?;
             let round_step = param_distance(&global.parameters, previous)?;
-            let boost = self.client.boost();
-            if toward_attacker <= round_step {
+            let boost = client.boost();
+            client.set_boost(if toward_attacker <= round_step {
                 // The aggregate tracked the boosted update: escalate.
-                self.client
-                    .set_boost(self.max_boost.min(boost.saturating_mul(2)));
+                self.max_boost.min(boost.saturating_mul(2))
             } else {
                 // The rule suppressed it: back off toward an honest-looking
                 // weight.
-                self.client.set_boost((boost / 2).max(1));
-            }
+                (boost / 2).max(1)
+            });
         }
-        Ok(())
+        self.last_global = Some(global.parameters.clone());
+        let (update, report) = client.poisoned_round(global, rng)?;
+        self.last_sent = Some(update.parameters.clone());
+        Ok((update, report))
     }
 }
 
@@ -517,60 +389,6 @@ fn param_distance(a: &[(String, Tensor)], b: &[(String, Tensor)]) -> Result<f64>
         sum += f64::from(norm) * f64::from(norm);
     }
     Ok(sum.sqrt())
-}
-
-impl FederationAgent for AdaptiveBackdoorAgent {
-    fn id(&self) -> usize {
-        self.client.id()
-    }
-
-    fn join(&self) -> Result<()> {
-        self.transport.send(&Message::Join {
-            client_id: self.client.id(),
-        })
-    }
-
-    fn step(&mut self, drop_this_round: bool) -> Result<StepOutcome> {
-        let mut outcome = StepOutcome::idle();
-        while let Some(message) = self.transport.recv()? {
-            match message {
-                Message::RoundStart { ref global, .. } => {
-                    if drop_this_round {
-                        self.transport.send(&Message::Leave {
-                            client_id: self.client.id(),
-                        })?;
-                        outcome.left = true;
-                        continue;
-                    }
-                    self.adapt(global)?;
-                    self.boost_history.push(self.client.boost());
-                    self.last_global = Some(global.parameters.clone());
-                    let (reply, report) =
-                        self.client.handle_round_start(&message, &mut self.rng)?;
-                    if let Message::Update { ref update, .. } = reply {
-                        self.last_sent = Some(update.parameters.clone());
-                    }
-                    self.transport.send(&reply)?;
-                    outcome.adversarial = Some(AdversarialAction::Poisoned(report));
-                }
-                Message::Nack { .. } => self.nacks_received += 1,
-                _ => {}
-            }
-        }
-        Ok(outcome)
-    }
-
-    fn transport_messages(&self) -> usize {
-        self.transport.messages_sent()
-    }
-
-    fn transport_bytes(&self) -> usize {
-        self.transport.bytes_sent()
-    }
-
-    fn nacks_received(&self) -> usize {
-        self.nacks_received
-    }
 }
 
 #[cfg(test)]
@@ -653,61 +471,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&rate));
         // All-target labels leave nothing to measure.
         assert!(backdoor_success_rate(&vit, &images, &[0; 6], &trigger).is_err());
-    }
-
-    #[test]
-    fn backdoor_client_speaks_the_wire_protocol() {
-        let mut seeds = SeedStream::new(95);
-        let dataset = Dataset::generate(
-            DatasetSpec::Cifar10Like,
-            &GeneratorConfig {
-                train_samples: 20,
-                test_samples: 10,
-                ..GeneratorConfig::default()
-            },
-            95,
-        );
-        let shards = federated_split(&dataset, 2, Partition::Iid, &mut seeds.derive("split"));
-        let vit = VisionTransformer::new(
-            ViTConfig::vit_b16_scaled(32, 3, 10),
-            &mut seeds.derive("model"),
-        )
-        .unwrap();
-        let broadcast = Message::RoundStart {
-            round: 0,
-            global: GlobalModel {
-                round: 0,
-                parameters: export_parameters(&vit),
-            },
-        };
-        let mut client = BackdoorClient::new(
-            1,
-            shards.into_iter().next().unwrap(),
-            Box::new(vit),
-            TrainingConfig {
-                epochs: 1,
-                batch_size: 5,
-                learning_rate: 0.02,
-                momentum: 0.9,
-            },
-            TrojanTrigger::new(3, 1.0, 0).unwrap(),
-            0.5,
-            2,
-        )
-        .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let (reply, report) = client.handle_round_start(&broadcast, &mut rng).unwrap();
-        let Message::Update { update, shielded } = reply else {
-            panic!("attacker must answer with an Update message");
-        };
-        assert!(shielded.is_empty());
-        assert_eq!(update.client_id, 1);
-        assert_eq!(update.round, 0);
-        assert!(report.poisoned_samples > 0);
-        // Any other message kind is refused.
-        assert!(client
-            .handle_round_start(&Message::RoundEnd { round: 0 }, &mut rng)
-            .is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`crate::AggregationRule`], the [`Topology`] routing the updates and
 //! whether they travel shielded — bundled with the base
 //! [`FederationConfig`]. [`crate::Federation::from_scenario`] turns a spec
-//! into a running federation whose adversaries race the honest agents
+//! into a running federation whose adversaries race the honest seats
 //! inside the same deterministic delivery sweeps, so every scenario replays
 //! bit-identically across repeats, transports and `PELTA_THREADS` values.
 //!
@@ -29,11 +29,13 @@ use crate::{AttackKind, FederationConfig, FlError, Result, Topology, TrojanTrigg
 /// the paper's adversaries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AgentRole {
-    /// An honest [`crate::ClientAgent`]: trains on its shard, reports its
-    /// update (sealed when the deployment shields updates).
+    /// An honest seat: an [`crate::FlClient`] trains on its shard and the
+    /// seat reports its update (sealed when the deployment shields
+    /// updates).
     Honest,
-    /// A [`crate::BackdoorAgent`]: trains on a trigger-poisoned shard and
-    /// ships a boosted model-replacement update.
+    /// A backdoor seat: a [`crate::BackdoorClient`] trains on a
+    /// trigger-poisoned shard and the seat ships its boosted
+    /// model-replacement update.
     Backdoor {
         /// The trojan trigger stamped into the poisoned samples.
         trigger: TrojanTrigger,
@@ -46,7 +48,7 @@ pub enum AgentRole {
         /// `local_training`.
         training: Option<TrainingConfig>,
     },
-    /// An [`crate::AdaptiveBackdoorAgent`]: the same trigger-poisoned local
+    /// An adaptive backdoor seat: the same trigger-poisoned local
     /// training as [`AgentRole::Backdoor`], but the boost is re-tuned every
     /// round against the aggregation outcome the attacker *observes* — when
     /// the new broadcast tracks its last update (a FedAvg-like rule honored
@@ -65,8 +67,10 @@ pub enum AgentRole {
         /// `local_training`.
         training: Option<TrainingConfig>,
     },
-    /// A [`crate::FreeRiderAgent`]: echoes the broadcast back under a lying
-    /// weight after spamming junk frames at the collection deadline.
+    /// A free-riding seat: it never trains, and echoes the broadcast back
+    /// under a lying weight after spamming junk frames at the collection
+    /// deadline (each delivered junk frame burns a unit of the
+    /// delivered-message straggler deadline).
     FreeRider {
         /// The FedAvg weight it claims (`0` claims its shard size, the most
         /// plausible lie).
@@ -76,8 +80,9 @@ pub enum AgentRole {
         /// Half-width of the uniform noise stamped on the echoed parameters.
         perturbation: f32,
     },
-    /// A [`crate::ProbingAgent`]: trains honestly as cover while running a
-    /// white-box evasion attack against each broadcast.
+    /// A probing seat, the compromised client in the loop: it runs a
+    /// white-box evasion attack with one [`crate::CompromisedClient`]
+    /// against each broadcast, then trains honestly as cover.
     Probing {
         /// Which evasion attack probes the replica.
         attack: AttackKind,
@@ -91,7 +96,7 @@ pub enum AgentRole {
 }
 
 impl AgentRole {
-    /// Validates the role's own budgets — the same invariants the agent
+    /// Validates the role's own budgets — the same invariants the client
     /// constructors enforce when the federation is built, checked here so a
     /// spec is rejected *before* any shard is cut or link constructed
     /// (a deserialized spec can carry values that never went through a
@@ -302,7 +307,9 @@ impl ScenarioSpec {
     /// constraints between them (secure aggregation demands an all-honest
     /// roster). This is the single validation gate
     /// [`crate::Federation::from_scenario`] runs *before* any shard is cut
-    /// or link constructed: everything `validate` accepts builds, and
+    /// or link constructed: everything `validate` accepts builds on a
+    /// dataset with at least one training sample per seat (the one check
+    /// that needs the dataset, which `from_scenario` makes next), and
     /// everything it rejects never touches the fabric — the agreement the
     /// scenario fuzzer (`tests/scenario_fuzz.rs`) asserts.
     ///

@@ -37,10 +37,18 @@ impl Tensor {
     ///
     /// # Errors
     /// Returns [`TensorError::ShapeDataMismatch`] if the buffer length does
-    /// not equal the product of the dimensions.
+    /// not equal the product of the dimensions, or if that product
+    /// overflows `usize`.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self> {
-        let numel: usize = shape.iter().product();
-        if numel != data.len() {
+        // A zero axis empties the tensor whatever its sibling axes claim;
+        // otherwise an overflowing product is a mismatch, never a wrapped
+        // (or, with overflow checks on, panicking) element count.
+        let numel = if shape.contains(&0) {
+            Some(0)
+        } else {
+            shape.iter().try_fold(1usize, |n, &dim| n.checked_mul(dim))
+        };
+        if numel != Some(data.len()) {
             return Err(TensorError::ShapeDataMismatch {
                 shape: shape.to_vec(),
                 data_len: data.len(),

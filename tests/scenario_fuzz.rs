@@ -31,9 +31,8 @@
 //!    survives to the consensus point, so every rule (FedAvg, clipping,
 //!    trimmed mean, Krum, multi-Krum) folds the same update set.
 //!
-//! The quick tier (default) runs a fixed-seed batch small enough for
-//! tier-1; `--features slow-tests` multiplies the case count tenfold for
-//! soak runs. `PROPTEST_SEED` overrides the seed either way.
+//! Every run is a fixed-seed batch of 240 cases, small enough for tier-1.
+//! `PROPTEST_SEED` overrides the seed.
 
 use std::sync::OnceLock;
 
@@ -53,11 +52,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Proptest cases per tier. The quick tier rides tier-1; the slow tier is
-/// the soak configuration.
-#[cfg(not(feature = "slow-tests"))]
-const CASES: u32 = 24;
-#[cfg(feature = "slow-tests")]
+/// Proptest cases per run.
 const CASES: u32 = 240;
 
 /// Seed of every run's `SeedStream` (model init, shard cut, adversaries).

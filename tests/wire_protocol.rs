@@ -8,13 +8,15 @@
 //! v4 secure-aggregation framing closes the matrix: tampered `MaskShare`
 //! responses fault under the share's `(client, round)` identity while
 //! `MaskShare` requests ride hostile links untouched (see
-//! `docs/wire-format.md` for the byte layout).
+//! `docs/wire-format.md` for the byte layout). Decode is total: garbage
+//! behind a valid checksum errors, it never panics.
 
 use proptest::prelude::*;
 
 use pelta_fl::{
-    Delivery, FaultConfig, FaultPlan, FedAvgServer, GlobalModel, Message, ModelUpdate, NackReason,
-    ParticipationPolicy, RoundPhase, TransportKind, UpdateCodec,
+    Delivery, FaultConfig, FaultPlan, FedAvgServer, GlobalModel, MemberUpdate, Message,
+    ModelUpdate, NackReason, ParticipationPolicy, RoundPhase, ShieldedUpdateChannel, TransportKind,
+    UpdateCodec,
 };
 use pelta_tensor::{pool, SeedStream, Tensor};
 
@@ -478,5 +480,119 @@ proptest! {
         let bytes = message.encode();
         let cut = cut_seed % bytes.len();
         prop_assert!(Message::decode(&bytes[..cut]).is_err());
+    }
+}
+
+/// FNV-1a 64 over `bytes`: the frame checksum `docs/wire-format.md`
+/// specifies (offset basis `0xcbf29ce484222325`, prime `0x100000001b3`).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// One valid message of every kind, carrying `tensor` and an empty
+/// rank-3 tensor wherever the kind has parameters, and a sealed blob
+/// wherever it has a shielded segment.
+fn every_kind(tensor: &Tensor) -> Vec<Message> {
+    let parameters = vec![
+        ("w".to_string(), tensor.clone()),
+        ("empty".to_string(), Tensor::zeros(&[2, 3, 0])),
+    ];
+    let (sealed, _) = ShieldedUpdateChannel::connect(7)
+        .expect("enclave channel")
+        .seal_segments(&parameters)
+        .expect("sealable segment");
+    let update = ModelUpdate {
+        client_id: 2,
+        round: 3,
+        num_samples: 5,
+        parameters: parameters.clone(),
+    };
+    vec![
+        Message::Join { client_id: 2 },
+        Message::RoundStart {
+            round: 3,
+            global: GlobalModel {
+                round: 3,
+                parameters,
+            },
+        },
+        Message::Update {
+            update: update.clone(),
+            shielded: sealed.clone(),
+        },
+        Message::AggregateUpdate {
+            origin: 1,
+            round: 3,
+            members: vec![
+                MemberUpdate {
+                    update: update.clone(),
+                    shielded: sealed,
+                },
+                MemberUpdate::clear(ModelUpdate {
+                    client_id: 4,
+                    ..update
+                }),
+            ],
+        },
+        Message::RoundEnd { round: 3 },
+        Message::Leave { client_id: 2 },
+        Message::Nack {
+            client_id: 2,
+            round: 3,
+            reason: NackReason::Rejected("late".to_string()),
+        },
+        Message::MaskShare {
+            client_id: 2,
+            round: 3,
+            seats: vec![0, 4],
+            seeds: vec![9, 11],
+        },
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64).with_seed(0xdec0_de5f))]
+
+    /// Decode fuzz: overwrite random bytes of a valid frame of every kind
+    /// under every codec and re-stamp a valid checksum, so the garbage
+    /// reaches the parser (FNV-1a is an integrity check, not a MAC). Decode
+    /// must return `Ok` or `Err`; it must never panic.
+    #[test]
+    fn decode_never_panics_behind_a_valid_checksum(
+        random_bits in proptest::collection::vec(0u32..=u32::MAX, 1..12),
+        edits in proptest::collection::vec(0u64..=u64::MAX, 1..6),
+    ) {
+        for message in every_kind(&tensor_from_bits(&random_bits)) {
+            for codec in codecs() {
+                let mut frame = message.encode_with(codec);
+                let body_len = frame.len() - 8;
+                // Each edit names a body byte (high bits) and writes 0x00,
+                // 0xFF or a random byte there: the extremes are what turn
+                // length and dim fields hostile.
+                for &edit in &edits {
+                    let value = match edit % 3 {
+                        0 => 0x00,
+                        1 => 0xFF,
+                        _ => (edit >> 2) as u8,
+                    };
+                    frame[(edit >> 8) as usize % body_len] = value;
+                }
+                let checksum = fnv1a64(&frame[..body_len]);
+                frame[body_len..].copy_from_slice(&checksum.to_le_bytes());
+                let decoded = std::panic::catch_unwind(|| Message::decode(&frame).map(|_| ()));
+                prop_assert!(
+                    decoded.is_ok(),
+                    "decode panicked on a {} frame under {}: {:?}",
+                    message.kind(),
+                    codec.name(),
+                    frame
+                );
+            }
+        }
     }
 }
