@@ -1,16 +1,15 @@
-//! Deterministic update-compression codecs for the wire protocol (v3).
+//! Deterministic update-compression codecs for the wire protocol.
 //!
 //! A federation configures one [`UpdateCodec`] per scenario
 //! ([`crate::FederationConfig::codec`] / `ScenarioSpec::with_codec`); the
 //! transport layer applies it to every **upload** frame — [`crate::Message::Update`]
 //! and the subtree-addressed [`crate::Message::AggregateUpdate`] — while
-//! control traffic (Join/RoundStart/RoundEnd/Leave/Nack, and the v4
-//! MaskShare exchange) and sealed shielded segments are never
-//! codec-compressed. Compression is *lossy but
-//! bit-reproducible*: every rounding decision below is a fixed, scalar,
-//! thread-free computation, so a given codec produces the same bytes and the
-//! same dequantized values on every run, every transport, every topology and
-//! every `PELTA_THREADS` setting.
+//! control traffic (Join/RoundStart/RoundEnd/Leave/Nack/MaskShare) and
+//! sealed shielded segments are never codec-compressed. Compression is
+//! *lossy but bit-reproducible*: every rounding decision below is a fixed,
+//! scalar, thread-free computation, so a given codec produces the same bytes
+//! and the same dequantized values on every run, every transport, every
+//! topology and every `PELTA_THREADS` setting.
 //!
 //! The determinism contract of the runtime extends into the codec domain
 //! through two invariants, both proven by the property tests in
@@ -29,12 +28,12 @@
 //!    hierarchical forwarding is wire-equivalent to passing the compressed
 //!    members through unopened.
 //!
-//! `Raw` is the identity codec: its frames are byte-for-byte the v2 wire
-//! format, so a codec-free deployment is untouched.
+//! `Raw` is the identity codec: its tensors travel as exact `f32` bit
+//! patterns, so a codec-free deployment moves its values unchanged.
 //!
-//! The byte-level layout of every frame — v2, v3 (one codec tag byte after
-//! the kind, compact element sections per the table above) and the v4
-//! secure-aggregation frames — is specified with worked hex dumps in
+//! The byte-level layout of every frame — including the codec tag byte each
+//! data frame carries after its kind and the compact element sections of
+//! [`UpdateCodec`] — is specified with worked hex dumps in
 //! `docs/wire-format.md` at the repository root.
 
 use serde::{Deserialize, Serialize};
@@ -56,7 +55,7 @@ use crate::{FlError, MemberUpdate, Message, ModelUpdate, Result};
 /// | `TopK` | 8 per *kept* element   | all but the `k` largest magnitudes → 0 |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum UpdateCodec {
-    /// Identity: exact `f32` bit patterns, byte-for-byte the v2 wire format.
+    /// Identity: exact `f32` bit patterns (codec tag 0).
     Raw,
     /// Truncate every element to bfloat16 (the high 16 bits of the `f32`
     /// pattern) with round-to-nearest-even; NaNs are quieted into the kept
@@ -97,7 +96,7 @@ impl UpdateCodec {
         }
     }
 
-    /// Whether this codec leaves frames in the raw v2 encoding.
+    /// Whether this codec leaves tensor values untouched.
     pub fn is_raw(&self) -> bool {
         matches!(self, UpdateCodec::Raw)
     }
@@ -115,14 +114,13 @@ impl UpdateCodec {
         }
     }
 
-    /// The codec tag byte that follows the message kind in a v3 frame.
-    /// `Raw` has no tag — its frames stay on protocol version 2.
-    pub(crate) fn wire_tag(&self) -> Option<u8> {
+    /// The codec tag byte that follows the message kind in a data frame.
+    pub(crate) fn wire_tag(&self) -> u8 {
         match self {
-            UpdateCodec::Raw => None,
-            UpdateCodec::Bf16 => Some(1),
-            UpdateCodec::Int8 => Some(2),
-            UpdateCodec::TopK { .. } => Some(3),
+            UpdateCodec::Raw => 0,
+            UpdateCodec::Bf16 => 1,
+            UpdateCodec::Int8 => 2,
+            UpdateCodec::TopK { .. } => 3,
         }
     }
 

@@ -467,7 +467,10 @@ impl FaultyTransport {
         let counter = ((now.0 as u64) << 24) | now.1 as u64;
         let mut rng = self.rng_for(PARTITION_SALT, counter);
         if unit(rng.next_u64()) < self.config.partition {
-            state.partition_until = Some((now.0, now.1 + self.config.partition_sweeps));
+            // Saturating: a window longer than the sweeps left in the round
+            // ends at the round boundary.
+            let end = now.1.saturating_add(self.config.partition_sweeps);
+            state.partition_until = Some((now.0, end));
             self.stats.lock().partitions += 1;
             return true;
         }
@@ -879,6 +882,32 @@ mod tests {
             }
         }
         assert!(plan.stats().suppressed >= 3);
+    }
+
+    #[test]
+    fn a_round_long_partition_drawn_after_sweep_zero_does_not_overflow() {
+        // A window of `usize::MAX` sweeps lasts the rest of the round; drawn
+        // at sweep 1 its end must saturate instead of wrapping (or panicking
+        // in debug builds) and reopening the link at once.
+        let plan = FaultPlan::new(FaultConfig {
+            partition: 1.0,
+            partition_sweeps: usize::MAX,
+            ..FaultConfig::default()
+        })
+        .unwrap();
+        let (agent_end, runtime_end) = TransportKind::InMemory.duplex();
+        let link = plan.wrap_seat(0, runtime_end);
+        agent_end.send(&update(0, 0, 1.0)).unwrap();
+        plan.begin_round(0);
+        for sweep in 1..=3usize {
+            plan.set_sweep(sweep);
+            assert_eq!(
+                link.recv_checked().unwrap(),
+                Delivery::Empty,
+                "sweep {sweep}"
+            );
+        }
+        assert_eq!(plan.stats().partitions, 1);
     }
 
     #[test]

@@ -142,8 +142,8 @@ pub struct FederationConfig {
     pub faults: Option<FaultConfig>,
     /// Update-compression codec carried by every link of the federation
     /// fabric (client seats, edge uplinks, gossip mesh edges — see
-    /// [`crate::codec`]); [`UpdateCodec::Raw`] ships the uncompressed v2
-    /// wire format.
+    /// [`crate::codec`]); [`UpdateCodec::Raw`] ships every `f32` as its
+    /// exact bit pattern.
     pub codec: UpdateCodec,
 }
 

@@ -19,7 +19,7 @@
 //!   compresses the upload frames — bfloat16 truncation, symmetric Int8
 //!   quantization or deterministic TopK sparsification — with
 //!   bit-reproducible decode, so the determinism contract holds per codec
-//!   and `Raw` stays byte-for-byte the uncompressed v2 wire format.
+//!   and `Raw` ships every `f32` as its exact bit pattern.
 //! * **Server layer** — [`FedAvgServer`] is a per-round state machine
 //!   (*Broadcasting → Collecting → Aggregating*) under a
 //!   [`ParticipationPolicy`]: minimum quorum, per-round client sampling, a
@@ -161,10 +161,7 @@ pub use error::FlError;
 pub use fault::{CrashPoint, CrashTarget, FaultConfig, FaultPlan, FaultStats};
 pub use federation::{ClientSchedule, Federation, FederationConfig, RoundRecord, RunHistory};
 pub use malicious::{AttackKind, CompromisedClient, EvasionReport};
-pub use message::{
-    GlobalModel, MemberUpdate, Message, ModelUpdate, NackReason, CODED_PROTOCOL_VERSION,
-    MASK_PROTOCOL_VERSION, PROTOCOL_VERSION,
-};
+pub use message::{GlobalModel, MemberUpdate, Message, ModelUpdate, NackReason, PROTOCOL_VERSION};
 pub use poisoning::{backdoor_success_rate, BackdoorClient, PoisonReport, TrojanTrigger};
 pub use robust::{aggregate_with_rule, AggregationFold, AggregationRule, RobustAggregator};
 pub use scenario::{AgentRole, RoleAssignment, ScenarioSpec};

@@ -24,28 +24,19 @@
 //! an edge aggregator (or gossip peer) forwards upstream — one frame
 //! carrying its accepted member updates with their sealed segments intact,
 //! stamped with the forwarding seat's `origin` id so refusals stay routable
-//! in a multi-hop topology (protocol version 2).
+//! in a multi-hop topology.
 //!
-//! Since the codec layer the **upload** path can travel compressed: under a
-//! non-`Raw` [`UpdateCodec`] the `Update` / `AggregateUpdate` frames are
-//! re-framed as protocol version 3 — one codec tag byte after the kind,
-//! tensors in the codec's compact layout ([`crate::codec`]), scales carried
-//! as exact bit patterns — still behind the same trailing FNV-1a checksum,
-//! so a tampered compressed frame is refused exactly like a raw one.
-//! Decode reconstructs the dequantized values bit-reproducibly, and `Raw`
-//! frames remain byte-for-byte the v2 encoding. Control traffic and sealed
-//! blobs are never compressed.
+//! The two data kinds, `Update` and `AggregateUpdate`, carry one codec tag
+//! byte after the kind that names their [`UpdateCodec`]. Under a lossy codec
+//! their tensors travel in the codec's compact layout ([`crate::codec`]),
+//! scales as exact bit patterns, behind the same trailing FNV-1a checksum,
+//! so a tampered compressed frame is refused exactly like a raw one. Decode
+//! reconstructs the dequantized values bit-reproducibly. Control frames —
+//! the secure-aggregation [`Message::MaskShare`] exchange included — carry
+//! no tag, and neither they nor sealed blobs are ever compressed.
 //!
-//! Since the secure-aggregation layer a third version exists: the
-//! [`Message::MaskShare`] exchange that reconstructs the orphaned pairwise
-//! masks of dropped-out clients travels as protocol version 4
-//! ([`MASK_PROTOCOL_VERSION`]) — a v2-shaped header with a distinct version
-//! stamp, never codec-compressed. Everything else, including every other
-//! frame of a masked deployment, keeps its v2/v3 encoding unchanged.
-//!
-//! The byte-level layout of all three versions — every frame kind with a
-//! worked hex dump — is specified in `docs/wire-format.md` at the
-//! repository root.
+//! The byte-level layout — every frame kind with a worked hex dump — is
+//! specified in `docs/wire-format.md` at the repository root.
 //!
 //! **Adversarial note.** Malicious participants speak this protocol too —
 //! by design nothing in a frame reveals intent, so a poisoned update is
@@ -66,29 +57,10 @@ use crate::codec::{
 };
 use crate::{FlError, Result};
 
-/// Version stamped into every encoded message; receivers reject other
-/// versions instead of guessing at the payload layout. Version 2 added the
-/// subtree-addressed [`Message::AggregateUpdate`] of the topology layer.
-/// Upload frames compressed by a non-`Raw` [`UpdateCodec`] travel as
-/// [`CODED_PROTOCOL_VERSION`] instead; everything else — including every
-/// frame of a `Raw` deployment — stays byte-for-byte on version 2.
-pub const PROTOCOL_VERSION: u16 = 2;
-
-/// Version of codec-compressed upload frames (protocol v3): the header
-/// grows one codec tag byte after the kind, and `Update` /
-/// `AggregateUpdate` tensors are encoded per the tagged [`UpdateCodec`]
-/// instead of as raw `f32` bit patterns. Receivers accept both versions.
-pub const CODED_PROTOCOL_VERSION: u16 = 3;
-
-/// Version of secure-aggregation mask frames (protocol v4): the
-/// [`Message::MaskShare`] exchange that reconstructs the orphaned pairwise
-/// masks of dropped-out clients. The header keeps the v2 shape (no codec
-/// tag — mask shares are control traffic and are never compressed), but the
-/// distinct version stamps the secure-aggregation extension so a v2/v3-only
-/// peer refuses the frame instead of misparsing it. Only kind 7 may travel
-/// as v4, and kind 7 may travel *only* as v4. The byte-level layout is
-/// specified in `docs/wire-format.md`.
-pub const MASK_PROTOCOL_VERSION: u16 = 4;
+/// Version stamped into every encoded message; receivers reject any other
+/// version instead of guessing at the payload layout. Versions 2 to 4 are
+/// retired and refused.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Leading magic of every encoded message (`"PFL"` + format byte).
 const WIRE_MAGIC: [u8; 4] = *b"PFL\x01";
@@ -269,15 +241,14 @@ pub enum Message {
         /// Why the message was refused.
         reason: NackReason,
     },
-    /// The secure-aggregation mask-reconstruction exchange (protocol
-    /// [`MASK_PROTOCOL_VERSION`]). After a masked round closes, the server
-    /// broadcasts a **request** naming the round's dead seats (`seeds`
-    /// empty); every surviving reporter answers with a **response** carrying
-    /// its own pairwise seed for each dead seat (`seeds[k]` pairs with
-    /// `seats[k]`), letting the aggregator enclave cancel exactly the
-    /// orphaned mask halves. Seeds are pairwise secrets between the
-    /// responder and a *dead* client, so revealing them exposes nothing a
-    /// surviving pair still relies on.
+    /// The secure-aggregation mask-reconstruction exchange. After a masked
+    /// round closes, the server broadcasts a **request** naming the round's
+    /// dead seats (`seeds` empty); every surviving reporter answers with a
+    /// **response** carrying its own pairwise seed for each dead seat
+    /// (`seeds[k]` pairs with `seats[k]`), letting the aggregator enclave
+    /// cancel exactly the orphaned mask halves. Seeds are pairwise secrets
+    /// between the responder and a *dead* client, so revealing them exposes
+    /// nothing a surviving pair still relies on.
     MaskShare {
         /// The responding client (or, on a request, the addressing server's
         /// sentinel id).
@@ -322,7 +293,8 @@ impl Message {
     }
 
     /// Encodes the message into the binary wire format:
-    /// `magic ‖ version ‖ kind ‖ payload ‖ fnv1a64(everything before)`.
+    /// `magic ‖ version ‖ kind ‖ [codec tag] ‖ payload ‖ fnv1a64(everything
+    /// before)`, where only the data kinds carry the codec tag.
     ///
     /// Tensors are encoded element-wise as IEEE-754 bit patterns, so the
     /// encoding is bitwise lossless. Equivalent to
@@ -332,10 +304,9 @@ impl Message {
     }
 
     /// Encodes the message under an update codec. `Update` and
-    /// `AggregateUpdate` frames under a lossy codec travel as protocol v3 —
-    /// one codec tag byte after the kind, tensors in the codec's compact
-    /// encoding — while every other combination is byte-for-byte the v2
-    /// [`Message::encode`] output.
+    /// `AggregateUpdate` frames carry the codec's tag byte after the kind
+    /// and their tensors in the codec's layout; control frames ignore the
+    /// codec and equal the [`Message::encode`] output.
     pub fn encode_with(&self, codec: UpdateCodec) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_size_with(codec));
         self.encode_body(codec, &mut out);
@@ -352,36 +323,9 @@ impl Message {
     }
 
     fn encode_body(&self, codec: UpdateCodec, out: &mut Vec<u8>) {
-        // Only upload frames are ever coded; control traffic (and any frame
-        // under `Raw`) keeps the v2 header so `Raw` deployments stay
-        // byte-identical to protocol version 2.
-        let tag = match self {
-            Message::Update { .. } | Message::AggregateUpdate { .. } => codec.wire_tag(),
-            _ => None,
-        };
-        let codec = if tag.is_some() {
-            codec
-        } else {
-            UpdateCodec::Raw
-        };
         out.extend_from_slice(&WIRE_MAGIC);
-        match tag {
-            Some(tag) => {
-                out.extend_from_slice(&CODED_PROTOCOL_VERSION.to_le_bytes());
-                out.push(self.kind_byte());
-                out.push(tag);
-            }
-            None => {
-                // Mask shares are the one kind stamped with the v4 version;
-                // the header shape is otherwise identical to v2.
-                let version = match self {
-                    Message::MaskShare { .. } => MASK_PROTOCOL_VERSION,
-                    _ => PROTOCOL_VERSION,
-                };
-                out.extend_from_slice(&version.to_le_bytes());
-                out.push(self.kind_byte());
-            }
-        }
+        out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        out.push(self.kind_byte());
         match self {
             Message::Join { client_id } => put_u64(out, *client_id as u64),
             Message::RoundStart { round, global } => {
@@ -390,6 +334,7 @@ impl Message {
                 put_params(out, &global.parameters);
             }
             Message::Update { update, shielded } => {
+                out.push(codec.wire_tag());
                 put_update_payload(out, update, shielded, codec);
             }
             Message::AggregateUpdate {
@@ -397,6 +342,7 @@ impl Message {
                 round,
                 members,
             } => {
+                out.push(codec.wire_tag());
                 put_u64(out, *origin as u64);
                 put_u64(out, *round as u64);
                 put_u32(out, members.len() as u32);
@@ -465,53 +411,15 @@ impl Message {
             return wire_err("bad wire magic");
         }
         let version = u16::from_le_bytes([body[4], body[5]]);
-        let kind = body[6];
-        // Protocol v2 frames are raw; v3 frames carry one codec tag byte
-        // after the kind, and only upload kinds may be coded.
-        let (payload_start, wire_codec) = match version {
-            PROTOCOL_VERSION => {
-                if kind == 7 {
-                    return wire_err("mask-share frames travel as protocol version 4");
-                }
-                (HEADER_LEN, WireCodec::Raw)
-            }
-            MASK_PROTOCOL_VERSION => {
-                if kind != 7 {
-                    return wire_err("mask-share framing on a non-mask message kind");
-                }
-                (HEADER_LEN, WireCodec::Raw)
-            }
-            CODED_PROTOCOL_VERSION => {
-                if body.len() < HEADER_LEN + 1 {
-                    return wire_err("coded frame shorter than its header");
-                }
-                if kind != 2 && kind != 6 {
-                    return wire_err("codec framing on a non-update message kind");
-                }
-                let codec = match body[7] {
-                    1 => WireCodec::Bf16,
-                    2 => WireCodec::Int8,
-                    3 => WireCodec::TopK,
-                    other => {
-                        return Err(FlError::Wire {
-                            reason: format!("unknown update codec tag {other}"),
-                        })
-                    }
-                };
-                (HEADER_LEN + 1, codec)
-            }
-            other => {
-                return Err(FlError::Wire {
-                    reason: format!(
-                        "unsupported protocol version {other} \
-                         (expected {PROTOCOL_VERSION}, {CODED_PROTOCOL_VERSION} \
-                         or {MASK_PROTOCOL_VERSION})"
-                    ),
-                });
-            }
-        };
-        let mut cursor = Cursor::new(&body[payload_start..]);
-        let message = match kind {
+        if version != PROTOCOL_VERSION {
+            return Err(FlError::Wire {
+                reason: format!(
+                    "unsupported protocol version {version} (expected {PROTOCOL_VERSION})"
+                ),
+            });
+        }
+        let mut cursor = Cursor::new(&body[HEADER_LEN..]);
+        let message = match body[6] {
             0 => Message::Join {
                 client_id: cursor.take_u64()? as usize,
             },
@@ -528,16 +436,18 @@ impl Message {
                 }
             }
             2 => {
-                let (update, shielded) = cursor.take_update_payload(wire_codec)?;
+                let codec = cursor.take_codec()?;
+                let (update, shielded) = cursor.take_update_payload(codec)?;
                 Message::Update { update, shielded }
             }
             6 => {
+                let codec = cursor.take_codec()?;
                 let origin = cursor.take_u64()? as usize;
                 let round = cursor.take_u64()? as usize;
                 let count = cursor.take_u32()? as usize;
                 let mut members = Vec::with_capacity(count.min(4096));
                 for _ in 0..count {
-                    let (update, shielded) = cursor.take_update_payload(wire_codec)?;
+                    let (update, shielded) = cursor.take_update_payload(codec)?;
                     members.push(MemberUpdate { update, shielded });
                 }
                 Message::AggregateUpdate {
@@ -619,20 +529,15 @@ impl Message {
     /// logical traffic with it so both transports report the compressed
     /// volume the serialised path actually moves.
     pub fn wire_size_with(&self, codec: UpdateCodec) -> usize {
-        let coded = !codec.is_raw()
-            && matches!(
-                self,
-                Message::Update { .. } | Message::AggregateUpdate { .. }
-            );
-        let codec = if coded { codec } else { UpdateCodec::Raw };
         let payload = match self {
             Message::Join { .. } | Message::RoundEnd { .. } | Message::Leave { .. } => 8,
             Message::RoundStart { global, .. } => 8 + global.wire_size(),
             Message::Update { update, shielded } => {
-                update_payload_wire_len(update, shielded, codec)
+                1 + update_payload_wire_len(update, shielded, codec)
             }
             Message::AggregateUpdate { members, .. } => {
-                8 + 8
+                1 + 8
+                    + 8
                     + 4
                     + members
                         .iter()
@@ -650,12 +555,12 @@ impl Message {
                 8 + 8 + 4 + 8 * seats.len() + 4 + 8 * seeds.len()
             }
         };
-        HEADER_LEN + usize::from(coded) + payload + CHECKSUM_LEN
+        HEADER_LEN + payload + CHECKSUM_LEN
     }
 }
 
-/// Decode-side codec dispatch: which compact tensor layout a v3 frame's tag
-/// byte announced. Decode never needs codec *parameters* (a TopK frame
+/// Decode-side codec dispatch: which tensor layout a data frame's tag byte
+/// announced. Decode never needs codec *parameters* (a TopK frame
 /// carries its kept count explicitly), so this is deliberately smaller than
 /// [`UpdateCodec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -997,6 +902,19 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Reads the codec tag byte that opens a data frame's payload.
+    fn take_codec(&mut self) -> Result<WireCodec> {
+        match self.take_u8()? {
+            0 => Ok(WireCodec::Raw),
+            1 => Ok(WireCodec::Bf16),
+            2 => Ok(WireCodec::Int8),
+            3 => Ok(WireCodec::TopK),
+            other => Err(FlError::Wire {
+                reason: format!("unknown update codec tag {other}"),
+            }),
+        }
+    }
+
     /// Inverse of [`put_update_payload`].
     fn take_update_payload(&mut self, codec: WireCodec) -> Result<(ModelUpdate, Vec<SealedBlob>)> {
         let round = self.take_u64()? as usize;
@@ -1159,51 +1077,36 @@ mod tests {
         }
     }
 
+    /// Re-stamps a frame's trailing checksum after a deliberate edit, so
+    /// decode gets past the integrity check to the check under test.
+    fn reseal(frame: &mut [u8]) {
+        let body_len = frame.len() - CHECKSUM_LEN;
+        let checksum = fnv1a64(&frame[..body_len]);
+        frame[body_len..].copy_from_slice(&checksum.to_le_bytes());
+    }
+
     #[test]
     fn truncation_and_bad_version_are_rejected() {
         let bytes = Message::RoundEnd { round: 7 }.encode();
         assert!(Message::decode(&bytes[..bytes.len() - 1]).is_err());
         assert!(Message::decode(&[]).is_err());
-        // A foreign protocol version is refused even with a valid checksum.
-        let mut foreign = bytes.clone();
-        foreign[4] = 0xFF;
-        let body_len = foreign.len() - CHECKSUM_LEN;
-        let checksum = fnv1a64(&foreign[..body_len]);
-        foreign[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        let err = Message::decode(&foreign).unwrap_err();
-        assert!(err.to_string().contains("version"));
-    }
-
-    #[test]
-    fn mask_share_frames_are_version_locked() {
-        let share = Message::MaskShare {
-            client_id: 3,
-            round: 2,
-            seats: vec![1],
-            seeds: vec![7],
-        };
-        let bytes = share.encode();
-        // MaskShare frames are stamped with the v4 version…
-        assert_eq!(
-            u16::from_le_bytes([bytes[4], bytes[5]]),
-            MASK_PROTOCOL_VERSION
-        );
-        assert_eq!(Message::decode(&bytes).unwrap(), share);
-
-        // …and the (version, kind) pairing is enforced both ways: a v2 kind
-        // 7 frame and a v4 non-mask frame are refused even with valid
-        // checksums.
-        let reframe = |bytes: &[u8], version: u16| {
-            let mut forged = bytes.to_vec();
-            forged[4..6].copy_from_slice(&version.to_le_bytes());
-            let body_len = forged.len() - CHECKSUM_LEN;
-            let checksum = fnv1a64(&forged[..body_len]);
-            forged[body_len..].copy_from_slice(&checksum.to_le_bytes());
-            forged
-        };
-        assert!(Message::decode(&reframe(&bytes, PROTOCOL_VERSION)).is_err());
-        let join = Message::Join { client_id: 1 }.encode();
-        assert!(Message::decode(&reframe(&join, MASK_PROTOCOL_VERSION)).is_err());
+        // Every retired or foreign version is refused, for every kind and
+        // codec, even behind a valid checksum.
+        for codec in all_codecs() {
+            for message in all_variants() {
+                for version in [2u16, 3, 4, 0xFF] {
+                    let mut foreign = message.encode_with(codec);
+                    foreign[4..6].copy_from_slice(&version.to_le_bytes());
+                    reseal(&mut foreign);
+                    let err = Message::decode(&foreign).unwrap_err();
+                    assert!(
+                        err.to_string().contains("version"),
+                        "{} under {codec} as version {version}: {err}",
+                        message.kind()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1334,18 +1237,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_codec_frames_are_byte_identical_to_v2() {
-        for message in all_variants() {
-            assert_eq!(
-                message.encode_with(UpdateCodec::Raw),
-                message.encode(),
-                "{}",
-                message.kind()
-            );
-        }
-    }
-
-    #[test]
     fn control_frames_ignore_the_codec() {
         for codec in all_codecs() {
             for message in all_variants() {
@@ -1439,23 +1330,22 @@ mod tests {
 
     #[test]
     fn hostile_coded_framing_is_rejected_not_panicked() {
-        // A v3 header on a control kind is refused.
+        // A codec tag byte after a control kind is refused.
         let mut frame = Vec::new();
         frame.extend_from_slice(&WIRE_MAGIC);
-        frame.extend_from_slice(&CODED_PROTOCOL_VERSION.to_le_bytes());
-        frame.push(3); // RoundEnd — never coded
+        frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        frame.push(3); // RoundEnd — never carries a tag
         frame.push(2); // Int8 tag
         put_u64(&mut frame, 1);
         let checksum = fnv1a64(&frame);
         frame.extend_from_slice(&checksum.to_le_bytes());
-        assert!(Message::decode(&frame).is_err());
+        let err = Message::decode(&frame).unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"));
 
         // An unknown codec tag is refused.
         let mut bytes = update_message().encode_with(UpdateCodec::Int8);
         bytes[7] = 9;
-        let body_len = bytes.len() - CHECKSUM_LEN;
-        let checksum = fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        reseal(&mut bytes);
         let err = Message::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("codec tag"));
 
@@ -1464,7 +1354,7 @@ mod tests {
         let hostile_topk = |dims: &[u64], entries: &[(u32, u32)]| {
             let mut frame = Vec::new();
             frame.extend_from_slice(&WIRE_MAGIC);
-            frame.extend_from_slice(&CODED_PROTOCOL_VERSION.to_le_bytes());
+            frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
             frame.push(2); // Update
             frame.push(3); // TopK tag
             put_u64(&mut frame, 0); // round

@@ -22,7 +22,7 @@
 //! **Update codecs.** A link built by [`TransportKind::duplex_with`] carries
 //! an [`UpdateCodec`] and is the single choke point where compression
 //! touches values: the serialized path encodes upload frames in the codec's
-//! compact v3 layout, and the in-memory path applies the *same* value loss
+//! compact layout, and the in-memory path applies the *same* value loss
 //! ([`UpdateCodec::round_trip_message`]) to the queued message. Both
 //! endpoints of a link therefore deliver bit-identical dequantized tensors,
 //! whatever the transport kind — the codec extension of the transport-
@@ -134,9 +134,9 @@ impl BroadcastFrame {
 
     /// The shared raw wire encoding, produced at most once per frame
     /// (through the thread-local encode scratch). Broadcast traffic is
-    /// control traffic — `RoundStart` / `RoundEnd` — which every codec
-    /// leaves in the raw v2 encoding, so one shared raw frame serves every
-    /// link whatever codec it carries.
+    /// control traffic — `RoundStart` / `RoundEnd` — which carries no codec
+    /// tag and encodes identically under every codec, so one shared raw
+    /// frame serves every link whatever codec it carries.
     pub fn encoded(&self) -> Arc<Vec<u8>> {
         Arc::clone(
             self.encoded
@@ -370,7 +370,7 @@ impl SerializedTransport {
     }
 
     /// Creates a connected endpoint pair whose upload frames cross the wire
-    /// in the codec's compact v3 encoding.
+    /// in the codec's compact encoding.
     pub fn pair_with(codec: UpdateCodec) -> (SerializedTransport, SerializedTransport) {
         let a_to_b = Arc::new(Mutex::new(VecDeque::new()));
         let b_to_a = Arc::new(Mutex::new(VecDeque::new()));

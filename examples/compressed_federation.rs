@@ -1,4 +1,4 @@
-//! Update compression on the federation wire: the deterministic v3 codecs.
+//! Update compression on the federation wire: the deterministic codecs.
 //!
 //! The example first encodes one scaled update frame under every
 //! [`UpdateCodec`] and prints the wire bytes next to the compression ratio

@@ -392,10 +392,10 @@ fn backdoor_trigger() -> TrojanTrigger {
     TrojanTrigger::new(6, 1.0, 0).unwrap()
 }
 
-/// One `BackdoorAgent` among 4 honest agents, driven entirely by the
-/// `Federation` scheduler. The attacker fully poisons its shard, trains
-/// harder than the honest population and boosts its reported weight — the
-/// classic model-replacement recipe.
+/// One backdoor seat (`AgentRole::Backdoor`) among 4 honest seats, driven
+/// entirely by the `Federation` scheduler. The attacker fully poisons its
+/// shard, trains harder than the honest population and boosts its reported
+/// weight — the classic model-replacement recipe.
 fn backdoor_spec(rule: AggregationRule, transport: TransportKind) -> ScenarioSpec {
     ScenarioSpec::honest(FederationConfig {
         clients: 5,
@@ -527,10 +527,10 @@ fn adversarial_scenarios_replay_bit_identically() {
     pool::set_global_threads(pool::env_threads());
 }
 
-/// One `AdaptiveBackdoorAgent` among 4 honest agents over a Dirichlet(α)
-/// non-IID partition: the attacker re-tunes its boost each round against
-/// the aggregation outcome it observes, and trains over multiple rounds so
-/// the adaptation loop actually engages.
+/// One adaptive-backdoor seat (`AgentRole::AdaptiveBackdoor`) among 4
+/// honest seats over a Dirichlet(α) non-IID partition: the attacker re-tunes
+/// its boost each round against the aggregation outcome it observes, and
+/// trains over multiple rounds so the adaptation loop actually engages.
 fn adaptive_spec(rule: AggregationRule, transport: TransportKind, alpha: f32) -> ScenarioSpec {
     ScenarioSpec::honest(FederationConfig {
         clients: 5,

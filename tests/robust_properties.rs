@@ -746,7 +746,7 @@ fn backdoor_trigger() -> TrojanTrigger {
     TrojanTrigger::new(6, 1.0, 0).unwrap()
 }
 
-/// 1 `BackdoorAgent` vs 4 honest agents, with the backdoor seat placed
+/// 1 backdoor seat (`AgentRole::Backdoor`) vs 4 honest seats, placed
 /// under the smaller of two edge aggregators — the placement axis the
 /// topology layer opens.
 fn edge_backdoor_spec(rule: AggregationRule) -> ScenarioSpec {

@@ -40,10 +40,10 @@ fn doc_update() -> ModelUpdate {
 #[test]
 fn join_dump_matches_the_spec() {
     assert_frame(
-        "Join v2",
+        "Join",
         &Message::Join { client_id: 3 }.encode(),
-        "50 46 4c 01 02 00 00 03 00 00 00 00 00 00 00 19
-         53 fb fd f8 02 62 72",
+        "50 46 4c 01 05 00 00 03 00 00 00 00 00 00 00 a0
+         74 49 42 0e 8b cd 40",
     );
 }
 
@@ -57,12 +57,12 @@ fn round_start_dump_matches_the_spec() {
         },
     };
     assert_frame(
-        "RoundStart v2",
+        "RoundStart",
         &message.encode(),
-        "50 46 4c 01 02 00 01 01 00 00 00 00 00 00 00 01
+        "50 46 4c 01 05 00 01 01 00 00 00 00 00 00 00 01
          00 00 00 00 00 00 00 01 00 00 00 01 00 00 00 77
          01 00 00 00 02 00 00 00 00 00 00 00 00 00 80 3f
-         00 00 20 c0 b0 13 70 70 ba 71 2b 95",
+         00 00 20 c0 67 eb 35 15 b1 ac c4 ae",
     );
 }
 
@@ -73,13 +73,13 @@ fn raw_update_dump_matches_the_spec() {
         shielded: Vec::new(),
     };
     assert_frame(
-        "Update v2 raw",
+        "Update raw",
         &message.encode(),
-        "50 46 4c 01 02 00 02 01 00 00 00 00 00 00 00 02
-         00 00 00 00 00 00 00 0a 00 00 00 00 00 00 00 01
-         00 00 00 01 00 00 00 77 01 00 00 00 02 00 00 00
-         00 00 00 00 00 00 80 3f 00 00 20 c0 00 00 00 00
-         c0 b2 43 d9 1e d2 78 5e",
+        "50 46 4c 01 05 00 02 00 01 00 00 00 00 00 00 00
+         02 00 00 00 00 00 00 00 0a 00 00 00 00 00 00 00
+         01 00 00 00 01 00 00 00 77 01 00 00 00 02 00 00
+         00 00 00 00 00 00 00 80 3f 00 00 20 c0 00 00 00
+         00 11 2a 6e 48 5d fb 21 e4",
     );
 }
 
@@ -90,13 +90,29 @@ fn bf16_update_dump_matches_the_spec() {
         shielded: Vec::new(),
     };
     assert_frame(
-        "Update v3 bf16",
+        "Update bf16",
         &message.encode_with(UpdateCodec::Bf16),
-        "50 46 4c 01 03 00 02 01 01 00 00 00 00 00 00 00
+        "50 46 4c 01 05 00 02 01 01 00 00 00 00 00 00 00
          02 00 00 00 00 00 00 00 0a 00 00 00 00 00 00 00
          01 00 00 00 01 00 00 00 77 01 00 00 00 02 00 00
-         00 00 00 00 00 80 3f 20 c0 00 00 00 00 d6 74 9f
-         45 d2 99 ce c3",
+         00 00 00 00 00 80 3f 20 c0 00 00 00 00 14 9f 2a
+         af d4 2a 23 9a",
+    );
+}
+
+#[test]
+fn round_end_and_leave_dumps_match_the_spec() {
+    assert_frame(
+        "RoundEnd",
+        &Message::RoundEnd { round: 6 }.encode(),
+        "50 46 4c 01 05 00 03 06 00 00 00 00 00 00 00 50
+         8c 16 b6 50 8b 47 77",
+    );
+    assert_frame(
+        "Leave",
+        &Message::Leave { client_id: 3 }.encode(),
+        "50 46 4c 01 05 00 04 03 00 00 00 00 00 00 00 ec
+         4c b5 94 84 e0 76 8e",
     );
 }
 
@@ -108,11 +124,11 @@ fn nack_dump_matches_the_spec() {
         reason: NackReason::Duplicate,
     };
     assert_frame(
-        "Nack v2",
+        "Nack",
         &message.encode(),
-        "50 46 4c 01 02 00 05 02 00 00 00 00 00 00 00 01
-         00 00 00 00 00 00 00 03 00 00 00 00 e3 9c 2a 43
-         ee 74 20 66",
+        "50 46 4c 01 05 00 05 02 00 00 00 00 00 00 00 01
+         00 00 00 00 00 00 00 03 00 00 00 00 94 e8 30 9e
+         46 61 14 ec",
     );
 }
 
@@ -124,14 +140,14 @@ fn aggregate_update_dump_matches_the_spec() {
         members: vec![MemberUpdate::clear(doc_update())],
     };
     assert_frame(
-        "AggregateUpdate v2",
+        "AggregateUpdate raw",
         &message.encode(),
-        "50 46 4c 01 02 00 06 00 00 00 00 00 00 00 00 01
-         00 00 00 00 00 00 00 01 00 00 00 01 00 00 00 00
-         00 00 00 02 00 00 00 00 00 00 00 0a 00 00 00 00
-         00 00 00 01 00 00 00 01 00 00 00 77 01 00 00 00
-         02 00 00 00 00 00 00 00 00 00 80 3f 00 00 20 c0
-         00 00 00 00 fc ae 48 ec 0e 1b 18 c5",
+        "50 46 4c 01 05 00 06 00 00 00 00 00 00 00 00 00
+         01 00 00 00 00 00 00 00 01 00 00 00 01 00 00 00
+         00 00 00 00 02 00 00 00 00 00 00 00 0a 00 00 00
+         00 00 00 00 01 00 00 00 01 00 00 00 77 01 00 00
+         00 02 00 00 00 00 00 00 00 00 00 80 3f 00 00 20
+         c0 00 00 00 00 ed c0 02 20 98 bd 54 1f",
     );
 }
 
@@ -144,11 +160,11 @@ fn mask_share_request_dump_matches_the_spec() {
         seeds: Vec::new(),
     };
     assert_frame(
-        "MaskShare v4 request",
+        "MaskShare request",
         &message.encode(),
-        "50 46 4c 01 04 00 07 ff ff ff ff ff ff ff ff 01
+        "50 46 4c 01 05 00 07 ff ff ff ff ff ff ff ff 01
          00 00 00 00 00 00 00 01 00 00 00 03 00 00 00 00
-         00 00 00 00 00 00 00 66 0a eb eb 5e 6f 74 fa",
+         00 00 00 00 00 00 00 09 9f bc ac 52 a1 4a 90",
     );
 }
 
@@ -161,11 +177,11 @@ fn mask_share_response_dump_matches_the_spec() {
         seeds: vec![0x1122_3344_5566_7788],
     };
     assert_frame(
-        "MaskShare v4 response",
+        "MaskShare response",
         &message.encode(),
-        "50 46 4c 01 04 00 07 02 00 00 00 00 00 00 00 01
+        "50 46 4c 01 05 00 07 02 00 00 00 00 00 00 00 01
          00 00 00 00 00 00 00 01 00 00 00 03 00 00 00 00
-         00 00 00 01 00 00 00 88 77 66 55 44 33 22 11 3d
-         60 7b 45 6b 7e 55 e7",
+         00 00 00 01 00 00 00 88 77 66 55 44 33 22 11 b2
+         b5 14 7f b0 80 52 d6",
     );
 }

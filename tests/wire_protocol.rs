@@ -1,11 +1,11 @@
 //! Property tests of the federation wire protocol: the binary codec must be
 //! **bitwise lossless** over arbitrary tensors — including ±0.0, subnormals
 //! and extreme exponents — and every corruption of a frame must be caught by
-//! the integrity checksum. The v3 compressed framing rides the same
+//! the integrity checksum. The codec-compressed framing rides the same
 //! contract: a coded frame decodes to the codec's deterministic round-trip
 //! of the payload, bit-stably across calls and thread counts, and a
 //! tampered compressed frame is refused in-protocol as `CorruptFrame`. The
-//! v4 secure-aggregation framing closes the matrix: tampered `MaskShare`
+//! secure-aggregation frames close the matrix: tampered `MaskShare`
 //! responses fault under the share's `(client, round)` identity while
 //! `MaskShare` requests ride hostile links untouched (see
 //! `docs/wire-format.md` for the byte layout). Decode is total: garbage
@@ -247,7 +247,7 @@ proptest! {
         ));
     }
 
-    /// The coded v3 framing keeps the protocol's reproducibility guarantees
+    /// The coded framing keeps the protocol's reproducibility guarantees
     /// over hostile payloads: for every codec, `decode(encode_with(x))`
     /// carries exactly the codec's deterministic round-trip of the tensors
     /// (±0.0, subnormals, NaNs and extreme exponents included), re-encoding
@@ -392,7 +392,7 @@ proptest! {
         }
     }
 
-    /// In-protocol tampering of the v4 secure-aggregation frames. A
+    /// In-protocol tampering of the secure-aggregation frames. A
     /// `MaskShare` **response** (seeds present) is faultable: a corrupt
     /// link surfaces the tamper as [`Delivery::Faulted`] carrying the
     /// share's `(client, round)` identity — exactly the key the server's
