@@ -21,6 +21,8 @@ use pelta_nn::{Linear, Module, Param};
 use pelta_tensor::SeedStream;
 use rand_chacha::ChaCha8Rng;
 
+use crate::ModelBits;
+
 /// Client seats in the soak federation.
 pub const CHAOS_CLIENTS: usize = 6;
 /// Data seed for the soak shards.
@@ -145,30 +147,17 @@ fn chaos_churn(rounds: usize) -> Vec<ClientSchedule> {
     ]
 }
 
-/// Everything a faulted soak pins: the final global model bits, the
-/// per-round reporter lists and the fault counters. Two runs of the same
-/// seed must compare equal in full.
+/// Everything a faulted soak pins: the final global model, the per-round
+/// reporter lists and the fault counters. Two runs of the same seed must
+/// compare equal in full.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosRun {
-    /// Final global parameters as exact bit patterns, keyed by name.
-    pub global_bits: Vec<(String, Vec<u32>)>,
+    /// The final global model, bit for bit.
+    pub global: ModelBits,
     /// Reporter ids per round, in fold order.
     pub reporters: Vec<Vec<usize>>,
     /// The fault-plan counters after the run.
     pub stats: FaultStats,
-}
-
-impl ChaosRun {
-    /// Number of differing global-parameter bit patterns against `other` —
-    /// the replay-determinism figure (zero when the contract holds).
-    pub fn param_diffs(&self, other: &ChaosRun) -> usize {
-        self.global_bits
-            .iter()
-            .zip(&other.global_bits)
-            .map(|((_, a), (_, b))| a.iter().zip(b).filter(|(x, y)| x != y).count())
-            .sum::<usize>()
-            + self.global_bits.len().abs_diff(other.global_bits.len())
-    }
 }
 
 /// One faulted soak federation run of `rounds` rounds under the scripted
@@ -243,17 +232,7 @@ pub fn run_chaos(
         );
     }
     ChaosRun {
-        global_bits: federation
-            .server()
-            .parameters()
-            .iter()
-            .map(|(name, tensor)| {
-                (
-                    name.clone(),
-                    tensor.data().iter().map(|v| v.to_bits()).collect(),
-                )
-            })
-            .collect(),
+        global: ModelBits::of(federation.server().parameters()),
         reporters: history
             .rounds
             .iter()
@@ -319,7 +298,7 @@ mod tests {
 
             let repeat = run_chaos(&topology, TransportKind::InMemory, SOAK_ROUNDS, SOAK_SEED);
             assert_eq!(repeat, reference, "{label}: faulted repeat diverged");
-            assert_eq!(reference.param_diffs(&repeat), 0);
+            assert_eq!(reference.global.diffs(&repeat.global), 0);
             let serialized =
                 run_chaos(&topology, TransportKind::Serialized, SOAK_ROUNDS, SOAK_SEED);
             assert_eq!(

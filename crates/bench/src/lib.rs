@@ -35,10 +35,16 @@
 //!   off, backing the `secure_agg` block of `BENCH_federation.json`.
 //!
 //! The `repro` binary prints any of these as text tables; the Criterion
-//! benches in `benches/` time the code paths behind each experiment.
+//! benches in `benches/` time the code paths behind each experiment. The
+//! `perf` binary writes `BENCH_kernels.json` and `BENCH_federation.json`:
+//! every federation probe in it except the population fold is a
+//! `ScenarioSpec` run through `Federation::run`, and both snapshots are
+//! typed structs written and read back with `serde_json`.
 //!
 //! Every probe asserts the bit-replay contract it measures (determinism
-//! fields must be exactly 0) — see `docs/determinism.md`.
+//! fields must be exactly 0) — see `docs/determinism.md`. A run's final
+//! global model is a [`ModelBits`], and [`ModelBits::diffs`] is the one
+//! bit-diff every determinism field counts with.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
@@ -62,3 +68,72 @@ pub use tables::{
     figure3, figure4, system_overhead, table1, table2, table3, table4, Figure3Report,
     Figure4Report, OverheadReport, Table1Report, Table3Cell, Table3Report, Table4Report, Table4Row,
 };
+
+use pelta_tensor::Tensor;
+
+/// A global model as exact `f32` bit patterns, tensor by tensor: what the
+/// replay-determinism fields of the probes compare.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ModelBits(Vec<(String, Vec<u32>)>);
+
+impl ModelBits {
+    /// Captures named parameters bit for bit.
+    pub fn of(parameters: &[(String, Tensor)]) -> Self {
+        ModelBits(
+            parameters
+                .iter()
+                .map(|(name, tensor)| {
+                    let bits = tensor.data().iter().map(|v| v.to_bits()).collect();
+                    (name.clone(), bits)
+                })
+                .collect(),
+        )
+    }
+
+    /// Number of bit patterns that differ from `other`, zero when the
+    /// replay contract holds. An element one tensor has and its twin lacks
+    /// counts as a difference, and so does a tensor one model has and the
+    /// other lacks.
+    pub fn diffs(&self, other: &ModelBits) -> usize {
+        self.0
+            .iter()
+            .zip(&other.0)
+            .map(|((_, a), (_, b))| {
+                a.iter().zip(b).filter(|(x, y)| x != y).count() + a.len().abs_diff(b.len())
+            })
+            .sum::<usize>()
+            + self.0.len().abs_diff(other.0.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn model(weights: &[f32]) -> ModelBits {
+        let tensor = |data: &[f32]| Tensor::from_vec(data.to_vec(), &[data.len()]).unwrap();
+        ModelBits::of(&[
+            ("w".to_string(), tensor(weights)),
+            ("b".to_string(), tensor(&[0.5])),
+        ])
+    }
+
+    #[test]
+    fn diffs_count_differing_bits() {
+        let reference = model(&[1.0, 2.0, 3.0]);
+        assert_eq!(reference.diffs(&reference.clone()), 0);
+        assert_eq!(reference.diffs(&model(&[1.0, -2.0, 3.0])), 1);
+        // +0.0 and -0.0 compare equal as floats but not as bits.
+        assert_eq!(model(&[0.0]).diffs(&model(&[-0.0])), 1);
+    }
+
+    #[test]
+    fn a_truncated_or_missing_tensor_is_a_difference() {
+        let reference = model(&[1.0, 2.0, 3.0]);
+        let truncated = model(&[1.0, 2.0]);
+        assert_eq!(reference.diffs(&truncated), 1);
+        assert_eq!(truncated.diffs(&reference), 1);
+        let missing = ModelBits(reference.0[..1].to_vec());
+        assert_eq!(reference.diffs(&missing), 1);
+    }
+}

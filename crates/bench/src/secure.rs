@@ -8,8 +8,6 @@
 //! throughput, the extra `MaskShare` wire bytes per round, and a
 //! replay-determinism field folding masked-vs-clear, repeat, transport and
 //! topology invariance (see `docs/determinism.md`), required to be zero.
-//! The same harness backs the integration matrix in
-//! `tests/shield_end_to_end.rs`.
 
 use pelta_autodiff::{Graph, NodeId};
 use pelta_data::{Dataset, DatasetSpec, GeneratorConfig};
@@ -21,6 +19,8 @@ use pelta_models::{Architecture, ImageModel, TrainingConfig};
 use pelta_nn::{Linear, Module, Param};
 use pelta_tensor::SeedStream;
 use rand_chacha::ChaCha8Rng;
+
+use crate::ModelBits;
 
 /// Client seats in the secure-aggregation probe federation.
 pub const SECURE_AGG_CLIENTS: usize = 4;
@@ -93,12 +93,12 @@ impl ImageModel for ShieldedProbe {
     }
 }
 
-/// Everything one probe run pins: the final global model bits plus the
-/// traffic and unseal accounting the `secure_agg` block reports.
+/// Everything one probe run pins: the final global model plus the traffic
+/// and unseal accounting the `secure_agg` block reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecureAggRun {
-    /// Final global parameters as exact bit patterns, keyed by name.
-    pub global_bits: Vec<(String, Vec<u32>)>,
+    /// The final global model, bit for bit.
+    pub global: ModelBits,
     /// Protocol messages across every link and the fabric.
     pub messages: usize,
     /// Logical wire bytes across every link and the fabric.
@@ -107,21 +107,6 @@ pub struct SecureAggRun {
     /// The clear shielded path opens every blob; the masked path must
     /// report zero (only the folded sum leaves the enclave).
     pub raw_unseals: u64,
-}
-
-impl SecureAggRun {
-    /// Number of differing global-parameter bit positions against `other`
-    /// — the replay-determinism figure (zero when the contract holds).
-    pub fn param_diffs(&self, other: &SecureAggRun) -> usize {
-        self.global_bits
-            .iter()
-            .zip(&other.global_bits)
-            .map(|((_, a), (_, b))| {
-                a.iter().zip(b).filter(|(x, y)| x != y).count() + a.len().abs_diff(b.len())
-            })
-            .sum::<usize>()
-            + self.global_bits.len().abs_diff(other.global_bits.len())
-    }
 }
 
 /// One shielded probe federation of `rounds` rounds (at least two) over
@@ -190,19 +175,8 @@ pub fn run_secure_agg(
         vec![1],
         "the scripted dropout must land so the mask-reconstruction path runs"
     );
-    let global_bits = federation
-        .server()
-        .parameters()
-        .iter()
-        .map(|(name, tensor)| {
-            (
-                name.clone(),
-                tensor.data().iter().map(|v| v.to_bits()).collect(),
-            )
-        })
-        .collect();
     SecureAggRun {
-        global_bits,
+        global: ModelBits::of(federation.server().parameters()),
         messages: history.total_messages,
         wire_bytes: history.total_wire_bytes,
         raw_unseals: federation
@@ -222,7 +196,7 @@ mod tests {
     fn masked_probe_matches_the_clear_probe() {
         let clear = run_secure_agg(&Topology::Star, TransportKind::InMemory, 2, false);
         let masked = run_secure_agg(&Topology::Star, TransportKind::InMemory, 2, true);
-        assert_eq!(masked.param_diffs(&clear), 0);
+        assert_eq!(masked.global.diffs(&clear.global), 0);
         assert!(clear.raw_unseals > 0);
         assert_eq!(masked.raw_unseals, 0);
         assert!(masked.wire_bytes > clear.wire_bytes);

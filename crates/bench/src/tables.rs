@@ -937,7 +937,10 @@ pub struct OverheadReport {
     pub probe_ms: f64,
     /// Enclave bytes held by one shielded pass (worst case, no flush).
     pub shield_bytes: usize,
-    /// Upload bytes of one federated round (all clients).
+    /// Upload bytes of one federated round (all clients), from
+    /// `RoundRecord::upload_bytes`: every update at its Raw codec size,
+    /// unsealed tensors rather than sealed blobs when updates are shielded.
+    /// `RunHistory::total_wire_bytes` counts the traffic as shipped.
     pub fl_round_upload_bytes: usize,
     /// Final global accuracy of the miniature federated run.
     pub fl_final_accuracy: f32,

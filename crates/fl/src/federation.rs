@@ -323,8 +323,13 @@ pub struct RoundRecord {
     pub mean_client_loss: f32,
     /// Accuracy of the aggregated global model on the held-out set.
     pub global_accuracy: f32,
-    /// Wire bytes of the update messages aggregated this round (bandwidth
-    /// accounting for the §VI discussion).
+    /// Bytes of the update messages aggregated this round (bandwidth
+    /// accounting for the §VI discussion): the server's
+    /// [`RoundSummary::update_bytes`], which counts each update at its Raw
+    /// codec size after reassembly whatever codec carried it, and the
+    /// unsealed tensors rather than the sealed blobs under
+    /// `shield_updates`. [`RunHistory::total_wire_bytes`] counts the
+    /// traffic as shipped.
     pub upload_bytes: usize,
     /// Sealed-blob bytes of shielded segments that crossed the enclave
     /// channel this round (0 when shielding is off).

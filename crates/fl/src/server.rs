@@ -122,7 +122,12 @@ pub struct RoundSummary {
     pub total_weight: usize,
     /// Messages delivered to the server while collecting.
     pub delivered_messages: usize,
-    /// Wire bytes of the accepted update messages.
+    /// Bytes of the accepted update messages, counted by
+    /// [`Message::wire_size`]: each update's size under the Raw codec after
+    /// reassembly, whatever codec carried it. Under `shield_updates` the
+    /// count covers the unsealed tensors, not the sealed blobs that crossed
+    /// the link. [`crate::RunHistory::total_wire_bytes`] counts the traffic
+    /// as shipped.
     pub update_bytes: usize,
 }
 
