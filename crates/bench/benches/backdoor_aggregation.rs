@@ -3,7 +3,7 @@
 //! identical update sets.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pelta_fl::{AggregationRule, ModelUpdate, RobustAggregator, TrojanTrigger};
+use pelta_fl::{aggregate_with_rule, AggregationRule, ModelUpdate, TrojanTrigger};
 use pelta_tensor::{SeedStream, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -65,9 +65,9 @@ fn bench_backdoor_aggregation(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut server = RobustAggregator::new(initial.clone(), rule).unwrap();
-                server.aggregate(&updates).unwrap();
-                criterion::black_box(server.round())
+                criterion::black_box(
+                    aggregate_with_rule(&initial, 0, updates.clone(), rule).unwrap(),
+                )
             })
         });
     }

@@ -29,8 +29,8 @@ use pelta_core::{AttackLoss, ClearWhiteBox, GradientOracle, ShieldedWhiteBox};
 use pelta_data::{federated_split, DatasetSpec, Partition};
 use pelta_defenses::{DefenseStack, RandomizationConfig};
 use pelta_fl::{
-    backdoor_success_rate, export_parameters, import_parameters, AggregationRule, BackdoorClient,
-    FlClient, RobustAggregator, TrojanTrigger,
+    aggregate_with_rule, backdoor_success_rate, export_parameters, import_parameters,
+    AggregationRule, BackdoorClient, FlClient, GlobalModel, TrojanTrigger,
 };
 use pelta_models::{ViTConfig, VisionTransformer};
 use pelta_tee::{Enclave, EnclaveConfig};
@@ -579,7 +579,10 @@ pub fn backdoor_defense(config: &ExperimentConfig) -> BackdoorReport {
     for (rule_name, rule) in rules {
         let init = VisionTransformer::new(vit_config.clone(), &mut seeds.derive("global"))
             .expect("valid config");
-        let mut server = RobustAggregator::new(export_parameters(&init), rule).expect("valid rule");
+        let broadcast = GlobalModel {
+            round: 0,
+            parameters: export_parameters(&init),
+        };
 
         // Honest clients.
         let mut clients: Vec<FlClient> = shards[..honest_clients]
@@ -613,7 +616,6 @@ pub fn backdoor_defense(config: &ExperimentConfig) -> BackdoorReport {
         )
         .expect("valid backdoor client");
 
-        let broadcast = server.broadcast();
         let mut updates = Vec::new();
         for client in &mut clients {
             let (update, _) = client.local_round(&broadcast).expect("honest round");
@@ -624,12 +626,13 @@ pub fn backdoor_defense(config: &ExperimentConfig) -> BackdoorReport {
             .poisoned_round(&broadcast, &mut rng)
             .expect("poisoned round");
         updates.push(poisoned_update);
-        server.aggregate(&updates).expect("aggregation");
+        let aggregated =
+            aggregate_with_rule(&broadcast.parameters, 0, updates, rule).expect("aggregation");
 
         // Evaluate the aggregated global model.
         let mut global = VisionTransformer::new(vit_config.clone(), &mut seeds.derive("eval"))
             .expect("valid config");
-        import_parameters(&mut global, server.parameters()).expect("schema matches");
+        import_parameters(&mut global, &aggregated).expect("schema matches");
         let clean =
             pelta_models::accuracy(&global, &eval.images, &eval.labels).expect("clean evaluation");
         let backdoor = backdoor_success_rate(&global, &eval.images, &eval.labels, &trigger)

@@ -36,7 +36,10 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Delivery, FlError, Message, NackReason, Result, Topology, Transport, TransportKind};
+use crate::{
+    Delivery, FlError, Message, NackReason, Result, Topology, Transport, TransportKind,
+    MAX_DELAY_SWEEPS,
+};
 
 /// Where a scripted crash strikes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,17 +91,18 @@ pub struct FaultConfig {
     /// Probability a data frame is delayed by `1..=reorder_window` sweeps,
     /// letting later traffic overtake it.
     pub reorder: f32,
-    /// Maximum reorder delay in sweeps (must be ≥ 1 when `reorder > 0`).
+    /// Maximum reorder delay in sweeps (must be ≥ 1 when `reorder > 0`, and
+    /// at most [`MAX_DELAY_SWEEPS`]).
     pub reorder_window: usize,
     /// Per-sweep probability a link goes dark for `partition_sweeps` sweeps
-    /// (traffic is delayed, not lost; a partition ends at the round
-    /// boundary at the latest).
+    /// (traffic is delayed, not lost: the round's sweeps wait for it).
     pub partition: f32,
-    /// Length of one partition window in sweeps (≥ 1 when `partition > 0`).
+    /// Length of one partition window in sweeps (≥ 1 when `partition > 0`,
+    /// and at most [`MAX_DELAY_SWEEPS`]).
     pub partition_sweeps: usize,
     /// How many times one frame may be retransmitted in response to
     /// [`NackReason::CorruptFrame`] before it is abandoned to the quorum /
-    /// straggler path.
+    /// straggler path (at most [`MAX_DELAY_SWEEPS`]).
     pub max_retransmits: usize,
     /// Scripted crash-and-rejoin events.
     pub crashes: Vec<CrashPoint>,
@@ -123,8 +127,9 @@ impl Default for FaultConfig {
 
 impl FaultConfig {
     /// Validates the topology-independent parts of the plan: probability
-    /// ranges, fate-rate partition, reorder/partition window shapes and
-    /// crash-window ordering.
+    /// ranges, fate-rate partition, reorder/partition window shapes, the
+    /// [`MAX_DELAY_SWEEPS`] cap on both windows and the retransmission
+    /// budget (whatever the rates), and crash-window ordering.
     ///
     /// # Errors
     /// Returns [`FlError::InvalidConfig`] describing the first violation.
@@ -160,6 +165,20 @@ impl FaultConfig {
             return Err(FlError::InvalidConfig {
                 reason: "partition_sweeps must be at least 1 when partition > 0".to_string(),
             });
+        }
+        let delays = [
+            ("reorder_window", self.reorder_window),
+            ("partition_sweeps", self.partition_sweeps),
+            ("max_retransmits", self.max_retransmits),
+        ];
+        for (name, sweeps) in delays {
+            if sweeps > MAX_DELAY_SWEEPS {
+                return Err(FlError::InvalidConfig {
+                    reason: format!(
+                        "{name} {sweeps} exceeds MAX_DELAY_SWEEPS = {MAX_DELAY_SWEEPS}"
+                    ),
+                });
+            }
         }
         for (index, crash) in self.crashes.iter().enumerate() {
             if crash.crash_round >= crash.rejoin_round {
@@ -266,11 +285,6 @@ impl FaultPlan {
         })
     }
 
-    /// The plan's configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// Advances the logical clock to the start (sweep 0) of `round`.
     pub fn begin_round(&self, round: usize) {
         *self.clock.lock() = (round, 0);
@@ -279,11 +293,6 @@ impl FaultPlan {
     /// Advances the logical clock to `sweep` within the current round.
     pub fn set_sweep(&self, sweep: usize) {
         self.clock.lock().1 = sweep;
-    }
-
-    /// The current `(round, sweep)` logical time.
-    pub fn now(&self) -> (usize, usize) {
-        *self.clock.lock()
     }
 
     /// A snapshot of what the plan has done so far.
@@ -467,8 +476,8 @@ impl FaultyTransport {
         let counter = ((now.0 as u64) << 24) | now.1 as u64;
         let mut rng = self.rng_for(PARTITION_SALT, counter);
         if unit(rng.next_u64()) < self.config.partition {
-            // Saturating: a window longer than the sweeps left in the round
-            // ends at the round boundary.
+            // Validation caps the window at MAX_DELAY_SWEEPS; saturating
+            // keeps the end sweep sound whatever the clock reads.
             let end = now.1.saturating_add(self.config.partition_sweeps);
             state.partition_until = Some((now.0, end));
             self.stats.lock().partitions += 1;
@@ -886,12 +895,11 @@ mod tests {
 
     #[test]
     fn a_round_long_partition_drawn_after_sweep_zero_does_not_overflow() {
-        // A window of `usize::MAX` sweeps lasts the rest of the round; drawn
-        // at sweep 1 its end must saturate instead of wrapping (or panicking
-        // in debug builds) and reopening the link at once.
+        // The longest window validation admits, drawn at sweep 1, must hold
+        // the link dark to its last sweep instead of reopening it at once.
         let plan = FaultPlan::new(FaultConfig {
             partition: 1.0,
-            partition_sweeps: usize::MAX,
+            partition_sweeps: MAX_DELAY_SWEEPS,
             ..FaultConfig::default()
         })
         .unwrap();
@@ -899,7 +907,7 @@ mod tests {
         let link = plan.wrap_seat(0, runtime_end);
         agent_end.send(&update(0, 0, 1.0)).unwrap();
         plan.begin_round(0);
-        for sweep in 1..=3usize {
+        for sweep in [1, 2, 3, MAX_DELAY_SWEEPS] {
             plan.set_sweep(sweep);
             assert_eq!(
                 link.recv_checked().unwrap(),

@@ -66,7 +66,7 @@ use crate::scenario::{AgentRole, ScenarioSpec};
 use crate::seat::Seat;
 use crate::secure_agg::{pair_seeds_for_client, AggregatorMaskContext, ClientMaskContext};
 use crate::server::RoundSummary;
-use crate::sweep::{self, Arrival, SweepLinks, SweepOutcome};
+use crate::sweep::{self, Arrival, SweepLinks, SweepOutcome, MAX_DELAY_SWEEPS};
 use crate::topology::{EdgeAggregator, GossipMesh, Topology};
 use crate::{
     AggregationRule, BroadcastFrame, FedAvgServer, FlError, MemberUpdate, Message, ModelUpdate,
@@ -87,7 +87,8 @@ pub struct ClientSchedule {
     /// Round before which the client rejoins (sends [`Message::Join`]).
     pub rejoin_at_round: Option<usize>,
     /// Delivery sweeps this client's messages lag behind; combined with the
-    /// straggler deadline this models a slow client deterministically.
+    /// straggler deadline this models a slow client deterministically. At
+    /// most [`crate::MAX_DELAY_SWEEPS`].
     pub latency: usize,
 }
 
@@ -152,9 +153,10 @@ impl FederationConfig {
     /// round counts, the participation policy (including its interplay with
     /// the aggregation rule — a quorum below [`AggregationRule::min_updates`]
     /// could collect a round the rule can never fold), the rule's own
-    /// parameters, local-training hyper-parameters, schedules, topology,
-    /// codec, fault plan, and the topology-specific constraints on
-    /// shielding, straggler deadlines and secure aggregation.
+    /// parameters, local-training hyper-parameters, schedules (latencies
+    /// capped at [`crate::MAX_DELAY_SWEEPS`]), topology, codec, fault plan,
+    /// and the topology-specific constraints on shielding, straggler
+    /// deadlines and secure aggregation.
     ///
     /// [`crate::ScenarioSpec::validate`] runs this plus the population-mix
     /// checks; [`crate::Federation::from_scenario`] rejects on the first
@@ -168,35 +170,12 @@ impl FederationConfig {
                 reason: "clients and rounds must be positive".to_string(),
             });
         }
-        if self.policy.quorum == 0 {
-            return Err(FlError::InvalidConfig {
-                reason: "quorum must be at least 1".to_string(),
-            });
-        }
+        self.policy.validate(self.rule)?;
         if self.policy.quorum > self.clients {
             return Err(FlError::InvalidConfig {
                 reason: format!(
                     "quorum {} exceeds the client count {}",
                     self.policy.quorum, self.clients
-                ),
-            });
-        }
-        if self.policy.sample != 0 && self.policy.quorum > self.policy.sample {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "quorum {} cannot be met sampling {} clients per round",
-                    self.policy.quorum, self.policy.sample
-                ),
-            });
-        }
-        self.rule.validate()?;
-        if self.policy.quorum < self.rule.min_updates() {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "quorum {} cannot satisfy rule {:?}, which needs at least {} updates",
-                    self.policy.quorum,
-                    self.rule,
-                    self.rule.min_updates()
                 ),
             });
         }
@@ -207,6 +186,14 @@ impl FederationConfig {
                     reason: format!(
                         "schedule refers to client {} of {}",
                         schedule.client_id, self.clients
+                    ),
+                });
+            }
+            if schedule.latency > MAX_DELAY_SWEEPS {
+                return Err(FlError::InvalidConfig {
+                    reason: format!(
+                        "client {} latency {} exceeds MAX_DELAY_SWEEPS = {MAX_DELAY_SWEEPS}",
+                        schedule.client_id, schedule.latency
                     ),
                 });
             }
@@ -475,31 +462,6 @@ impl SweepLinks for StarSeats<'_> {
 }
 
 impl Federation {
-    /// Builds an all-honest federation whose clients train local replicas
-    /// produced by `factory` (every replica must share the same
-    /// architecture).
-    ///
-    /// # Errors
-    /// Returns an error if the configuration is degenerate or attestation
-    /// fails.
-    pub fn with_factory<F>(
-        dataset: &Dataset,
-        config: &FederationConfig,
-        partition: Partition,
-        seeds: &mut SeedStream,
-        factory: F,
-    ) -> Result<Self>
-    where
-        F: Fn(&mut ChaCha8Rng) -> Box<dyn ImageModel>,
-    {
-        Self::from_scenario(
-            dataset,
-            &ScenarioSpec::honest(config.clone()).with_partition(partition),
-            seeds,
-            factory,
-        )
-    }
-
     /// Builds a federation from a [`ScenarioSpec`]: every seat plays the
     /// role the spec assigns it (honest by default), all speaking
     /// [`Message`] over their transport links and scheduled by the same
@@ -1345,10 +1307,11 @@ impl Federation {
     /// The in-protocol mask-reconstruction sweep: broadcasts a
     /// [`Message::MaskShare`] request naming the dead seats to every
     /// reporter (directly over the star links, or relayed through the
-    /// edges), steps the seats so they answer, and drains the responses
-    /// with the sweep engine — latency gates, the fault plan's logical clock
-    /// (restarted at sweep 0 on every attempt) and `CorruptFrame`-Nack
-    /// retransmission included (`docs/determinism.md` §3). A reporter whose
+    /// edges, which pass it to their reporters only), steps every reporter
+    /// so they answer, and drains the responses with the sweep engine —
+    /// latency gates, the fault plan's logical clock (restarted at sweep 0
+    /// on every attempt) and `CorruptFrame`-Nack retransmission included
+    /// (`docs/determinism.md` §3). A reporter whose
     /// response is lost is re-asked (fresh fate draws) up to a bounded
     /// number of attempts; a reporter that never answers is a protocol
     /// failure, because its orphaned masks cannot be cancelled.
@@ -1405,8 +1368,10 @@ impl Federation {
             }
             // Seats answer from their mask contexts; no training happens
             // outside a RoundStart, so sequential stepping is cheap and
-            // trivially deterministic.
-            for &id in &pending {
+            // trivially deterministic. Every reporter steps: an edge relays
+            // a retry to all of its reporters, and one already answered
+            // must answer again inside this drain, not in the next round.
+            for &id in reporters {
                 seats[id].step(round)?;
             }
             // Drain the responses: every pending reporter's star link, or
@@ -1959,6 +1924,43 @@ mod tests {
         let (replay_history, replay_params, _) = run(&masked_config);
         assert_eq!(masked_params, replay_params);
         assert_eq!(masked_history, replay_history);
+    }
+
+    /// Edge stragglers are dead seats for the masks, so the edges must not
+    /// relay them the `MaskShare` request: a straggler would answer at its
+    /// next step, and the stale share would reach the root inside the next
+    /// round's uplink sweep, where it is Nack'd and burns a delivery.
+    #[test]
+    fn mask_share_requests_skip_edge_stragglers() {
+        let dataset = small_dataset(3);
+        let config = FederationConfig {
+            clients: 4,
+            rounds: 2,
+            local_training: quick_training(),
+            eval_samples: 10,
+            shield_updates: true,
+            secure_aggregation: true,
+            topology: Topology::Hierarchical {
+                groups: vec![vec![0, 1, 2], vec![3]],
+                edge_policy: ParticipationPolicy {
+                    quorum: 1,
+                    sample: 0,
+                    straggler_deadline: 1,
+                },
+            },
+            ..FederationConfig::default()
+        };
+        let mut seeds = SeedStream::new(3);
+        let mut federation =
+            Federation::vit_federation(&dataset, &config, Partition::Iid, &mut seeds).unwrap();
+        let history = federation.run(&mut seeds).unwrap();
+        for record in &history.rounds {
+            assert_eq!(record.edge_summaries[0].stragglers, vec![1, 2]);
+        }
+        assert_eq!(
+            history.rounds[1].summary.delivered_messages,
+            history.rounds[0].summary.delivered_messages
+        );
     }
 
     #[test]

@@ -27,11 +27,11 @@
 //!   clock, so runs are deterministic), and dropout/rejoin handling. The
 //!   server applies its [`AggregationRule`] — plain sample-weighted FedAvg,
 //!   norm clipping, coordinate-wise trimmed mean, or distance-based
-//!   Krum / multi-Krum selection — through the crate's
-//!   single aggregation code path, the [`AggregationFold`] of
-//!   [`mod@robust`] (weights renormalise over the clients that actually
-//!   reported; [`RobustAggregator`] wraps the same path for call-level
-//!   use). Under the **streaming fold contract** (see [`mod@robust`]),
+//!   Krum / multi-Krum selection — through the crate's one fold, the
+//!   [`AggregationFold`] of [`mod@robust`] (weights renormalise over the
+//!   clients that actually reported; [`aggregate_with_rule`], its only
+//!   buffered driver, folds an update set for call-level use). Under the
+//!   **streaming fold contract** (see [`mod@robust`]),
 //!   FedAvg and norm clipping fold each accepted update as it is delivered
 //!   and drop the payload immediately — peak memory stays O(model), not
 //!   O(population) — while the trimmed mean and the Krum family buffer by
@@ -163,12 +163,12 @@ pub use federation::{ClientSchedule, Federation, FederationConfig, RoundRecord, 
 pub use malicious::{AttackKind, CompromisedClient, EvasionReport};
 pub use message::{GlobalModel, MemberUpdate, Message, ModelUpdate, NackReason, PROTOCOL_VERSION};
 pub use poisoning::{backdoor_success_rate, BackdoorClient, PoisonReport, TrojanTrigger};
-pub use robust::{aggregate_with_rule, AggregationFold, AggregationRule, RobustAggregator};
+pub use robust::{aggregate_with_rule, AggregationFold, AggregationRule};
 pub use scenario::{AgentRole, RoleAssignment, ScenarioSpec};
 pub use secure_agg::{pair_seeds_for_client, AggregatorMaskContext, ClientMaskContext};
 pub use server::{FedAvgServer, ParticipationPolicy, RoundCheckpoint, RoundPhase, RoundSummary};
 pub use shielded::{ShieldedTransferReport, ShieldedUpdateChannel};
-pub use sweep::SweepOutcome;
+pub use sweep::{SweepOutcome, MAX_DELAY_SWEEPS};
 pub use topology::{EdgeAggregator, Topology};
 pub use transport::{
     BroadcastFrame, Delivery, InMemoryTransport, SerializedTransport, Transport, TransportKind,

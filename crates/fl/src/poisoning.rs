@@ -9,8 +9,9 @@
 //! and benches can show the full pipeline the paper motivates: adversarial
 //! or trigger-stamped samples crafted on the compromised device become
 //! poisoned local updates, and the backdoor survives (or not) aggregation.
-//! The [`crate::RobustAggregator`] provides the server-side countermeasures
-//! the related-work section points to.
+//! The robust [`crate::AggregationRule`]s provide the server-side
+//! countermeasures the related-work section points to; a one-round study
+//! folds its updates with [`crate::aggregate_with_rule`].
 
 use pelta_data::ClientShard;
 use pelta_models::{accuracy, predict, train_classifier, ImageModel, TrainingConfig};

@@ -8,12 +8,18 @@
 //! crafting; the rules here defend the *server* against the poisoned updates
 //! such samples feed.
 //!
-//! Since the adversary-in-the-scheduler refactor there is exactly **one**
-//! aggregation code path: [`aggregate_with_rule`]. The message-driven
-//! [`crate::FedAvgServer`] calls it from its *Aggregating* phase (after
-//! shielded segments were unsealed and the participation policy selected the
-//! reporters), and the call-level [`RobustAggregator`] wraps the same
-//! function for benches and analyses that do not need the message flow.
+//! There is exactly **one** fold: [`AggregationFold`], driven through
+//! [`AggregationFold::new`], [`AggregationFold::fold`] and
+//! [`AggregationFold::finish`]. The message-driven [`crate::FedAvgServer`]
+//! feeds it each accepted update as delivery resolves the canonical order
+//! (after shielded segments were unsealed and the participation policy
+//! selected the reporters). [`aggregate_with_rule`] is the fold's only
+//! buffered driver: it sorts an owned update set, folds each update and
+//! finishes — the gossip consensus point and call-level analyses use it.
+//! The secure-aggregation enclave fold
+//! ([`crate::ShieldedUpdateChannel::fold_masked_segments`]) cannot hand
+//! sealed blobs to the fold, but it calls the fold's own two FedAvg steps,
+//! so its aggregate matches the clear fold's bits by construction.
 //!
 //! **Canonical fold order.** Before any rule runs, the update set is
 //! re-ordered by ascending client id. Floating-point accumulation is not
@@ -46,8 +52,8 @@
 //!
 //! Aggregation is an [`AggregationFold`]: updates are folded **one at a
 //! time, in canonical ascending-client-id order**, and [`aggregate_with_rule`]
-//! is now merely the buffered façade that feeds a sorted slice through the
-//! same fold. Which rules stream:
+//! drives the same fold over a sorted, owned update set. Which rules
+//! stream:
 //!
 //! * [`AggregationRule::FedAvg`] — **streams**. Each update's weighted delta
 //!   `num_samplesᵤ · (paramsᵤ − ref)` is added to a running per-parameter
@@ -74,8 +80,8 @@
 //!
 //! Why the bits are unchanged between the streamed and the buffered path:
 //! both are the *same* fold code over the same canonical order — the
-//! buffered façade sorts, then folds the slice through an
-//! [`AggregationFold`] one update at a time. Streaming therefore preserves
+//! buffered driver sorts, then moves each update into an
+//! [`AggregationFold`] one at a time. Streaming therefore preserves
 //! the permutation-invariant-bits contract by construction, and the 1k-seat
 //! suites in `tests/robust_properties.rs` and
 //! `tests/topology_equivalence.rs` assert streamed ≡ buffered to the bit
@@ -119,7 +125,7 @@
 use pelta_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-use crate::{FlError, GlobalModel, ModelUpdate, Result};
+use crate::{FlError, ModelUpdate, Result};
 
 /// Which aggregation rule the server applies in its *Aggregating* phase.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -212,43 +218,57 @@ impl AggregationRule {
     }
 }
 
-/// The single aggregation code path of the federation: validates one round's
-/// update set against the current global parameters, re-orders it into the
-/// canonical ascending-client-id fold order, applies `rule`, and returns the
-/// next global parameters.
+/// The buffered driver of the [`AggregationFold`]: sorts one round's update
+/// set into the canonical ascending-client-id fold order, moves each update
+/// into the fold, and returns the next global parameters.
 ///
 /// # Errors
-/// Returns an error if no update was supplied, an update targets a different
-/// round or carries zero samples, a client id appears twice, schemas
-/// disagree, or the trimmed mean would discard every client.
+/// Returns the fold's errors: a degenerate rule, an update that targets a
+/// different round, carries zero samples, repeats a client id (twins sort
+/// next to each other and break the strictly ascending order), disagrees
+/// with the schema or holds non-finite values, an empty set, or a set too
+/// small for the rule.
 pub fn aggregate_with_rule(
     current: &[(String, Tensor)],
     round: usize,
-    updates: &[ModelUpdate],
+    mut updates: Vec<ModelUpdate>,
     rule: AggregationRule,
 ) -> Result<Vec<(String, Tensor)>> {
-    validate_updates(current, round, updates)?;
-    // Canonical fold order: ascending client id. Float accumulation is not
-    // associative, so sorting here is what makes the aggregate a function of
-    // the update set, not of arrival order.
-    let mut ordered: Vec<&ModelUpdate> = updates.iter().collect();
-    ordered.sort_by_key(|u| u.client_id);
-    // The buffered façade over the streaming fold: one code path, so the
-    // streamed and the buffered aggregate are bit-identical by construction.
+    // Float accumulation is not associative: sorting here is what makes the
+    // aggregate a function of the update set, not of arrival order.
+    updates.sort_by_key(|u| u.client_id);
     let mut fold = AggregationFold::new(current, round, rule)?;
-    for update in ordered {
-        fold.fold_ref(update)?;
+    for update in updates {
+        fold.fold(update)?;
     }
     fold.finish()
+}
+
+/// FedAvg's accumulate step, `sum + weight · (value − reference)`, shared
+/// by the [`AggregationFold`] and the masked enclave fold so the two cannot
+/// drift by a bit.
+pub(crate) fn accumulate(
+    sum: &Tensor,
+    weight: f32,
+    value: &Tensor,
+    reference: &Tensor,
+) -> Result<Tensor> {
+    Ok(sum.axpy(weight, &value.sub(reference)?)?)
+}
+
+/// FedAvg's normalise step, `reference + (1 / total_weight) · sum`, shared
+/// like [`accumulate`].
+pub(crate) fn normalize(reference: &Tensor, total_weight: usize, sum: &Tensor) -> Result<Tensor> {
+    Ok(reference.axpy(1.0 / total_weight as f32, sum)?)
 }
 
 /// One round's aggregation as an incremental fold (see the module-level
 /// *streaming fold contract*). Updates must arrive in strictly ascending
 /// client-id order — the canonical fold order — and under a streaming rule
 /// each payload is consumed immediately, keeping peak memory at O(model)
-/// regardless of the population. [`AggregationRule::TrimmedMean`] buffers
-/// internally (its per-coordinate order statistic needs every client's
-/// value) and applies its documented two-pass design at [`AggregationFold::finish`].
+/// regardless of the population. The trimmed mean and the Krum family
+/// buffer internally and run their documented second pass at
+/// [`AggregationFold::finish`].
 pub struct AggregationFold {
     rule: AggregationRule,
     round: usize,
@@ -259,9 +279,9 @@ pub struct AggregationFold {
     /// Running per-parameter sums `Σᵤ wᵤ · (paramsᵤ − ref)` (streaming
     /// rules only; empty for buffering rules).
     sums: Vec<Tensor>,
-    /// Total FedAvg weight (sample count) folded so far.
-    total_samples: usize,
-    folded: usize,
+    /// The streaming rule's total weight: the sample count under FedAvg,
+    /// the update count under norm clipping (equal weights).
+    total_weight: usize,
     last_client: Option<usize>,
     /// The collected round for buffering rules (empty for streaming rules).
     buffered: Vec<ModelUpdate>,
@@ -287,21 +307,10 @@ impl AggregationFold {
             round,
             reference: current.to_vec(),
             sums,
-            total_samples: 0,
-            folded: 0,
+            total_weight: 0,
             last_client: None,
             buffered: Vec::new(),
         })
-    }
-
-    /// The number of updates folded so far.
-    pub fn folded(&self) -> usize {
-        self.folded
-    }
-
-    /// Total FedAvg weight (sample count) folded so far.
-    pub fn total_samples(&self) -> usize {
-        self.total_samples
     }
 
     /// Folds one update, consuming it. Under a streaming rule the payload is
@@ -309,55 +318,48 @@ impl AggregationFold {
     /// until [`AggregationFold::finish`].
     ///
     /// # Errors
-    /// Returns an error if the update breaks the ascending client-id fold
-    /// order, targets a different round, or fails schema validation.
+    /// Returns an error if the update breaks the strictly ascending
+    /// client-id fold order (a repeated id included), targets a different
+    /// round, or fails schema validation.
     pub fn fold(&mut self, update: ModelUpdate) -> Result<()> {
-        if self.rule.streams() {
-            self.fold_ref(&update)
-        } else {
-            self.admit(&update)?;
-            self.buffered.push(update);
-            Ok(())
-        }
-    }
-
-    /// Folds one update by reference (the buffered façade's entry point —
-    /// buffering rules clone the payload, streaming rules never do).
-    ///
-    /// # Errors
-    /// As for [`AggregationFold::fold`].
-    pub fn fold_ref(&mut self, update: &ModelUpdate) -> Result<()> {
-        self.admit(update)?;
-        match self.rule {
-            AggregationRule::FedAvg => {
-                let weight = update.num_samples as f32;
-                self.accumulate(update, weight)?;
-            }
+        self.admit(&update)?;
+        let (weight, scale) = match self.rule {
+            AggregationRule::FedAvg => (update.num_samples, update.num_samples as f32),
             AggregationRule::NormClipping { max_norm } => {
                 // The clip scale depends only on this update and the fixed
                 // round reference, so it is computable without the rest of
                 // the round; the equal weights of clip-and-average become
                 // the single 1/count normalisation at finish.
-                let norm = delta_norm(&self.reference, update)?;
+                let norm = sq_distance(&update.parameters, &self.reference)?.sqrt() as f32;
                 let scale = if norm > max_norm {
                     max_norm / norm
                 } else {
                     1.0
                 };
-                self.accumulate(update, scale)?;
+                (1, scale)
             }
             AggregationRule::TrimmedMean { .. }
             | AggregationRule::Krum { .. }
             | AggregationRule::MultiKrum { .. } => {
-                self.buffered.push(update.clone());
+                self.buffered.push(update);
+                return Ok(());
             }
+        };
+        self.total_weight += weight;
+        for ((sum, (_, reference)), (_, value)) in self
+            .sums
+            .iter_mut()
+            .zip(&self.reference)
+            .zip(&update.parameters)
+        {
+            *sum = accumulate(sum, scale, value, reference)?;
         }
         Ok(())
     }
 
-    /// Shared admission checks: strictly ascending client ids (which also
-    /// subsumes duplicate detection), the round match, and the schema /
-    /// finiteness validation every accepted update must pass.
+    /// Admission: strictly ascending client ids (which also subsumes
+    /// duplicate detection), the round match, and the schema / finiteness
+    /// validation every folded update must pass.
     fn admit(&mut self, update: &ModelUpdate) -> Result<()> {
         if let Some(last) = self.last_client {
             if update.client_id <= last {
@@ -380,61 +382,57 @@ impl AggregationFold {
         }
         validate_update_schema(&self.reference, update)?;
         self.last_client = Some(update.client_id);
-        self.total_samples += update.num_samples;
-        self.folded += 1;
-        Ok(())
-    }
-
-    /// Adds `weight · (paramsᵤ − ref)` to the running per-parameter sums.
-    fn accumulate(&mut self, update: &ModelUpdate, weight: f32) -> Result<()> {
-        for (index, (_, reference)) in self.reference.iter().enumerate() {
-            let delta = update.parameters[index].1.sub(reference)?;
-            self.sums[index] = self.sums[index].axpy(weight, &delta)?;
-        }
         Ok(())
     }
 
     /// Closes the fold and returns the next global parameters.
     ///
     /// # Errors
-    /// Returns an error if no update was folded or the trimmed mean would
-    /// discard every client.
+    /// Returns an error if no update was folded or the round is too small
+    /// for the rule (a trimmed mean that would discard every client, a
+    /// Krum population below its bound).
     pub fn finish(self) -> Result<Vec<(String, Tensor)>> {
-        if self.folded == 0 {
+        if self.last_client.is_none() {
             return Err(FlError::InvalidConfig {
                 reason: "no client updates to aggregate".to_string(),
             });
         }
+        // A streaming rule needs one update; a buffering rule's second pass
+        // needs its own minimum (an untrimmed interior, a Krum neighbourhood).
+        let needed = self.rule.min_updates();
+        if !self.rule.streams() && self.buffered.len() < needed {
+            return Err(FlError::InvalidConfig {
+                reason: format!(
+                    "rule {:?} needs at least {needed} updates, got {}",
+                    self.rule,
+                    self.buffered.len()
+                ),
+            });
+        }
         match self.rule {
-            AggregationRule::FedAvg => self.normalized(1.0 / self.total_samples as f32),
-            AggregationRule::NormClipping { .. } => self.normalized(1.0 / self.folded as f32),
+            AggregationRule::FedAvg | AggregationRule::NormClipping { .. } => self
+                .reference
+                .iter()
+                .zip(&self.sums)
+                .map(|((name, reference), sum)| {
+                    Ok((name.clone(), normalize(reference, self.total_weight, sum)?))
+                })
+                .collect(),
             AggregationRule::TrimmedMean { trim } => {
-                let ordered: Vec<&ModelUpdate> = self.buffered.iter().collect();
-                trimmed_mean(&self.reference, &ordered, trim)
+                trimmed_mean(&self.reference, &self.buffered, trim)
             }
             AggregationRule::Krum { f } => {
-                let ordered: Vec<&ModelUpdate> = self.buffered.iter().collect();
-                let winners = krum_winners(&ordered, f, 1)?;
+                let winners = krum_winners(&self.buffered, f, 1)?;
                 // Krum adopts the winner bit-exactly: no averaging
                 // arithmetic may touch the selected parameters.
-                Ok(ordered[winners[0]].parameters.clone())
+                let mut buffered = self.buffered;
+                Ok(buffered.swap_remove(winners[0]).parameters)
             }
             AggregationRule::MultiKrum { f, m } => {
-                let ordered: Vec<&ModelUpdate> = self.buffered.iter().collect();
-                let winners = krum_winners(&ordered, f, m)?;
-                krum_mean(&ordered, &winners)
+                let winners = krum_winners(&self.buffered, f, m)?;
+                krum_mean(&self.buffered, &winners)
             }
         }
-    }
-
-    /// The single final normalisation of a streaming rule:
-    /// `next = ref + norm · Σᵤ wᵤ · δᵤ`.
-    fn normalized(&self, norm: f32) -> Result<Vec<(String, Tensor)>> {
-        let mut aggregated = Vec::with_capacity(self.reference.len());
-        for ((name, reference), sum) in self.reference.iter().zip(self.sums.iter()) {
-            aggregated.push((name.clone(), reference.axpy(norm, sum)?));
-        }
-        Ok(aggregated)
     }
 }
 
@@ -446,8 +444,8 @@ impl AggregationFold {
 /// a NaN coordinate would slip past the clip guard (`NaN > max_norm` is
 /// false) and an ∞ delta would turn `scale · ∞` into NaN — either way one
 /// poisoned update would NaN the next broadcast for every client. Shared by
-/// [`crate::FedAvgServer`]'s delivery validation and the aggregation entry
-/// below, so the two façades cannot drift.
+/// [`crate::FedAvgServer`]'s delivery validation and the fold's admission,
+/// so the two cannot drift.
 pub(crate) fn validate_update_schema(
     current: &[(String, Tensor)],
     update: &ModelUpdate,
@@ -490,74 +488,15 @@ pub(crate) fn validate_update_schema(
     Ok(())
 }
 
-fn validate_updates(
-    current: &[(String, Tensor)],
-    round: usize,
-    updates: &[ModelUpdate],
-) -> Result<()> {
-    if updates.is_empty() {
-        return Err(FlError::InvalidConfig {
-            reason: "no client updates to aggregate".to_string(),
-        });
-    }
-    for (index, update) in updates.iter().enumerate() {
-        if update.round != round {
-            return Err(FlError::SchemaMismatch {
-                reason: format!(
-                    "update from client {} targets round {}, server is at round {round}",
-                    update.client_id, update.round
-                ),
-            });
-        }
-        // Duplicate ids would make the canonical client-id sort (and thus
-        // the fold order) depend on arrival order — the permutation
-        // invariance the rules promise. The state machine already dedups
-        // via its reporter set; the call-level path must too.
-        if updates[..index]
-            .iter()
-            .any(|earlier| earlier.client_id == update.client_id)
-        {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "client {} appears twice in the update set",
-                    update.client_id
-                ),
-            });
-        }
-        validate_update_schema(current, update)?;
-    }
-    Ok(())
-}
-
-/// L2 norm of one client's whole-model delta relative to the current global
-/// parameters.
-fn delta_norm(current: &[(String, Tensor)], update: &ModelUpdate) -> Result<f32> {
-    let mut sum = 0.0f64;
-    for ((_, reference), (_, value)) in current.iter().zip(update.parameters.iter()) {
-        let delta = value.sub(reference)?;
-        let norm = delta.l2_norm();
-        sum += f64::from(norm) * f64::from(norm);
-    }
-    Ok(sum.sqrt() as f32)
-}
-
 /// Coordinate-wise trimmed mean of the client parameters (unweighted) — the
 /// second pass of the buffering rule's documented two-pass design: the
 /// round's updates were collected by the [`AggregationFold`], and this pass
 /// sorts each coordinate column and averages the untrimmed interior.
 fn trimmed_mean(
     current: &[(String, Tensor)],
-    updates: &[&ModelUpdate],
+    updates: &[ModelUpdate],
     trim: usize,
 ) -> Result<Vec<(String, Tensor)>> {
-    if 2 * trim >= updates.len() {
-        return Err(FlError::InvalidConfig {
-            reason: format!(
-                "trimming {trim} from each end of {} updates leaves nothing to average",
-                updates.len()
-            ),
-        });
-    }
     let kept = updates.len() - 2 * trim;
     let mut aggregated = Vec::with_capacity(current.len());
     let mut column = vec![0.0f32; updates.len()];
@@ -576,15 +515,14 @@ fn trimmed_mean(
     Ok(aggregated)
 }
 
-/// Squared L2 distance between two clients' full parameter vectors,
-/// accumulated per tensor in `f64` in schema order — the same deterministic
-/// reduction pattern as the clip norm, so distances are identical at any
-/// `PELTA_THREADS` value.
-fn pairwise_sq_distance(a: &ModelUpdate, b: &ModelUpdate) -> Result<f64> {
+/// Squared L2 distance `‖a − b‖²` between two full parameter vectors,
+/// accumulated per tensor in `f64` in schema order, so it is identical at
+/// any `PELTA_THREADS` value. The clip norm is its square root against the
+/// round reference; Krum scores sum it pairwise.
+fn sq_distance(a: &[(String, Tensor)], b: &[(String, Tensor)]) -> Result<f64> {
     let mut sum = 0.0f64;
-    for ((_, va), (_, vb)) in a.parameters.iter().zip(b.parameters.iter()) {
-        let delta = va.sub(vb)?;
-        let norm = delta.l2_norm();
+    for ((_, va), (_, vb)) in a.iter().zip(b) {
+        let norm = va.sub(vb)?.l2_norm();
         sum += f64::from(norm) * f64::from(norm);
     }
     Ok(sum)
@@ -596,22 +534,15 @@ fn pairwise_sq_distance(a: &ModelUpdate, b: &ModelUpdate) -> Result<f64> {
 /// of the `m` lowest-scoring clients, **sorted ascending** (so a downstream
 /// mean folds in canonical client-id order). Ranking and neighbour lists
 /// sort with `f64::total_cmp`; score ties rank by ascending index, i.e.
-/// ascending client id.
-fn krum_winners(updates: &[&ModelUpdate], f: usize, m: usize) -> Result<Vec<usize>> {
+/// ascending client id. [`AggregationFold::finish`] has already checked
+/// the population against [`AggregationRule::min_updates`].
+fn krum_winners(updates: &[ModelUpdate], f: usize, m: usize) -> Result<Vec<usize>> {
     let n = updates.len();
-    let needed = (2 * f + 3).max(m + f + 2);
-    if n < needed {
-        return Err(FlError::InvalidConfig {
-            reason: format!(
-                "krum selection with f = {f}, m = {m} needs at least {needed} updates, got {n}"
-            ),
-        });
-    }
     // Upper-triangular pairwise distance matrix.
     let mut distance = vec![vec![0.0f64; n]; n];
     for i in 0..n {
         for j in (i + 1)..n {
-            let d = pairwise_sq_distance(updates[i], updates[j])?;
+            let d = sq_distance(&updates[i].parameters, &updates[j].parameters)?;
             distance[i][j] = d;
             distance[j][i] = d;
         }
@@ -640,7 +571,7 @@ fn krum_winners(updates: &[&ModelUpdate], f: usize, m: usize) -> Result<Vec<usiz
 /// Unweighted mean of the selected clients' parameters, folded in ascending
 /// client-id order (the `winners` slice is ascending) — multi-Krum's
 /// averaging pass.
-fn krum_mean(updates: &[&ModelUpdate], winners: &[usize]) -> Result<Vec<(String, Tensor)>> {
+fn krum_mean(updates: &[ModelUpdate], winners: &[usize]) -> Result<Vec<(String, Tensor)>> {
     let scale = 1.0 / winners.len() as f32;
     let mut aggregated = Vec::with_capacity(updates[winners[0]].parameters.len());
     for (index, (name, first)) in updates[winners[0]].parameters.iter().enumerate() {
@@ -651,70 +582,6 @@ fn krum_mean(updates: &[&ModelUpdate], winners: &[usize]) -> Result<Vec<(String,
         aggregated.push((name.clone(), Tensor::zeros(first.dims()).axpy(scale, &sum)?));
     }
     Ok(aggregated)
-}
-
-/// A call-level federated aggregator with a configurable robust rule.
-///
-/// It wraps the same [`aggregate_with_rule`] code path the message-driven
-/// [`crate::FedAvgServer`] runs in its *Aggregating* phase, behind the
-/// broadcast/aggregate/round surface benches and one-shot analyses use when
-/// they do not need transports or the participation policy.
-pub struct RobustAggregator {
-    round: usize,
-    rule: AggregationRule,
-    parameters: Vec<(String, Tensor)>,
-}
-
-impl RobustAggregator {
-    /// Creates a robust aggregator from the initial global parameters.
-    ///
-    /// # Errors
-    /// Returns an error if the rule's own parameters are degenerate
-    /// (non-positive clipping norm).
-    pub fn new(initial_parameters: Vec<(String, Tensor)>, rule: AggregationRule) -> Result<Self> {
-        rule.validate()?;
-        Ok(RobustAggregator {
-            round: 0,
-            rule,
-            parameters: initial_parameters,
-        })
-    }
-
-    /// The current round number.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// The aggregation rule in force.
-    pub fn rule(&self) -> AggregationRule {
-        self.rule
-    }
-
-    /// The current global parameters.
-    pub fn parameters(&self) -> &[(String, Tensor)] {
-        &self.parameters
-    }
-
-    /// The broadcast message for the current round.
-    pub fn broadcast(&self) -> GlobalModel {
-        GlobalModel {
-            round: self.round,
-            parameters: self.parameters.clone(),
-        }
-    }
-
-    /// Aggregates one round of client updates under the configured rule and
-    /// advances the round counter.
-    ///
-    /// # Errors
-    /// Returns an error if no update was supplied, an update targets a
-    /// different round, schemas disagree, or the trimmed mean would discard
-    /// every client.
-    pub fn aggregate(&mut self, updates: &[ModelUpdate]) -> Result<()> {
-        self.parameters = aggregate_with_rule(&self.parameters, self.round, updates, self.rule)?;
-        self.round += 1;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -739,15 +606,14 @@ mod tests {
 
     #[test]
     fn fedavg_rule_matches_the_weighted_average() {
-        let mut robust =
-            RobustAggregator::new(named(&[0.0, 0.0]), AggregationRule::FedAvg).unwrap();
-        robust
-            .aggregate(&[update(0, 30, &[1.0, 1.0]), update(1, 10, &[5.0, 5.0])])
-            .unwrap();
-        assert_eq!(robust.round(), 1);
-        assert!((robust.parameters()[0].1.data()[0] - 2.0).abs() < 1e-6);
-        assert_eq!(robust.broadcast().round, 1);
-        assert_eq!(robust.rule(), AggregationRule::FedAvg);
+        let aggregated = aggregate_with_rule(
+            &named(&[0.0, 0.0]),
+            0,
+            vec![update(0, 30, &[1.0, 1.0]), update(1, 10, &[5.0, 5.0])],
+            AggregationRule::FedAvg,
+        )
+        .unwrap();
+        assert!((aggregated[0].1.data()[0] - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -760,17 +626,23 @@ mod tests {
         let honest = update(0, 10, &[1.0]);
         let malicious = update(1, 30, &[100.0]);
 
-        let mut plain = RobustAggregator::new(initial.clone(), AggregationRule::FedAvg).unwrap();
-        plain
-            .aggregate(&[honest.clone(), malicious.clone()])
-            .unwrap();
-        let undefended = plain.parameters()[0].1.data()[0];
+        let plain = aggregate_with_rule(
+            &initial,
+            0,
+            vec![honest.clone(), malicious.clone()],
+            AggregationRule::FedAvg,
+        )
+        .unwrap();
+        let undefended = plain[0].1.data()[0];
 
-        let mut clipped =
-            RobustAggregator::new(initial, AggregationRule::NormClipping { max_norm: 1.0 })
-                .unwrap();
-        clipped.aggregate(&[honest, malicious]).unwrap();
-        let defended = clipped.parameters()[0].1.data()[0];
+        let clipped = aggregate_with_rule(
+            &initial,
+            0,
+            vec![honest, malicious],
+            AggregationRule::NormClipping { max_norm: 1.0 },
+        )
+        .unwrap();
+        let defended = clipped[0].1.data()[0];
 
         assert!(undefended > 50.0, "undefended aggregate {undefended}");
         assert!(defended <= 1.0 + 1e-6, "defended aggregate {defended}");
@@ -779,17 +651,19 @@ mod tests {
 
     #[test]
     fn trimmed_mean_discards_the_outlier() {
-        let mut server =
-            RobustAggregator::new(named(&[0.0]), AggregationRule::TrimmedMean { trim: 1 }).unwrap();
-        server
-            .aggregate(&[
+        let aggregated = aggregate_with_rule(
+            &named(&[0.0]),
+            0,
+            vec![
                 update(0, 10, &[1.0]),
                 update(1, 10, &[1.2]),
                 update(2, 10, &[0.8]),
                 update(3, 10, &[100.0]),
-            ])
-            .unwrap();
-        let value = server.parameters()[0].1.data()[0];
+            ],
+            AggregationRule::TrimmedMean { trim: 1 },
+        )
+        .unwrap();
+        let value = aggregated[0].1.data()[0];
         assert!((value - 1.1).abs() < 1e-5, "trimmed mean {value}");
     }
 
@@ -797,7 +671,7 @@ mod tests {
     fn aggregation_is_invariant_under_update_order() {
         // The same update set in two arrival orders: the canonical
         // client-id fold order makes the aggregates bit-identical.
-        let updates = [
+        let updates = vec![
             update(0, 10, &[0.125, -3.0]),
             update(1, 7, &[2.5, 0.0625]),
             update(2, 13, &[-0.75, 1.0]),
@@ -810,9 +684,9 @@ mod tests {
             AggregationRule::MultiKrum { f: 0, m: 1 },
         ] {
             let initial = named(&[0.5, -0.25]);
-            let forward = aggregate_with_rule(&initial, 0, &updates, rule).unwrap();
+            let forward = aggregate_with_rule(&initial, 0, updates.clone(), rule).unwrap();
             let reversed: Vec<ModelUpdate> = updates.iter().rev().cloned().collect();
-            let backward = aggregate_with_rule(&initial, 0, &reversed, rule).unwrap();
+            let backward = aggregate_with_rule(&initial, 0, reversed, rule).unwrap();
             let bits = |params: &[(String, Tensor)]| -> Vec<u32> {
                 params
                     .iter()
@@ -853,7 +727,7 @@ mod tests {
         // Four clustered honest clients and one boosted outlier: the winner
         // must be one of the honest updates, adopted without any averaging
         // arithmetic — its exact bit pattern becomes the global model.
-        let updates = [
+        let updates = vec![
             update(0, 10, &[1.0, 0.9]),
             update(1, 10, &[1.1, 1.0]),
             update(2, 10, &[0.9, 1.1]),
@@ -863,7 +737,7 @@ mod tests {
         let result = aggregate_with_rule(
             &named(&[0.0, 0.0]),
             0,
-            &updates,
+            updates.clone(),
             AggregationRule::Krum { f: 1 },
         )
         .unwrap();
@@ -887,7 +761,7 @@ mod tests {
 
     #[test]
     fn multi_krum_excludes_the_outlier_from_its_mean() {
-        let updates = [
+        let updates = vec![
             update(0, 10, &[1.0]),
             update(1, 10, &[1.2]),
             update(2, 10, &[0.8]),
@@ -897,7 +771,7 @@ mod tests {
         let result = aggregate_with_rule(
             &named(&[0.0]),
             0,
-            &updates,
+            updates,
             AggregationRule::MultiKrum { f: 1, m: 2 },
         )
         .unwrap();
@@ -911,7 +785,7 @@ mod tests {
     fn krum_score_ties_break_toward_the_lowest_client_id() {
         // Two identical honest pairs: scores tie pairwise, so selection
         // must deterministically prefer the lower client id.
-        let updates = [
+        let updates = vec![
             update(0, 10, &[1.0]),
             update(1, 10, &[1.0]),
             update(2, 10, &[1.0]),
@@ -919,29 +793,32 @@ mod tests {
             update(4, 10, &[5.0]),
         ];
         let result =
-            aggregate_with_rule(&named(&[0.0]), 0, &updates, AggregationRule::Krum { f: 1 })
+            aggregate_with_rule(&named(&[0.0]), 0, updates, AggregationRule::Krum { f: 1 })
                 .unwrap();
         assert_eq!(result[0].1.data()[0].to_bits(), 1.0f32.to_bits());
     }
 
     #[test]
     fn krum_rejects_populations_below_its_bound() {
-        let updates = [
+        let updates = vec![
             update(0, 10, &[1.0]),
             update(1, 10, &[1.2]),
             update(2, 10, &[0.8]),
             update(3, 10, &[1.1]),
         ];
         // n = 4 < 2f + 3 = 5.
-        assert!(
-            aggregate_with_rule(&named(&[0.0]), 0, &updates, AggregationRule::Krum { f: 1 },)
-                .is_err()
-        );
+        assert!(aggregate_with_rule(
+            &named(&[0.0]),
+            0,
+            updates.clone(),
+            AggregationRule::Krum { f: 1 }
+        )
+        .is_err());
         // n = 4 < m + f + 2 = 5 even though 2f + 3 = 3 fits.
         assert!(aggregate_with_rule(
             &named(&[0.0]),
             0,
-            &updates,
+            updates,
             AggregationRule::MultiKrum { f: 0, m: 3 },
         )
         .is_err());
@@ -949,40 +826,57 @@ mod tests {
 
     #[test]
     fn construction_and_aggregation_are_validated() {
-        assert!(RobustAggregator::new(
-            named(&[0.0]),
+        // The buffered driver runs only the fold's own checks; each defect
+        // the removed up-front validation used to catch is still refused.
+        let refused = |updates: Vec<ModelUpdate>, rule: AggregationRule| {
+            aggregate_with_rule(&named(&[0.0]), 0, updates, rule).is_err()
+        };
+        let trim = AggregationRule::TrimmedMean { trim: 1 };
+        // A degenerate rule, even before any update is looked at.
+        assert!(refused(
+            vec![update(0, 10, &[1.0])],
             AggregationRule::NormClipping { max_norm: 0.0 }
-        )
-        .is_err());
-
-        let mut server =
-            RobustAggregator::new(named(&[0.0]), AggregationRule::TrimmedMean { trim: 1 }).unwrap();
+        ));
         // Too few updates for the trim level.
-        assert!(server
-            .aggregate(&[update(0, 10, &[1.0]), update(1, 10, &[2.0])])
-            .is_err());
+        assert!(refused(
+            vec![update(0, 10, &[1.0]), update(1, 10, &[2.0])],
+            trim
+        ));
         // Empty round, stale round, schema mismatch.
-        assert!(server.aggregate(&[]).is_err());
+        assert!(refused(Vec::new(), trim));
+        assert!(refused(Vec::new(), AggregationRule::FedAvg));
         let stale = ModelUpdate {
             round: 3,
             ..update(0, 10, &[1.0])
         };
-        assert!(server.aggregate(&[stale]).is_err());
+        assert!(refused(vec![stale], AggregationRule::FedAvg));
         let bad_schema = ModelUpdate {
             parameters: vec![("other".to_string(), Tensor::zeros(&[1]))],
             ..update(0, 10, &[1.0])
         };
-        assert!(server.aggregate(&[bad_schema]).is_err());
+        assert!(refused(vec![bad_schema], AggregationRule::FedAvg));
         // Zero-sample updates are invalid under every rule (the protocol
-        // Nacks them at delivery; the call-level path agrees).
-        let mut weighted = RobustAggregator::new(named(&[0.0]), AggregationRule::FedAvg).unwrap();
-        assert!(weighted.aggregate(&[update(0, 0, &[1.0])]).is_err());
-        // Duplicate client ids would make the canonical fold order depend
-        // on arrival order, so they are rejected.
-        let mut duped = RobustAggregator::new(named(&[0.0]), AggregationRule::FedAvg).unwrap();
-        assert!(duped
-            .aggregate(&[update(0, 10, &[1.0]), update(0, 10, &[2.0])])
-            .is_err());
+        // Nacks them at delivery; the buffered driver agrees).
+        assert!(refused(vec![update(0, 0, &[1.0])], AggregationRule::FedAvg));
+        // A duplicate client id would make the canonical fold order depend
+        // on arrival order: the twins sort next to each other and the
+        // second breaks the strictly ascending order, under every rule and
+        // wherever the twins sit in the input.
+        for rule in [
+            AggregationRule::FedAvg,
+            trim,
+            AggregationRule::Krum { f: 0 },
+        ] {
+            assert!(refused(
+                vec![
+                    update(2, 10, &[1.0]),
+                    update(0, 10, &[1.0]),
+                    update(1, 10, &[1.5]),
+                    update(2, 10, &[2.0]),
+                ],
+                rule
+            ));
+        }
     }
 
     #[test]
@@ -998,12 +892,16 @@ mod tests {
                 AggregationRule::Krum { f: 0 },
                 AggregationRule::MultiKrum { f: 0, m: 1 },
             ] {
-                let mut server = RobustAggregator::new(named(&[0.0]), rule).unwrap();
-                let err = server.aggregate(&[
-                    update(0, 10, &[1.0]),
-                    update(1, 10, &[1.2]),
-                    update(2, 10, &[poison]),
-                ]);
+                let err = aggregate_with_rule(
+                    &named(&[0.0]),
+                    0,
+                    vec![
+                        update(0, 10, &[1.0]),
+                        update(1, 10, &[1.2]),
+                        update(2, 10, &[poison]),
+                    ],
+                    rule,
+                );
                 assert!(err.is_err(), "rule {rule:?} accepted {poison}");
             }
         }

@@ -21,13 +21,11 @@
 //!    the deployment defends against poisoned updates) and returns to
 //!    *Broadcasting*.
 //!
-//! Aggregation itself — validation, canonical client-id fold order, the rule
-//! dispatch — lives in [`crate::robust`]'s [`AggregationFold`], the single
-//! aggregation code path of the crate; the legacy call-level
-//! `FedAvgServer::aggregate` API was removed when the rules moved into the
-//! state machine (benches use [`crate::RobustAggregator`], which wraps the
-//! same fold behind the buffered [`crate::robust::aggregate_with_rule`]
-//! façade).
+//! Aggregation itself — admission, the canonical client-id fold order, the
+//! rule dispatch — lives in [`crate::robust`]'s [`AggregationFold`], the
+//! crate's one fold; the server drives it update by update, and
+//! [`crate::aggregate_with_rule`] drives the same fold over a buffered
+//! update set for call-level use.
 //!
 //! The server is codec-agnostic: update frames compressed by an
 //! [`crate::UpdateCodec`] are decoded at the transport boundary, so
@@ -80,6 +78,44 @@ pub struct ParticipationPolicy {
     /// participant). Counted in **delivered messages** so federations stay
     /// deterministic — wall clocks never enter the protocol.
     pub straggler_deadline: usize,
+}
+
+impl ParticipationPolicy {
+    /// The one check of a policy against the rule its rounds fold with: a
+    /// quorum of at least 1, no larger than a non-zero per-round sample,
+    /// valid rule parameters, and a quorum of at least the rule's minimum
+    /// update count (a smaller one could close a round the rule cannot
+    /// fold). The server, [`crate::FederationConfig::validate`] and the edge
+    /// policy of [`crate::Topology::Hierarchical`] all run it.
+    ///
+    /// # Errors
+    /// Returns an error naming the first defect.
+    pub fn validate(&self, rule: AggregationRule) -> Result<()> {
+        if self.quorum == 0 {
+            return Err(FlError::InvalidConfig {
+                reason: "participation quorum must be at least 1".to_string(),
+            });
+        }
+        if self.sample != 0 && self.quorum > self.sample {
+            return Err(FlError::InvalidConfig {
+                reason: format!(
+                    "quorum {} exceeds the per-round sample size {}",
+                    self.quorum, self.sample
+                ),
+            });
+        }
+        rule.validate()?;
+        if self.quorum < rule.min_updates() {
+            return Err(FlError::InvalidConfig {
+                reason: format!(
+                    "quorum {} cannot satisfy rule {rule:?}, which needs at least {} updates",
+                    self.quorum,
+                    rule.min_updates()
+                ),
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for ParticipationPolicy {
@@ -189,8 +225,8 @@ impl FedAvgServer {
     /// FedAvg rule.
     ///
     /// # Errors
-    /// Returns an error if the quorum is zero or exceeds a non-zero sample
-    /// size (no round could ever complete).
+    /// Returns an error if [`ParticipationPolicy::validate`] refuses the
+    /// policy under FedAvg.
     pub fn with_policy(
         initial_parameters: Vec<(String, Tensor)>,
         policy: ParticipationPolicy,
@@ -202,38 +238,15 @@ impl FedAvgServer {
     /// rule — the fully-specified constructor of the state machine.
     ///
     /// # Errors
-    /// Returns an error if the quorum is zero, exceeds a non-zero sample
-    /// size, or cannot satisfy the rule's minimum update count (a trimmed
-    /// mean needs `quorum > 2·trim` or a quorate round could still fail to
-    /// aggregate); also if the rule's own parameters are degenerate.
+    /// Returns an error if [`ParticipationPolicy::validate`] refuses the
+    /// policy under `rule` (a trimmed mean, for one, needs
+    /// `quorum > 2·trim` or a quorate round could still fail to aggregate).
     pub fn with_rule(
         initial_parameters: Vec<(String, Tensor)>,
         policy: ParticipationPolicy,
         rule: AggregationRule,
     ) -> Result<Self> {
-        if policy.quorum == 0 {
-            return Err(FlError::InvalidConfig {
-                reason: "participation quorum must be at least 1".to_string(),
-            });
-        }
-        if policy.sample != 0 && policy.quorum > policy.sample {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "quorum {} exceeds per-round sample size {}",
-                    policy.quorum, policy.sample
-                ),
-            });
-        }
-        rule.validate()?;
-        if policy.quorum < rule.min_updates() {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "quorum {} cannot satisfy rule {rule:?}, which needs at least {} updates",
-                    policy.quorum,
-                    rule.min_updates()
-                ),
-            });
-        }
+        policy.validate(rule)?;
         Ok(FedAvgServer {
             round: 0,
             parameters: initial_parameters,
@@ -269,11 +282,6 @@ impl FedAvgServer {
     /// counter); resets when a round opens.
     pub fn delivered_messages(&self) -> usize {
         self.delivered
-    }
-
-    /// The participation policy in force.
-    pub fn policy(&self) -> ParticipationPolicy {
-        self.policy
     }
 
     /// The aggregation rule applied in the *Aggregating* phase.
@@ -848,23 +856,59 @@ mod tests {
 
     #[test]
     fn policy_is_validated() {
-        assert!(FedAvgServer::with_policy(
-            named(0.0),
-            ParticipationPolicy {
-                quorum: 0,
-                ..ParticipationPolicy::default()
-            }
-        )
-        .is_err());
-        assert!(FedAvgServer::with_policy(
-            named(0.0),
-            ParticipationPolicy {
-                quorum: 3,
-                sample: 2,
-                straggler_deadline: 0,
-            }
-        )
-        .is_err());
+        let policy = |quorum: usize, sample: usize| ParticipationPolicy {
+            quorum,
+            sample,
+            straggler_deadline: 0,
+        };
+        let trim = AggregationRule::TrimmedMean { trim: 1 };
+        assert!(policy(1, 0).validate(AggregationRule::FedAvg).is_ok());
+        assert!(policy(3, 4).validate(trim).is_ok());
+        let defects = [
+            // Zero quorum.
+            (policy(0, 0), AggregationRule::FedAvg),
+            // A quorum larger than the per-round sample.
+            (policy(3, 2), AggregationRule::FedAvg),
+            // Degenerate rule parameters.
+            (
+                policy(1, 0),
+                AggregationRule::NormClipping { max_norm: -1.0 },
+            ),
+            // A quorum the rule can never fold.
+            (policy(2, 0), trim),
+            (policy(4, 0), AggregationRule::Krum { f: 1 }),
+        ];
+        for (policy, rule) in defects {
+            let refusal = format!("{:?}", policy.validate(rule).unwrap_err());
+            // The server and the federation config refuse with the very
+            // same error: there is one check.
+            let server = FedAvgServer::with_rule(named(0.0), policy, rule).err();
+            assert_eq!(server.map(|e| format!("{e:?}")), Some(refusal.clone()));
+            let config = crate::FederationConfig {
+                clients: 4,
+                policy,
+                rule,
+                ..crate::FederationConfig::default()
+            };
+            assert_eq!(
+                config.validate().err().map(|e| format!("{e:?}")),
+                Some(refusal)
+            );
+        }
+        // Edge policies are checked against FedAvg, the rule edges fold
+        // with.
+        let edge_policy = policy(0, 0);
+        let topology = crate::Topology::Hierarchical {
+            groups: vec![vec![0, 1]],
+            edge_policy,
+        };
+        assert_eq!(
+            topology.validate(2).err().map(|e| format!("{e:?}")),
+            edge_policy
+                .validate(AggregationRule::FedAvg)
+                .err()
+                .map(|e| format!("{e:?}"))
+        );
     }
 
     #[test]

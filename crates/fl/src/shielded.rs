@@ -25,14 +25,14 @@
 //!    ([`crate::secure_agg`]) it never materialises an individual segment:
 //!    [`ShieldedUpdateChannel::fold_masked_segments`] unseals every
 //!    member's blobs *transiently* inside the enclave, cancels the pairwise
-//!    masks, folds the exact FedAvg arithmetic of
-//!    [`crate::AggregationFold`], and releases only the **aggregated**
-//!    shielded segment.
+//!    masks, folds them with the FedAvg accumulate and normalise steps of
+//!    [`crate::AggregationFold`] itself, and releases only the
+//!    **aggregated** shielded segment.
 //!
 //! The sealing path is **bitwise lossless**: tensors are framed with the
 //! binary wire encoding of [`crate::Message`] before sealing, so a shielded
 //! federation produces the same global model bits as a clear one — masked
-//! or not (the masked fold replays the fold arithmetic to the bit; see
+//! or not (the masked fold calls the fold's own arithmetic; see
 //! `docs/determinism.md`). The per-round byte accounting
 //! ([`ShieldedTransferReport`]) is surfaced by the federation runtime
 //! alongside the `ShieldReport` of `pelta-core`.
@@ -46,6 +46,7 @@ use pelta_tee::{
 use pelta_tensor::Tensor;
 
 use crate::message::{tensor_from_wire_bytes, tensor_to_wire_bytes};
+use crate::robust::{accumulate, normalize};
 use crate::secure_agg::{accumulated_mask, unmask_tensor_bits, AggregatorMaskContext};
 use crate::{FlError, Result};
 
@@ -190,12 +191,13 @@ impl ShieldedUpdateChannel {
     /// each blob transiently, cancel the member's accumulated pairwise mask
     /// (live-pair seeds re-derived from the attested nonces, dead-pair
     /// seeds taken from the member's verified [`crate::Message::MaskShare`]
-    /// response in `shares`), then fold the exact streaming-FedAvg
-    /// arithmetic of [`crate::AggregationFold`] — `Σᵤ wᵤ·(paramsᵤ − ref)`
-    /// followed by one normalisation by the total weight — so the released
-    /// aggregate is **bit-identical** to the clear shielded fold over the
-    /// same reporter set. Only the aggregate crosses back to the normal
-    /// world, and it is the one transfer the cost ledger records.
+    /// response in `shares`), then fold it with the two FedAvg steps of
+    /// [`crate::AggregationFold`] itself — accumulate `Σᵤ wᵤ·(paramsᵤ − ref)`,
+    /// then normalise once by the total weight — so the released aggregate
+    /// is **bit-identical** to the clear shielded fold over the same
+    /// reporter set by construction, not by a copy of the arithmetic. Only
+    /// the aggregate crosses back to the normal world, and it is the one
+    /// transfer the cost ledger records.
     ///
     /// `reference` is the shielded segment of the parameters the round
     /// opened with (canonical order); `members` maps each reporting client
@@ -278,8 +280,7 @@ impl ShieldedUpdateChannel {
                         }
                         let len = tensor.numel();
                         unmask_tensor_bits(&mut tensor, &acc[offset..offset + len]);
-                        let delta = tensor.sub(reference)?;
-                        sums[index] = sums[index].axpy(weight, &delta)?;
+                        sums[index] = accumulate(&sums[index], weight, &tensor, reference)?;
                         offset += len;
                         index += 1;
                         Ok(())
@@ -305,11 +306,10 @@ impl ShieldedUpdateChannel {
             report.sealed_bytes += blobs.iter().map(SealedBlob::len).sum::<usize>();
         }
         // The single released value: the aggregated shielded segment,
-        // normalised exactly like the streaming FedAvg fold's finish.
-        let norm = 1.0 / total_weight as f32;
+        // normalised by the streaming FedAvg fold's own step.
         let mut aggregated = Vec::with_capacity(reference.len());
         for ((name, reference), sum) in reference.iter().zip(sums.iter()) {
-            let tensor = reference.axpy(norm, sum)?;
+            let tensor = normalize(reference, total_weight, sum)?;
             report.channel_bytes += tensor_to_wire_bytes(&tensor).len();
             aggregated.push((name.clone(), tensor));
         }
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn masked_fold_matches_the_clear_fold_bit_for_bit() {
         use crate::secure_agg::{pair_seeds_for_client, ClientMaskContext};
-        use crate::{AggregationFold, AggregationRule, ModelUpdate};
+        use crate::{aggregate_with_rule, AggregationRule, ModelUpdate};
 
         let server = ShieldedUpdateChannel::connect(0).unwrap();
         let measurement = server.measurement();
@@ -427,11 +427,8 @@ mod tests {
         }
 
         // The clear fold over the same update set, same order, same weights.
-        let mut fold = AggregationFold::new(&reference, round, AggregationRule::FedAvg).unwrap();
-        for update in &clear_updates {
-            fold.fold_ref(update).unwrap();
-        }
-        let expected = fold.finish().unwrap();
+        let expected =
+            aggregate_with_rule(&reference, round, clear_updates, AggregationRule::FedAvg).unwrap();
 
         let masks = AggregatorMaskContext::new(measurement, nonces);
         let (folded, report) = server

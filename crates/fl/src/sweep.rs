@@ -18,6 +18,13 @@ use std::ops::BitOrAssign;
 
 use crate::{Delivery, FaultPlan, Message, NackReason, Result, Transport};
 
+/// The most sweeps one scheduled delay may span: a seat's latency, a
+/// reorder window, a partition window, or a retransmission budget. A sweep
+/// phase ends only at quiescence, so each of these holds the round open for
+/// up to that many sweeps; validation refuses anything larger, which would
+/// keep [`crate::Federation::run`] sweeping for practically ever.
+pub const MAX_DELAY_SWEEPS: usize = 1024;
+
 /// What one delivery sweep did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepOutcome {

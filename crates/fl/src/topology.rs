@@ -19,18 +19,19 @@
 //!
 //! **Determinism contract.** Whatever the topology, the round's *accepted
 //! update set* reaches the consensus point with per-client granularity and
-//! is folded once by [`crate::robust::aggregate_with_rule`] in canonical
-//! ascending-client-id order. An edge aggregator therefore forwards its
-//! members' updates *inside* the combined frame (sealed segments unopened —
-//! only the root's attested enclave channel unseals), and a gossip peer
-//! floods whole member updates rather than partial averages. This is what
-//! makes the global model **bit-identical** across Star, Hierarchical and
-//! Gossip under FedAvg with full participation, and what makes the robust
-//! rules **partition-invariant**: a trimmed mean over two 2-member subtree
-//! averages would be a different (and weaker) statistic than a trimmed mean
-//! over the 4 member updates, and would let a backdoor hiding under a small
-//! edge dominate its subtree. The hierarchy changes routing, per-level
-//! participation policy and accounting — never the aggregate's bits.
+//! is folded once by the crate's one fold, [`crate::AggregationFold`], in
+//! canonical ascending-client-id order. An edge aggregator therefore
+//! forwards its members' updates *inside* the combined frame (sealed
+//! segments unopened — only the root's attested enclave channel unseals),
+//! and a gossip peer floods whole member updates rather than partial
+//! averages. This is what makes the global model **bit-identical** across
+//! Star, Hierarchical and Gossip under FedAvg with full participation, and
+//! what makes the robust rules **partition-invariant**: a trimmed mean over
+//! two 2-member subtree averages would be a different (and weaker)
+//! statistic than a trimmed mean over the 4 member updates, and would let a
+//! backdoor hiding under a small edge dominate its subtree. The hierarchy
+//! changes routing, per-level participation policy and accounting — never
+//! the aggregate's bits.
 //!
 //! The edge's own [`FedAvgServer`] still closes each subtree round with a
 //! plain FedAvg over the clear segments it can see — the **edge-local
@@ -149,16 +150,14 @@ impl Topology {
                         reason: "hierarchical topology needs at least one edge group".to_string(),
                     });
                 }
-                if edge_policy.quorum == 0 {
-                    return Err(FlError::InvalidConfig {
-                        reason: "edge quorum must be at least 1".to_string(),
-                    });
-                }
                 if edge_policy.sample != 0 {
                     return Err(FlError::InvalidConfig {
                         reason: "edges do not sample participants; only the root does".to_string(),
                     });
                 }
+                // An edge's subtree server folds with FedAvg whatever the
+                // root's rule (`FedAvgServer::with_policy`).
+                edge_policy.validate(AggregationRule::FedAvg)?;
                 let mut seen = BTreeSet::new();
                 for (edge_id, group) in groups.iter().enumerate() {
                     if group.is_empty() {
@@ -591,10 +590,11 @@ impl EdgeAggregator {
     }
 
     /// Relays downstream traffic from the root: a [`Message::Nack`] goes to
-    /// the addressed member's link, a [`Message::RoundEnd`] — or a
-    /// [`Message::MaskShare`] reconstruction *request* (empty seeds) — to
-    /// every round participant that did not leave mid-round. Returns the
-    /// number of frames relayed.
+    /// the addressed member's link, a [`Message::RoundEnd`] to every round
+    /// participant that did not leave mid-round, and a [`Message::MaskShare`]
+    /// reconstruction *request* (empty seeds) to those of them its `seats`
+    /// does not name as dead — the reporters. Returns the number of frames
+    /// relayed.
     ///
     /// # Errors
     /// Returns an error if a transport fails.
@@ -602,10 +602,14 @@ impl EdgeAggregator {
         let mut relayed = 0;
         while let Some(message) = self.uplink.recv()? {
             match &message {
-                Message::MaskShare { seeds, .. } if seeds.is_empty() => {
+                // A share request goes to the reporters only: a member the
+                // request names as dead (an edge straggler, a dropout) is
+                // never asked, and would answer into the next round.
+                Message::MaskShare { seats, seeds, .. } if seeds.is_empty() => {
                     for member in &self.members {
                         if self.sampled.contains(&member.client_id)
                             && !self.left.contains(&member.client_id)
+                            && !seats.contains(&member.client_id)
                         {
                             member.link.send(&message)?;
                             relayed += 1;
@@ -943,10 +947,10 @@ impl GossipMesh {
         union
     }
 
-    /// Every participant's local consensus fold: the same
-    /// [`aggregate_with_rule`] the coordinator runs, over the peer's
-    /// schema-valid knowledge. All folds must be bit-identical to the
-    /// coordinator's aggregate — the topology determinism contract the
+    /// Every participant's local consensus fold: the coordinator's own
+    /// [`crate::AggregationFold`], driven by [`aggregate_with_rule`] over
+    /// the peer's schema-valid knowledge. All folds must be bit-identical to
+    /// the coordinator's aggregate — the topology determinism contract the
     /// runtime asserts each round.
     ///
     /// # Errors
@@ -970,10 +974,7 @@ impl GossipMesh {
             if updates.is_empty() {
                 continue;
             }
-            folds.push((
-                peer_id,
-                aggregate_with_rule(current, round, &updates, rule)?,
-            ));
+            folds.push((peer_id, aggregate_with_rule(current, round, updates, rule)?));
         }
         Ok(folds)
     }
@@ -1261,7 +1262,7 @@ mod tests {
         let flat = aggregate_with_rule(
             &named(&[0.0, 0.0]),
             0,
-            &[update(1, 0, 10, 1.0), update(3, 0, 30, 3.0)],
+            vec![update(1, 0, 10, 1.0), update(3, 0, 30, 3.0)],
             AggregationRule::FedAvg,
         )
         .unwrap();
@@ -1620,7 +1621,7 @@ mod tests {
             AggregationRule::FedAvg,
             AggregationRule::TrimmedMean { trim: 1 },
         ] {
-            let flat = aggregate_with_rule(&initial, 0, &updates, rule).unwrap();
+            let flat = aggregate_with_rule(&initial, 0, updates.clone(), rule).unwrap();
             let folds = mesh.consensus_folds(&initial, 0, rule).unwrap();
             assert_eq!(folds.len(), clients);
             for (peer, fold) in folds {

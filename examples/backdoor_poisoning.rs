@@ -11,13 +11,15 @@ use std::error::Error;
 
 use pelta_data::{federated_split, Dataset, DatasetSpec, GeneratorConfig, Partition};
 use pelta_fl::{
-    backdoor_success_rate, export_parameters, import_parameters, AggregationRule, BackdoorClient,
-    FlClient, RobustAggregator, TrojanTrigger,
+    aggregate_with_rule, backdoor_success_rate, export_parameters, import_parameters,
+    AggregationRule, BackdoorClient, FlClient, GlobalModel, TrojanTrigger,
 };
 use pelta_models::{accuracy, TrainingConfig, ViTConfig, VisionTransformer};
 use pelta_tensor::SeedStream;
 
-fn main() -> Result<(), Box<dyn Error>> {
+/// Runs one poisoned round under each aggregation rule and prints the
+/// global model's clean accuracy and backdoor activation.
+pub fn run() -> Result<(), Box<dyn Error>> {
     let mut seeds = SeedStream::new(31);
     let dataset = Dataset::generate(
         DatasetSpec::Cifar10Like,
@@ -56,7 +58,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         ),
     ] {
         let init = VisionTransformer::new(vit_config.clone(), &mut seeds.derive("init"))?;
-        let mut server = RobustAggregator::new(export_parameters(&init), rule)?;
+        let broadcast = GlobalModel {
+            round: 0,
+            parameters: export_parameters(&init),
+        };
 
         let mut honest: Vec<FlClient> = shards[..3]
             .iter()
@@ -84,7 +89,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             5,   // boost the update's FedAvg weight five-fold
         )?;
 
-        let broadcast = server.broadcast();
         let mut updates = Vec::new();
         for client in &mut honest {
             let (update, _) = client.local_round(&broadcast)?;
@@ -93,10 +97,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut rng = seeds.derive(&format!("poison-{name}"));
         let (poisoned, report) = attacker.poisoned_round(&broadcast, &mut rng)?;
         updates.push(poisoned);
-        server.aggregate(&updates)?;
+        let aggregated = aggregate_with_rule(&broadcast.parameters, 0, updates, rule)?;
 
         let mut global = VisionTransformer::new(vit_config.clone(), &mut seeds.derive("eval"))?;
-        import_parameters(&mut global, server.parameters())?;
+        import_parameters(&mut global, &aggregated)?;
         let clean = accuracy(&global, &eval.images, &eval.labels)?;
         let backdoor = backdoor_success_rate(&global, &eval.images, &eval.labels, &trigger)?;
         println!(
@@ -114,4 +118,8 @@ fn main() -> Result<(), Box<dyn Error>> {
          defenses address complementary steps of the same attack chain (§I, §II)."
     );
     Ok(())
+}
+
+fn main() -> Result<(), Box<dyn Error>> {
+    run()
 }

@@ -39,6 +39,10 @@ mod compressed_federation;
 #[allow(dead_code)]
 mod secure_aggregation;
 
+#[path = "../examples/backdoor_poisoning.rs"]
+#[allow(dead_code)]
+mod backdoor_poisoning;
+
 #[test]
 fn quickstart_example_runs() {
     quickstart::run().expect("quickstart example should run to completion");
@@ -78,4 +82,9 @@ fn compressed_federation_example_runs() {
 #[test]
 fn secure_aggregation_example_runs() {
     secure_aggregation::run().expect("secure_aggregation example should run to completion");
+}
+
+#[test]
+fn backdoor_poisoning_example_runs() {
+    backdoor_poisoning::run().expect("backdoor_poisoning example should run to completion");
 }

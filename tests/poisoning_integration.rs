@@ -4,8 +4,8 @@
 
 use pelta_data::{federated_split, Dataset, DatasetSpec, GeneratorConfig, Partition};
 use pelta_fl::{
-    backdoor_success_rate, export_parameters, import_parameters, AggregationRule, BackdoorClient,
-    FlClient, RobustAggregator, TrojanTrigger,
+    aggregate_with_rule, backdoor_success_rate, export_parameters, import_parameters,
+    AggregationRule, BackdoorClient, FlClient, GlobalModel, TrojanTrigger,
 };
 use pelta_models::{accuracy, TrainingConfig, ViTConfig, VisionTransformer};
 use pelta_tensor::SeedStream;
@@ -48,7 +48,10 @@ fn one_poisoned_round(seed: u64, rule: AggregationRule) -> (f32, f32) {
     let trigger = TrojanTrigger::new(4, 1.0, 0).unwrap();
 
     let init = VisionTransformer::new(vit_config.clone(), &mut seeds.derive("init")).unwrap();
-    let mut server = RobustAggregator::new(export_parameters(&init), rule).unwrap();
+    let broadcast = GlobalModel {
+        round: 0,
+        parameters: export_parameters(&init),
+    };
 
     let mut honest: Vec<FlClient> = shards[..3]
         .iter()
@@ -74,7 +77,6 @@ fn one_poisoned_round(seed: u64, rule: AggregationRule) -> (f32, f32) {
     )
     .unwrap();
 
-    let broadcast = server.broadcast();
     let mut updates = Vec::new();
     for client in &mut honest {
         let (update, report) = client.local_round(&broadcast).unwrap();
@@ -86,11 +88,10 @@ fn one_poisoned_round(seed: u64, rule: AggregationRule) -> (f32, f32) {
     let (poisoned, report) = attacker.poisoned_round(&broadcast, &mut rng).unwrap();
     assert!(report.poisoned_samples > 0);
     updates.push(poisoned);
-    server.aggregate(&updates).unwrap();
-    assert_eq!(server.round(), 1);
+    let aggregated = aggregate_with_rule(&broadcast.parameters, 0, updates, rule).unwrap();
 
     let mut global = VisionTransformer::new(vit_config, &mut seeds.derive("eval")).unwrap();
-    import_parameters(&mut global, server.parameters()).unwrap();
+    import_parameters(&mut global, &aggregated).unwrap();
     let eval = dataset.test_subset(30);
     let clean = accuracy(&global, &eval.images, &eval.labels).unwrap();
     let backdoor = backdoor_success_rate(&global, &eval.images, &eval.labels, &trigger).unwrap();
@@ -140,7 +141,7 @@ fn norm_clipping_limits_the_influence_of_the_boosted_update() {
     )
     .unwrap();
 
-    let broadcast = pelta_fl::GlobalModel {
+    let broadcast = GlobalModel {
         round: 0,
         parameters: init_params.clone(),
     };
@@ -158,21 +159,23 @@ fn norm_clipping_limits_the_influence_of_the_boosted_update() {
             .sqrt()
     };
 
-    let mut plain = RobustAggregator::new(init_params.clone(), AggregationRule::FedAvg).unwrap();
-    plain
-        .aggregate(&[honest_update.clone(), poisoned_update.clone()])
-        .unwrap();
-    let plain_distance = distance(plain.parameters());
+    let plain = aggregate_with_rule(
+        &init_params,
+        0,
+        vec![honest_update.clone(), poisoned_update.clone()],
+        AggregationRule::FedAvg,
+    )
+    .unwrap();
+    let plain_distance = distance(&plain);
 
-    let mut clipped = RobustAggregator::new(
-        init_params.clone(),
+    let clipped = aggregate_with_rule(
+        &init_params,
+        0,
+        vec![honest_update, poisoned_update],
         AggregationRule::NormClipping { max_norm: 0.5 },
     )
     .unwrap();
-    clipped
-        .aggregate(&[honest_update, poisoned_update])
-        .unwrap();
-    let clipped_distance = distance(clipped.parameters());
+    let clipped_distance = distance(&clipped);
 
     assert!(
         clipped_distance <= plain_distance + 1e-6,
@@ -209,7 +212,7 @@ fn local_backdoor_training_plants_the_trigger() {
         1,
     )
     .unwrap();
-    let broadcast = pelta_fl::GlobalModel {
+    let broadcast = GlobalModel {
         round: 0,
         parameters: export_parameters(&init),
     };

@@ -9,8 +9,8 @@
 //!   canonicalises the fold order by client id before any float touches an
 //!   accumulator), and
 //! * between the message-driven `FedAvgServer` state machine and the
-//!   call-level `RobustAggregator` — the two façades of the single
-//!   aggregation code path, and
+//!   call-level `aggregate_with_rule` — the two drivers of the one
+//!   `AggregationFold`, and
 //! * under **hierarchical routing**: any partition of the client population
 //!   into edge-aggregator subtrees — and any permutation of that partition
 //!   — forwards the same member granularity, so NormClipping/TrimmedMean
@@ -28,11 +28,11 @@ use proptest::prelude::*;
 
 use pelta_data::{Dataset, DatasetSpec, GeneratorConfig};
 use pelta_fl::{
-    backdoor_success_rate, pair_seeds_for_client, AgentRole, AggregationRule,
+    aggregate_with_rule, backdoor_success_rate, pair_seeds_for_client, AgentRole, AggregationRule,
     AggregatorMaskContext, BroadcastFrame, ClientMaskContext, Delivery, EdgeAggregator,
     FaultConfig, FaultPlan, FedAvgServer, Federation, FederationConfig, FlError, Message,
-    ModelUpdate, NackReason, ParticipationPolicy, RobustAggregator, ScenarioSpec, Topology,
-    Transport, TransportKind, TrojanTrigger, UpdateCodec,
+    ModelUpdate, NackReason, ParticipationPolicy, ScenarioSpec, Topology, Transport, TransportKind,
+    TrojanTrigger, UpdateCodec,
 };
 use pelta_models::{accuracy, TrainingConfig};
 use pelta_tensor::{pool, SeedStream, Tensor};
@@ -98,9 +98,7 @@ fn bits(parameters: &[(String, Tensor)]) -> Vec<(String, Vec<u32>)> {
 
 /// Call-level aggregation of one round under `rule`.
 fn aggregate_call_level(updates: &[ModelUpdate], rule: AggregationRule) -> Vec<(String, Vec<u32>)> {
-    let mut aggregator = RobustAggregator::new(initial_for(updates), rule).unwrap();
-    aggregator.aggregate(updates).unwrap();
-    bits(aggregator.parameters())
+    bits(&aggregate_with_rule(&initial_for(updates), 0, updates.to_vec(), rule).unwrap())
 }
 
 /// The same round pushed through the `FedAvgServer` state machine with every

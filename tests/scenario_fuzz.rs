@@ -7,8 +7,9 @@
 //! straddling the validity boundary), aggregation rule (all five, with
 //! degenerate parameters), wire codec, data partition (IID, label skew,
 //! Dirichlet(α) including invalid concentrations), dropout/latency
-//! schedules, fault plans with scripted crashes, and adversarial role
-//! mixes. Roughly half the drawn specs are deliberately broken.
+//! schedules, fault plans with scripted crashes, sweep delays one past
+//! `MAX_DELAY_SWEEPS`, and adversarial role mixes. Roughly half the drawn
+//! specs are deliberately broken.
 //!
 //! No case asserts anything scenario-specific. Only the global invariants
 //! of the runtime's contract are checked:
@@ -43,7 +44,7 @@ use pelta_data::{Dataset, DatasetSpec, GeneratorConfig, Partition};
 use pelta_fl::{
     AgentRole, AggregationRule, ClientSchedule, CrashPoint, CrashTarget, FaultConfig, Federation,
     FederationConfig, ParticipationPolicy, ScenarioSpec, Topology, TransportKind, TrojanTrigger,
-    UpdateCodec,
+    UpdateCodec, MAX_DELAY_SWEEPS,
 };
 use pelta_models::{Architecture, ImageModel, TrainingConfig};
 use pelta_nn::{Linear, Module, Param};
@@ -417,6 +418,33 @@ fn draw_spec(rng: &mut ChaCha8Rng) -> ScenarioSpec {
             spec = spec.with_role(seat, draw_role(rng));
         }
     }
+    // Half the draws with an out-of-range schedule seat trade it for one
+    // sweep delay one past its cap: a seat latency, or a fault plan's
+    // reorder window, partition window or retransmission budget, whatever
+    // its rates. Validation must refuse that too. Only already-broken specs
+    // draw here, so every valid spec is the one drawn before the cap existed.
+    let federation = &mut spec.federation;
+    if let Some(index) = federation
+        .schedules
+        .iter()
+        .position(|schedule| schedule.client_id == clients)
+    {
+        if rng.gen_bool(0.5) {
+            let over = MAX_DELAY_SWEEPS + 1;
+            federation.schedules[index].client_id = 0;
+            match rng.gen_range(0..4usize) {
+                0 => federation.schedules[index].latency = over,
+                delay => {
+                    let faults = federation.faults.get_or_insert_with(FaultConfig::default);
+                    match delay {
+                        1 => faults.reorder_window = over,
+                        2 => faults.partition_sweeps = over,
+                        _ => faults.max_retransmits = over,
+                    }
+                }
+            }
+        }
+    }
     spec
 }
 
@@ -645,6 +673,38 @@ fn repro_invalid_dirichlet_alpha_is_rejected_at_validation() {
     let spec =
         ScenarioSpec::honest(base_config()).with_partition(Partition::Dirichlet { alpha: -0.5 });
     assert_rejected_before_build(&spec);
+}
+
+/// A seat latency, reorder window, partition window or retransmission
+/// budget of `usize::MAX` used to pass validation, and `Federation::run`
+/// then swept for practically ever: a sweep phase ends only at quiescence,
+/// so each delay holds the round open for that many sweeps. The cap itself
+/// is accepted; one past it is rejected before any link is built, whatever
+/// the fault rates.
+#[test]
+fn repro_sweep_delays_beyond_the_cap_are_rejected_at_validation() {
+    let with_delay = |sweeps: usize, parameter: usize| {
+        let mut config = base_config();
+        if parameter == 0 {
+            config.schedules = vec![ClientSchedule {
+                latency: sweeps,
+                ..ClientSchedule::punctual(1)
+            }];
+        } else {
+            let mut faults = FaultConfig::default();
+            match parameter {
+                1 => faults.reorder_window = sweeps,
+                2 => faults.partition_sweeps = sweeps,
+                _ => faults.max_retransmits = sweeps,
+            }
+            config.faults = Some(faults);
+        }
+        ScenarioSpec::honest(config)
+    };
+    for parameter in 0..4 {
+        assert!(with_delay(MAX_DELAY_SWEEPS, parameter).validate().is_ok());
+        assert_rejected_before_build(&with_delay(MAX_DELAY_SWEEPS + 1, parameter));
+    }
 }
 
 /// Guards the generator against degenerating into an all-valid or
