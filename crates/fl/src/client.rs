@@ -52,8 +52,7 @@ pub fn import_parameters<M: ImageModel + ?Sized>(
 /// Partitions named parameters into the **shielded** and **clear** segments
 /// under `model`'s shield plan, both keeping their relative (canonical)
 /// order. This is the single place the segment split lives: the honest
-/// seat uses it on a trained update before sealing, and
-/// [`export_segments`] on a fresh export.
+/// seat uses it on a trained update before sealing.
 #[allow(clippy::type_complexity)]
 pub fn split_segments<M: ImageModel + ?Sized>(
     model: &M,
@@ -68,18 +67,6 @@ pub fn split_segments<M: ImageModel + ?Sized>(
         }
     }
     (shielded, clear)
-}
-
-/// Splits a model's exported parameters into the **shielded** and **clear**
-/// segments, both in canonical order (segment-addressed export; see
-/// [`ImageModel::shielded_parameter_prefixes`]). The shielded segment is
-/// what the attested enclave channel seals for transit; the clear segment
-/// rides in the update message's plaintext parameter list.
-#[allow(clippy::type_complexity)]
-pub fn export_segments<M: ImageModel + ?Sized>(
-    model: &M,
-) -> (Vec<(String, Tensor)>, Vec<(String, Tensor)>) {
-    split_segments(model, export_parameters(model))
 }
 
 /// Summary of one client's local training in a round.

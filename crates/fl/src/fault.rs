@@ -316,11 +316,11 @@ impl FaultPlan {
         })
     }
 
-    /// Wraps the runtime-side end of a client seat's link (star link, edge
-    /// member link or gossip coordinator link). Seat crash windows apply
-    /// here: inbound traffic is discarded while the seat is dark, outbound
-    /// traffic (broadcasts, Nacks) is suppressed strictly between the crash
-    /// and rejoin rounds.
+    /// Wraps the runtime-side end of a client seat's link (the seat link of
+    /// a star or gossip fabric, or an edge member link). Seat crash windows
+    /// apply here: inbound traffic is discarded while the seat is dark,
+    /// outbound traffic (broadcasts, Nacks) is suppressed strictly between
+    /// the crash and rejoin rounds.
     pub fn wrap_seat(&self, seat: usize, inner: Box<dyn Transport>) -> Box<dyn Transport> {
         self.wrap((1 << 32) | seat as u64, self.seat_crash(seat), inner)
     }
@@ -395,8 +395,6 @@ fn faultable(message: &Message) -> Option<(usize, usize)> {
 struct HeldFrame {
     /// `(round, sweep)` at which the frame becomes deliverable.
     release: (usize, usize),
-    /// FIFO tiebreak among frames due at the same time.
-    seq: u64,
     message: Message,
     /// Retransmissions already spent on this frame.
     budget_used: usize,
@@ -416,7 +414,8 @@ struct CachedFrame {
 #[derive(Default)]
 struct LinkState {
     fate_counter: u64,
-    seq: u64,
+    /// Held frames in push order, which breaks ties between frames due at
+    /// the same time (FIFO).
     held: Vec<HeldFrame>,
     /// Faulted originals keyed by `(sender, round)`, awaiting a
     /// `CorruptFrame` Nack to trigger retransmission.
@@ -503,11 +502,8 @@ impl Transport for FaultyTransport {
             let mut state = self.state.lock();
             if let Some(cached) = state.cached.remove(&(*client_id, *nack_round)) {
                 if cached.budget_used < self.config.max_retransmits {
-                    let seq = state.seq;
-                    state.seq += 1;
                     state.held.push(HeldFrame {
                         release: (round, sweep + 1),
-                        seq,
                         message: cached.message,
                         budget_used: cached.budget_used + 1,
                         refate: true,
@@ -557,14 +553,15 @@ impl Transport for FaultyTransport {
             return Ok(Delivery::Empty);
         }
         loop {
-            // Due held frames first (earliest release, then FIFO), then the
-            // live link — unless a partition window blocks it.
+            // Due held frames first (earliest release, then FIFO: the first
+            // of equal keys wins), then the live link — unless a partition
+            // window blocks it.
             let due = state
                 .held
                 .iter()
                 .enumerate()
                 .filter(|(_, h)| h.release <= now)
-                .min_by_key(|&(_, h)| (h.release, h.seq))
+                .min_by_key(|&(_, h)| h.release)
                 .map(|(index, _)| index);
             let (message, budget_used, refate, retransmit) = if let Some(index) = due {
                 let held = state.held.remove(index);
@@ -631,11 +628,8 @@ impl Transport for FaultyTransport {
                 });
             }
             if fate < config.corrupt + config.drop + config.duplicate {
-                let seq = state.seq;
-                state.seq += 1;
                 state.held.push(HeldFrame {
                     release: (now.0, now.1 + 1),
-                    seq,
                     message: message.clone(),
                     budget_used,
                     refate: false,
@@ -651,11 +645,8 @@ impl Transport for FaultyTransport {
             }
             if fate < config.corrupt + config.drop + config.duplicate + config.reorder {
                 let delay = 1 + (rng.next_u64() as usize) % config.reorder_window.max(1);
-                let seq = state.seq;
-                state.seq += 1;
                 state.held.push(HeldFrame {
                     release: (now.0, now.1 + delay),
-                    seq,
                     message,
                     budget_used,
                     refate: false,

@@ -46,9 +46,9 @@
 //! fabric steps 2 and 4 route through the edge aggregators (broadcast
 //! relayed down, one combined subtree frame forwarded up per edge, per-level
 //! quorum/straggler policy in between), and under [`Topology::Gossip`] the
-//! updates flood a peer mesh before the final consensus fold — see
-//! [`crate::topology`] for the routing details and the cross-topology
-//! bit-determinism contract.
+//! star's own seat links carry the round while the collected updates flood
+//! a peer mesh before the final consensus fold — see [`crate::topology`]
+//! for the routing details and the cross-topology bit-determinism contract.
 
 use std::collections::BTreeMap;
 
@@ -354,7 +354,7 @@ pub struct RunHistory {
 /// The topology-dependent routing fabric between the seats' links and the
 /// consensus point (see [`crate::topology`]).
 enum Fabric {
-    /// Every runtime-side link end feeds the central server directly,
+    /// Every runtime-side seat-link end feeds the central server directly,
     /// indexed by client id.
     Star { links: Vec<Box<dyn Transport>> },
     /// Member links are grouped under edge aggregators; the root holds the
@@ -363,31 +363,33 @@ enum Fabric {
         edges: Vec<EdgeAggregator>,
         uplinks: Vec<Box<dyn Transport>>,
     },
-    /// A peer mesh floods updates; the coordinator keeps the runtime-side
-    /// seat-link ends inside the mesh.
-    Gossip { mesh: GossipMesh },
+    /// The star's seat links, plus a peer mesh that floods the collected
+    /// updates before the consensus fold.
+    Gossip {
+        links: Vec<Box<dyn Transport>>,
+        mesh: GossipMesh,
+    },
 }
 
 impl Fabric {
     /// Messages and logical bytes sent by the fabric's runtime-side link
     /// ends (the counterpart of the seats' own counters).
     fn traffic(&self) -> (usize, usize) {
+        let add = |start, links: &[Box<dyn Transport>]| {
+            links.iter().fold(start, |(m, b), link| {
+                (m + link.messages_sent(), b + link.bytes_sent())
+            })
+        };
         match self {
-            Fabric::Star { links } => links
-                .iter()
-                .map(|link| (link.messages_sent(), link.bytes_sent()))
-                .fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db)),
-            Fabric::Hierarchical { edges, uplinks } => {
-                let from_edges = edges
+            Fabric::Star { links } => add((0, 0), links),
+            Fabric::Hierarchical { edges, uplinks } => add(
+                edges
                     .iter()
                     .map(EdgeAggregator::traffic)
-                    .fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db));
-                uplinks
-                    .iter()
-                    .map(|link| (link.messages_sent(), link.bytes_sent()))
-                    .fold(from_edges, |(m, b), (dm, db)| (m + dm, b + db))
-            }
-            Fabric::Gossip { mesh } => mesh.traffic(),
+                    .fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db)),
+                uplinks,
+            ),
+            Fabric::Gossip { links, mesh } => add(mesh.traffic(), links),
         }
     }
 }
@@ -441,13 +443,16 @@ fn pump_live_edges(
     Ok(outcome)
 }
 
-/// The star's seat links, each gated by its seat's scheduled latency.
-struct StarSeats<'a> {
+/// The seat links of a star or gossip fabric, each gated by its seat's
+/// scheduled latency. A link knows whose it is, so a faulted frame's
+/// refusal goes to the seat that owns the link, never to the id inside
+/// the damaged frame.
+struct SeatLinks<'a> {
     links: &'a [Box<dyn Transport>],
     seats: &'a [Seat],
 }
 
-impl SweepLinks for StarSeats<'_> {
+impl SweepLinks for SeatLinks<'_> {
     fn count(&self) -> usize {
         self.links.len()
     }
@@ -458,6 +463,10 @@ impl SweepLinks for StarSeats<'_> {
 
     fn latency(&self, index: usize) -> usize {
         self.seats[index].schedule.latency
+    }
+
+    fn refusal_addressee(&self, index: usize, _sender: usize) -> usize {
+        index
     }
 }
 
@@ -574,13 +583,9 @@ impl Federation {
             runtime_ends.push(Some(server_end));
             seats.push(seat);
         }
-        let latency_of = |id: usize| seats.get(id).map(|seat| seat.schedule.latency).unwrap_or(0);
         let fabric = match &config.topology {
             Topology::Star => Fabric::Star {
-                links: runtime_ends
-                    .into_iter()
-                    .map(|end| end.expect("one runtime end per client"))
-                    .collect(),
+                links: runtime_ends.into_iter().flatten().collect(),
             },
             Topology::Hierarchical {
                 groups,
@@ -599,29 +604,17 @@ impl Federation {
                         let link = runtime_ends[member]
                             .take()
                             .expect("each client belongs to exactly one edge");
-                        edge.attach_member(member, link, latency_of(member));
+                        edge.attach_member(member, link, seats[member].schedule.latency);
                     }
                     edges.push(edge);
                     uplinks.push(root_end);
                 }
                 Fabric::Hierarchical { edges, uplinks }
             }
-            Topology::Gossip { fanout } => {
-                let latencies: Vec<usize> = (0..config.clients).map(latency_of).collect();
-                let coordinators: Vec<Box<dyn Transport>> = runtime_ends
-                    .into_iter()
-                    .map(|end| end.expect("one runtime end per client"))
-                    .collect();
-                Fabric::Gossip {
-                    mesh: GossipMesh::new(
-                        config.transport,
-                        config.codec,
-                        coordinators,
-                        latencies,
-                        *fanout,
-                    ),
-                }
-            }
+            Topology::Gossip { fanout } => Fabric::Gossip {
+                links: runtime_ends.into_iter().flatten().collect(),
+                mesh: GossipMesh::new(config.transport, config.codec, config.clients, *fanout),
+            },
         };
         let masks = mask_nonces.map(|nonces| {
             let measurement = server_shield
@@ -792,8 +785,8 @@ impl Federation {
             self.pump_links()?;
 
             // Sample participants and broadcast the round through the
-            // topology fabric: directly over the star links, via the edge
-            // aggregators' relays, or over the gossip coordinator links.
+            // topology fabric: over the seat links of a star or gossip
+            // fabric, or via the edge aggregators' relays.
             let mut sample_rng = seeds.derive_indexed("participants", round_index as u64);
             let participants = self.server.begin_round(&mut sample_rng)?;
             let broadcast = self.server.broadcast();
@@ -805,7 +798,7 @@ impl Federation {
                 global: broadcast.clone(),
             });
             match &mut self.fabric {
-                Fabric::Star { links } => {
+                Fabric::Star { links } | Fabric::Gossip { links, .. } => {
                     for &id in &participants {
                         links[id].send_broadcast(&frame)?;
                     }
@@ -828,7 +821,9 @@ impl Federation {
                         }
                     }
                 }
-                Fabric::Gossip { mesh } => mesh.open_round(&frame, &participants)?,
+            }
+            if let Fabric::Gossip { mesh, .. } = &mut self.fabric {
+                mesh.open_round(broadcast.round, &participants);
             }
 
             // Parallel local training: each seat drains its own inbox and
@@ -861,7 +856,7 @@ impl Federation {
             if let Some(stash) = mask_stash {
                 self.fold_masked_round(&broadcast.parameters, &summary, stash)?;
             }
-            if let Fabric::Gossip { mesh } = &self.fabric {
+            if let Fabric::Gossip { mesh, .. } = &self.fabric {
                 // The final deterministic consensus fold: every participant
                 // peer folds its converged knowledge with the same rule and
                 // must land on exactly the coordinator's bits.
@@ -924,73 +919,47 @@ impl Federation {
 
     /// Delivers all pending client→server traffic outside a round (Join
     /// handshakes, rejoins, stray RoundEnd acknowledgements) through the
-    /// topology fabric: star links feed the server directly, edges mirror
-    /// and relay, the gossip coordinator surfaces everything as control
-    /// traffic. This idle drain is not a sweep: it polls with the plain,
-    /// unclocked `recv` (`docs/determinism.md` §3).
+    /// topology fabric with the one idle drain, [`sweep::drain_idle`], on
+    /// the root's links: the seat links of a star or gossip fabric feed the
+    /// server directly; under a hierarchy the live edges first drain their
+    /// members into the uplinks, and afterwards relay the root's answers
+    /// down. The idle drain is not a sweep: it is unclocked and polls only
+    /// links that hold traffic (`docs/determinism.md` §3).
     fn pump_links(&mut self) -> Result<()> {
         let Federation {
             server,
+            seats,
             fabric,
             faults,
             ..
         } = self;
         loop {
             let mut delivered = false;
-            match fabric {
-                Fabric::Star { links } => {
-                    // Only seats with queued traffic are visited; responses
-                    // flow server→client and never re-activate a drained
-                    // seat, so the active list shrinks to quiescence.
-                    let mut active: Vec<usize> = (0..links.len())
-                        .filter(|&index| links[index].has_pending())
-                        .collect();
-                    while !active.is_empty() {
-                        let mut next = Vec::with_capacity(active.len());
-                        for &index in &active {
-                            if let Some(message) = links[index].recv()? {
-                                for response in server.deliver(&message) {
-                                    links[index].send(&response)?;
-                                }
-                                if links[index].has_pending() {
-                                    next.push(index);
-                                }
-                            }
-                        }
-                        active = next;
-                    }
+            let root: &mut dyn SweepLinks = match fabric {
+                Fabric::Star { links } | Fabric::Gossip { links, .. } => {
+                    &mut SeatLinks { links, seats }
                 }
                 Fabric::Hierarchical { edges, uplinks } => {
                     for edge in edges.iter_mut() {
                         // A dead edge relays nothing; its members' traffic
                         // queues until the rejoin-round resync discards it.
-                        if edge_dark(faults, edge.edge_id(), server.round()) {
-                            continue;
-                        }
-                        delivered |= edge.pump_idle()?;
-                    }
-                    for uplink in uplinks.iter_mut() {
-                        while let Some(message) = uplink.recv()? {
-                            delivered = true;
-                            for response in server.deliver(&message) {
-                                uplink.send(&response)?;
-                            }
+                        if !edge_dark(faults, edge.edge_id(), server.round()) {
+                            delivered |= edge.pump_idle()?;
                         }
                     }
-                    for edge in edges.iter_mut() {
-                        if edge_dark(faults, edge.edge_id(), server.round()) {
-                            continue;
-                        }
-                        delivered |= edge.pump_downstream()? > 0;
-                    }
+                    uplinks
                 }
-                Fabric::Gossip { mesh } => {
-                    let (moved, control) = mesh.pump_idle()?;
-                    delivered |= moved;
-                    for (peer, message) in control {
-                        for response in server.deliver(&message) {
-                            mesh.send_to(peer, &response)?;
-                        }
+            };
+            delivered |= sweep::drain_idle(root, |root, index, message| {
+                for response in server.deliver(&message) {
+                    root.link(index).send(&response)?;
+                }
+                Ok(())
+            })?;
+            if let Fabric::Hierarchical { edges, .. } = fabric {
+                for edge in edges.iter_mut() {
+                    if !edge_dark(faults, edge.edge_id(), server.round()) {
+                        delivered |= edge.pump_downstream()? > 0;
                     }
                 }
             }
@@ -1014,9 +983,10 @@ impl Federation {
     ///   each member through its enclave channel — while the uplink sweep
     ///   carries on the member sweep's clock; the edges finally relay any
     ///   refusals back down.
-    /// * **Gossip** — latency-gated collect sweeps feed each peer's daemon,
-    ///   the mesh floods to quiescence, and the coordinator folds the
-    ///   converged union through the same state machine.
+    /// * **Gossip** — the star's latency-gated collect sweeps over the seat
+    ///   links feed each peer's daemon, the mesh floods to quiescence, and
+    ///   the coordinator folds the converged union through the same state
+    ///   machine.
     fn deliver_round(&mut self) -> Result<(usize, Vec<RoundSummary>, usize, Option<MaskStash>)> {
         let Federation {
             server,
@@ -1035,7 +1005,7 @@ impl Federation {
         let mut shielded_bytes = 0usize;
         match fabric {
             Fabric::Star { links } => {
-                let mut star = StarSeats { links, seats };
+                let mut star = SeatLinks { links, seats };
                 let mut active = None;
                 sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
                     sweep::sweep_active(&mut star, sweep, &mut active, |star, index, arrival| {
@@ -1104,55 +1074,50 @@ impl Federation {
                 let mut folded_origins = std::collections::BTreeSet::new();
                 let edge_count = uplinks.len();
                 sweep::run(faults.as_ref(), last_sweep, 0, |sweep| {
-                    sweep::sweep_every(
-                        uplinks.as_mut_slice(),
-                        sweep,
-                        0..edge_count,
-                        |uplinks, edge, arrival| {
-                            let uplink = uplinks.link(edge);
-                            let message = match arrival {
-                                Arrival::Frame(message) => message,
-                                Arrival::Damaged { sender, round } => {
-                                    server.deliver_corrupt(sender, round);
-                                    return Ok(());
-                                }
-                            };
-                            let Message::AggregateUpdate {
-                                origin,
-                                round,
-                                members,
-                            } = message
-                            else {
-                                for response in server.deliver(&message) {
-                                    uplink.send(&response)?;
-                                }
+                    sweep::sweep_every(uplinks, sweep, 0..edge_count, |uplinks, edge, arrival| {
+                        let uplink = uplinks.link(edge);
+                        let message = match arrival {
+                            Arrival::Frame(message) => message,
+                            Arrival::Damaged { sender, round } => {
+                                server.deliver_corrupt(sender, round);
                                 return Ok(());
-                            };
-                            if !folded_origins.insert(origin) {
-                                return uplink.send(&Message::Nack {
-                                    client_id: origin,
-                                    round,
-                                    reason: NackReason::Duplicate,
-                                });
                             }
-                            for member in members {
-                                let (wrapped, sealed) = reassemble(
-                                    server.parameters(),
-                                    server_shield.as_ref(),
-                                    mask_stash.as_mut(),
-                                    Message::Update {
-                                        update: member.update,
-                                        shielded: member.shielded,
-                                    },
-                                )?;
-                                shielded_bytes += sealed;
-                                for response in server.deliver(&wrapped) {
-                                    uplink.send(&response)?;
-                                }
+                        };
+                        let Message::AggregateUpdate {
+                            origin,
+                            round,
+                            members,
+                        } = message
+                        else {
+                            for response in server.deliver(&message) {
+                                uplink.send(&response)?;
                             }
-                            Ok(())
-                        },
-                    )
+                            return Ok(());
+                        };
+                        if !folded_origins.insert(origin) {
+                            return uplink.send(&Message::Nack {
+                                client_id: origin,
+                                round,
+                                reason: NackReason::Duplicate,
+                            });
+                        }
+                        for member in members {
+                            let (wrapped, sealed) = reassemble(
+                                server.parameters(),
+                                server_shield.as_ref(),
+                                mask_stash.as_mut(),
+                                Message::Update {
+                                    update: member.update,
+                                    shielded: member.shielded,
+                                },
+                            )?;
+                            shielded_bytes += sealed;
+                            for response in server.deliver(&wrapped) {
+                                uplink.send(&response)?;
+                            }
+                        }
+                        Ok(())
+                    })
                 })?;
                 // Phase 4: edges relay the root's refusals to their members.
                 for edge in edges.iter_mut() {
@@ -1163,18 +1128,20 @@ impl Federation {
                 }
                 Ok((shielded_bytes, edge_summaries, 0, mask_stash))
             }
-            Fabric::Gossip { mesh } => {
+            Fabric::Gossip { links, mesh } => {
                 // Phase 1: collect each peer's own update and the round's
-                // control traffic over the coordinator links.
+                // control traffic over the seat links.
+                let mut peers = SeatLinks { links, seats };
                 let mut active = None;
                 sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
-                    sweep::sweep_active(mesh, sweep, &mut active, |mesh, peer, arrival| {
+                    sweep::sweep_active(&mut peers, sweep, &mut active, |peers, peer, arrival| {
                         let Arrival::Frame(message) = arrival else {
                             return Ok(());
                         };
-                        if let Some(control) = mesh.admit(peer, message)? {
+                        let link = peers.link(peer);
+                        if let Some(control) = mesh.admit(link, peer, message)? {
                             for response in server.deliver(&control) {
-                                mesh.send_to(peer, &response)?;
+                                link.send(&response)?;
                             }
                         }
                         Ok(())
@@ -1192,7 +1159,7 @@ impl Federation {
                         shielded: Vec::new(),
                     };
                     for response in server.deliver(&message) {
-                        mesh.send_to(client_id, &response)?;
+                        peers.link(client_id).send(&response)?;
                     }
                 }
                 Ok((0, Vec::new(), gossip_messages, None))
@@ -1201,12 +1168,12 @@ impl Federation {
     }
 
     /// Closes the round towards the participants: [`Message::RoundEnd`]
-    /// over the star links, via the edges' downstream relays, or over the
-    /// gossip coordinator links.
+    /// over the seat links of a star or gossip fabric, or via the edges'
+    /// downstream relays.
     fn send_round_end(&mut self, summary: &RoundSummary) -> Result<()> {
         let Federation { seats, fabric, .. } = self;
         match fabric {
-            Fabric::Star { links } => {
+            Fabric::Star { links } | Fabric::Gossip { links, .. } => {
                 for &id in &summary.participants {
                     if seats[id].online {
                         links[id].send(&Message::RoundEnd {
@@ -1222,18 +1189,6 @@ impl Federation {
                             round: summary.round,
                         })?;
                         edge.pump_downstream()?;
-                    }
-                }
-            }
-            Fabric::Gossip { mesh } => {
-                for &id in &summary.participants {
-                    if seats[id].online {
-                        mesh.send_to(
-                            id,
-                            &Message::RoundEnd {
-                                round: summary.round,
-                            },
-                        )?;
                     }
                 }
             }
@@ -1349,9 +1304,9 @@ impl Federation {
             // Deliver the request. It is control traffic: the fault shims
             // pass it clean apart from crash suppression, and crashed seats
             // are never reporters. Validation keeps secure aggregation off
-            // gossip meshes, so there is nothing to ask there.
+            // gossip meshes, so only a star asks over its seat links.
             match fabric {
-                Fabric::Star { links } => {
+                Fabric::Star { links } | Fabric::Gossip { links, .. } => {
                     for &id in &pending {
                         links[id].send_broadcast(&request)?;
                     }
@@ -1364,7 +1319,6 @@ impl Federation {
                         }
                     }
                 }
-                Fabric::Gossip { .. } => {}
             }
             // Seats answer from their mask contexts; no training happens
             // outside a RoundStart, so sequential stepping is cheap and
@@ -1397,8 +1351,8 @@ impl Federation {
                 0,
                 max_latency,
                 |sweep| match &mut *fabric {
-                    Fabric::Star { links } => sweep::sweep_every(
-                        &mut StarSeats { links, seats },
+                    Fabric::Star { links } | Fabric::Gossip { links, .. } => sweep::sweep_every(
+                        &mut SeatLinks { links, seats },
                         sweep,
                         pending.iter().copied(),
                         |_, _, arrival| collect(arrival),
@@ -1406,15 +1360,12 @@ impl Federation {
                     Fabric::Hierarchical { edges, uplinks } => {
                         let mut outcome = pump_live_edges(edges, faults, round, sweep)?;
                         let edge_count = uplinks.len();
-                        outcome |= sweep::sweep_every(
-                            uplinks.as_mut_slice(),
-                            sweep,
-                            0..edge_count,
-                            |_, _, arrival| collect(arrival),
-                        )?;
+                        outcome |=
+                            sweep::sweep_every(uplinks, sweep, 0..edge_count, |_, _, arrival| {
+                                collect(arrival)
+                            })?;
                         Ok(outcome)
                     }
-                    Fabric::Gossip { .. } => Ok(SweepOutcome::default()),
                 },
             )?;
         }

@@ -153,8 +153,7 @@ pub mod topology;
 mod transport;
 
 pub use client::{
-    export_parameters, export_segments, import_parameters, split_segments, FlClient,
-    LocalTrainingReport,
+    export_parameters, import_parameters, split_segments, FlClient, LocalTrainingReport,
 };
 pub use codec::UpdateCodec;
 pub use error::FlError;

@@ -291,14 +291,6 @@ impl ScenarioSpec {
         roles
     }
 
-    /// Number of seats with a non-honest role.
-    pub fn num_adversaries(&self) -> usize {
-        self.roles
-            .iter()
-            .filter(|assignment| assignment.role != AgentRole::Honest)
-            .count()
-    }
-
     /// Validates the **whole** scenario statically: the base federation
     /// configuration ([`FederationConfig::validate`] — policy bounds, rule
     /// parameters and quorum/rule interplay, topology, codec, schedules,
@@ -385,7 +377,7 @@ mod tests {
         spec.validate().unwrap();
         assert_eq!(spec.role_of(0), AgentRole::Honest);
         assert!(matches!(spec.role_of(2), AgentRole::Backdoor { .. }));
-        assert_eq!(spec.num_adversaries(), 2);
+        assert!(matches!(spec.role_of(3), AgentRole::FreeRider { .. }));
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   machine per subtree (quorum and straggler deadlines apply **per
 //!   level**) and forwards a single combined
 //!   [`Message::AggregateUpdate`] upstream.
-//! * [`Topology::Gossip`] — peers flood their updates over directed
-//!   peer-to-peer [`Transport`] links in deterministic sweep order until the
-//!   mesh is quiescent, then every participant applies the same final
-//!   consensus fold.
+//! * [`Topology::Gossip`] — the runtime collects each peer's own update over
+//!   the same seat links as the star, the peers flood those updates over
+//!   directed peer-to-peer [`Transport`] links in deterministic sweep order
+//!   until the mesh is quiescent, then every participant applies the same
+//!   final consensus fold.
 //!
 //! **Determinism contract.** Whatever the topology, the round's *accepted
 //! update set* reaches the consensus point with per-client granularity and
@@ -205,9 +206,8 @@ impl Topology {
                     });
                 }
                 // A peer has at most `clients - 1` neighbours. The mesh
-                // constructor used to clamp an oversized fanout silently,
-                // which let a scenario report a fabric it never got —
-                // reject it here so the spec *is* the topology.
+                // constructor trusts this check: past it, a ring would link
+                // peers to themselves or twice to one neighbour.
                 if *fanout > clients.saturating_sub(1) {
                     return Err(FlError::InvalidConfig {
                         reason: format!(
@@ -244,12 +244,9 @@ pub struct EdgeAggregator {
     edge_id: usize,
     server: FedAvgServer,
     uplink: Box<dyn Transport>,
+    /// Member links in ascending client-id order.
     members: Vec<EdgeMember>,
-    /// Member client ids, for O(log n) membership checks.
-    member_set: BTreeSet<usize>,
-    participants: Vec<usize>,
-    /// Sampled participants of the open round (the set view of
-    /// `participants`, for O(log n) relay checks).
+    /// Sampled participants of the open round.
     sampled: BTreeSet<usize>,
     left: BTreeSet<usize>,
     stash: BTreeMap<usize, MemberUpdate>,
@@ -278,8 +275,6 @@ impl EdgeAggregator {
             server: FedAvgServer::with_policy(Vec::new(), edge_policy)?,
             uplink,
             members: Vec::new(),
-            member_set: BTreeSet::new(),
-            participants: Vec::new(),
             sampled: BTreeSet::new(),
             left: BTreeSet::new(),
             stash: BTreeMap::new(),
@@ -305,7 +300,6 @@ impl EdgeAggregator {
                 latency,
             },
         );
-        self.member_set.insert(client_id);
     }
 
     /// The edge aggregator's index.
@@ -320,7 +314,9 @@ impl EdgeAggregator {
 
     /// Whether `client_id` sits under this edge.
     pub fn contains(&self, client_id: usize) -> bool {
-        self.member_set.contains(&client_id)
+        self.members
+            .binary_search_by_key(&client_id, |m| m.client_id)
+            .is_ok()
     }
 
     /// The edge-local model: the subtree's plain-FedAvg view over the clear
@@ -369,7 +365,6 @@ impl EdgeAggregator {
         }
         self.server.sync_parameters(global.parameters.clone())?;
         self.server.begin_round_with(round, participants)?;
-        self.participants = participants.to_vec();
         self.sampled = participants.iter().copied().collect();
         self.left.clear();
         self.stash.clear();
@@ -414,22 +409,17 @@ impl EdgeAggregator {
         outcome
     }
 
-    /// Drains the member links completely (between rounds — Join
-    /// handshakes, rejoins, stray acknowledgements) with the plain,
-    /// unclocked `recv`: an idle drain, not a sweep (`docs/determinism.md`
-    /// §3). Returns whether anything was delivered.
+    /// Drains the member links that hold traffic between rounds (Join
+    /// handshakes, rejoins, stray acknowledgements) with the runtime's one
+    /// idle drain, `sweep::drain_idle`: not a sweep, so unclocked
+    /// (`docs/determinism.md` §3). Returns whether anything was delivered.
     ///
     /// # Errors
     /// Returns an error if a transport fails.
     pub fn pump_idle(&mut self) -> Result<bool> {
-        let mut delivered = false;
-        for index in 0..self.members.len() {
-            while let Some(message) = self.members[index].link.recv()? {
-                delivered = true;
-                self.route_upward(index, message)?;
-            }
-        }
-        Ok(delivered)
+        sweep::drain_idle(self, |edge, index, message| {
+            edge.route_upward(index, message)
+        })
     }
 
     /// Routes one member message: Join/Leave are mirrored into the subtree
@@ -524,7 +514,7 @@ impl EdgeAggregator {
                 })?;
                 Ok(RoundSummary {
                     round,
-                    participants: self.participants.clone(),
+                    participants: self.sampled.iter().copied().collect(),
                     reporters: Vec::new(),
                     stragglers: Vec::new(),
                     dropouts: Vec::new(),
@@ -696,21 +686,19 @@ struct GossipLink {
     sent: BTreeSet<usize>,
 }
 
-/// One gossip peer's runtime-side daemon: the coordinator-side end of the
-/// agent's link, the peer-to-peer link ends, and the update set it has
-/// learned so far this round.
+/// One gossip peer's runtime-side daemon: the peer-to-peer link ends and
+/// the update set it has learned so far this round.
 struct GossipPeer {
     id: usize,
-    coordinator: Box<dyn Transport>,
-    latency: usize,
     out_links: Vec<GossipLink>,
     in_links: Vec<(usize, Box<dyn Transport>)>,
     known: BTreeMap<usize, MemberUpdate>,
 }
 
-/// The runtime fabric of a gossip federation: a directed ring mesh that
-/// floods member updates in deterministic sweeps and exposes every peer's
-/// converged update set for the consensus fold.
+/// The peer-to-peer fabric of a gossip federation: a directed ring mesh
+/// that floods member updates in deterministic sweeps and exposes every
+/// peer's converged update set for the consensus fold. The seat links it
+/// collects over are the runtime's, shared with the star.
 pub(crate) struct GossipMesh {
     peers: Vec<GossipPeer>,
     round: Option<usize>,
@@ -718,50 +706,34 @@ pub(crate) struct GossipMesh {
 }
 
 impl GossipMesh {
-    /// Builds the mesh: peer `i` pushes to `i+1 ..= i+fanout` (mod `n`) over
-    /// fresh duplex links of the given transport kind, carrying the
-    /// scenario's update codec. `coordinators[i]` is the runtime-side end of
-    /// client `i`'s agent link. Because every codec is idempotent, a member
-    /// update re-flooded across any number of coded hops keeps the exact
-    /// bits of its first coded hop, so the consensus fold sees one value
-    /// per member whatever the flooding order.
-    pub(crate) fn new(
-        kind: TransportKind,
-        codec: UpdateCodec,
-        coordinators: Vec<Box<dyn Transport>>,
-        latencies: Vec<usize>,
-        fanout: usize,
-    ) -> Self {
-        let n = coordinators.len();
-        // Validation rejects fanout > n - 1 before any link exists, so this
-        // clamp is unreachable from a scenario; it stays as a guard for
-        // direct constructor use only.
-        let fanout = fanout.min(n.saturating_sub(1));
-        let mut outs: Vec<Vec<GossipLink>> = (0..n).map(|_| Vec::new()).collect();
-        let mut ins: Vec<Vec<(usize, Box<dyn Transport>)>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, out) in outs.iter_mut().enumerate() {
+    /// Builds the mesh of `n` peers: peer `i` pushes to `i+1 ..= i+fanout`
+    /// (mod `n`; validation keeps `fanout <= n - 1`) over fresh duplex links
+    /// of the given transport kind, carrying the scenario's update codec.
+    /// Because every codec is idempotent, a member update re-flooded across
+    /// any number of coded hops keeps the exact bits of its first coded hop,
+    /// so the consensus fold sees one value per member whatever the
+    /// flooding order.
+    pub(crate) fn new(kind: TransportKind, codec: UpdateCodec, n: usize, fanout: usize) -> Self {
+        let mut peers: Vec<GossipPeer> = (0..n)
+            .map(|id| GossipPeer {
+                id,
+                out_links: Vec::new(),
+                in_links: Vec::new(),
+                known: BTreeMap::new(),
+            })
+            .collect();
+        for i in 0..n {
             for j in 1..=fanout {
-                let target = (i + j) % n;
                 let (a, b) = kind.duplex_with(codec);
-                out.push(GossipLink {
+                peers[i].out_links.push(GossipLink {
                     link: a,
                     sent: BTreeSet::new(),
                 });
-                ins[target].push((i, b));
+                peers[(i + j) % n].in_links.push((i, b));
             }
         }
-        let mut peers = Vec::with_capacity(n);
-        for (id, (coordinator, latency)) in coordinators.into_iter().zip(latencies).enumerate() {
-            let mut in_links = std::mem::take(&mut ins[id]);
-            in_links.sort_by_key(|(source, _)| *source);
-            peers.push(GossipPeer {
-                id,
-                coordinator,
-                latency,
-                out_links: std::mem::take(&mut outs[id]),
-                in_links,
-                known: BTreeMap::new(),
-            });
+        for peer in &mut peers {
+            peer.in_links.sort_by_key(|(source, _)| *source);
         }
         GossipMesh {
             peers,
@@ -770,60 +742,46 @@ impl GossipMesh {
         }
     }
 
-    /// Opens a gossip round: clears every peer's knowledge and push
-    /// bookkeeping and relays the shared [`Message::RoundStart`] frame to
-    /// the sampled participants — every coordinator link shares the one
-    /// broadcast payload instead of receiving its own clone.
-    ///
-    /// # Errors
-    /// Returns an error if the frame is not a `RoundStart` or a transport
-    /// fails.
-    pub(crate) fn open_round(
-        &mut self,
-        frame: &BroadcastFrame,
-        participants: &[usize],
-    ) -> Result<()> {
-        let Message::RoundStart { round, .. } = frame.message() else {
-            return Err(FlError::InvalidConfig {
-                reason: "a gossip mesh can only open a round from a RoundStart frame".to_string(),
-            });
-        };
-        self.round = Some(*round);
+    /// Opens a gossip round: records the round and its sampled participants
+    /// and clears every peer's knowledge and push bookkeeping.
+    pub(crate) fn open_round(&mut self, round: usize, participants: &[usize]) {
+        self.round = Some(round);
         self.participants = participants.iter().copied().collect();
         for peer in &mut self.peers {
             peer.known.clear();
             for link in &mut peer.out_links {
                 link.sent.clear();
             }
-            if self.participants.contains(&peer.id) {
-                peer.coordinator.send_broadcast(frame)?;
-            }
         }
-        Ok(())
     }
 
     /// The daemon's admission check for one intact frame on peer `index`'s
-    /// coordinator link, run by the runtime's collect sweep
-    /// ([`crate::sweep`]): a peer's own round-`r` [`Message::Update`]
-    /// enters its knowledge; everything else is returned as control
-    /// traffic for the coordinator's state machine.
+    /// seat link, run by the runtime's collect sweep ([`crate::sweep`]): a
+    /// peer's own round-`r` [`Message::Update`] enters its knowledge;
+    /// everything else is returned as control traffic for the coordinator's
+    /// state machine.
     ///
     /// Adversarial frames never abort the run here: the daemon knows whose
     /// link it is, so an update under a spoofed client id, for a stale
     /// round, or from an unsampled seat is **refused at the daemon** with a
-    /// [`Message::Nack`] on the receiving peer's own link (forwarding it
-    /// would let a spoofed frame impersonate a genuine participant at the
-    /// coordinator, and the spoofed id inside the frame is never trusted
-    /// for routing), and a duplicate is dropped first-wins, matching both
-    /// the flood's `or_insert` semantics and the coordinator's reporter
-    /// dedup. This keeps every daemon's knowledge exactly the set the
-    /// coordinator will accept, which the consensus-fold assertion relies
-    /// on.
+    /// [`Message::Nack`] on `link`, the receiving peer's own seat link
+    /// (forwarding it would let a spoofed frame impersonate a genuine
+    /// participant at the coordinator, and the spoofed id inside the frame
+    /// is never trusted for routing), and a duplicate is dropped first-wins,
+    /// matching both the flood's `or_insert` semantics and the coordinator's
+    /// reporter dedup. This keeps every daemon's knowledge exactly the set
+    /// the coordinator will accept, which the consensus-fold assertion
+    /// relies on.
     ///
     /// # Errors
     /// Returns an error if a transport fails or an update carries sealed
     /// segments (gossip has no attested central enclave to open them).
-    pub(crate) fn admit(&mut self, index: usize, message: Message) -> Result<Option<Message>> {
+    pub(crate) fn admit(
+        &mut self,
+        link: &dyn Transport,
+        index: usize,
+        message: Message,
+    ) -> Result<Option<Message>> {
         let Message::Update { update, shielded } = message else {
             return Ok(Some(message));
         };
@@ -851,31 +809,12 @@ impl GossipMesh {
                 .or_insert(MemberUpdate::clear(update));
             return Ok(None);
         };
-        peer.coordinator.send(&Message::Nack {
+        link.send(&Message::Nack {
             client_id: peer.id,
             round: update.round,
             reason,
         })?;
         Ok(None)
-    }
-
-    /// Drains the coordinator links completely between rounds with the
-    /// plain, unclocked `recv` — an idle drain, not a sweep
-    /// (`docs/determinism.md` §3); everything is control traffic (there is
-    /// no open round for updates to enter).
-    ///
-    /// # Errors
-    /// Returns an error if a transport fails.
-    pub(crate) fn pump_idle(&mut self) -> Result<(bool, Vec<(usize, Message)>)> {
-        let mut delivered = false;
-        let mut control = Vec::new();
-        for peer in &mut self.peers {
-            while let Some(message) = peer.coordinator.recv()? {
-                delivered = true;
-                control.push((peer.id, message));
-            }
-        }
-        Ok((delivered, control))
     }
 
     /// Floods the collected updates across the mesh until quiescent:
@@ -979,22 +918,12 @@ impl GossipMesh {
         Ok(folds)
     }
 
-    /// Sends a coordinator message (RoundEnd, Nack) to one peer's agent.
-    ///
-    /// # Errors
-    /// Returns an error if the transport fails.
-    pub(crate) fn send_to(&mut self, peer_id: usize, message: &Message) -> Result<()> {
-        self.peers[peer_id].coordinator.send(message)
-    }
-
-    /// Messages and logical bytes sent by the mesh's runtime-side link ends
-    /// (coordinator ends + every peer-to-peer end).
+    /// Messages and logical bytes sent by the mesh's peer-to-peer link
+    /// ends.
     pub(crate) fn traffic(&self) -> (usize, usize) {
         let mut messages = 0;
         let mut bytes = 0;
         for peer in &self.peers {
-            messages += peer.coordinator.messages_sent();
-            bytes += peer.coordinator.bytes_sent();
             for link in &peer.out_links {
                 messages += link.link.messages_sent();
                 bytes += link.link.bytes_sent();
@@ -1008,64 +937,10 @@ impl GossipMesh {
     }
 }
 
-/// The coordinator links, each gated by its peer's latency. The daemon
-/// knows whose link it is, so a faulted frame's refusal goes to the peer
-/// itself, never to the id inside the damaged frame.
-impl SweepLinks for GossipMesh {
-    fn count(&self) -> usize {
-        self.peers.len()
-    }
-
-    fn link(&self, index: usize) -> &dyn Transport {
-        self.peers[index].coordinator.as_ref()
-    }
-
-    fn latency(&self, index: usize) -> usize {
-        self.peers[index].latency
-    }
-
-    fn refusal_addressee(&self, index: usize, _sender: usize) -> usize {
-        self.peers[index].id
-    }
-}
-
-/// What one collect sweep did, with the control traffic surfaced rather
-/// than delivered — see [`GossipMesh::pump_collect`].
-#[cfg(test)]
-pub(crate) struct CollectSweep {
-    pub(crate) delivered: bool,
-    pub(crate) pending_future: bool,
-    pub(crate) control: Vec<(usize, Message)>,
-}
-
-#[cfg(test)]
-impl GossipMesh {
-    /// One collect sweep through the sweep engine and the daemons'
-    /// admission check, without a coordinator state machine: the runtime
-    /// runs the same sweep from `Federation::deliver_round`, delivering the
-    /// control traffic to its server instead. The unit tests below have
-    /// no faults or latencies, so rebuilding the active set every sweep
-    /// polls the same links the runtime's shrinking set does.
-    pub(crate) fn pump_collect(&mut self, sweep: usize) -> Result<CollectSweep> {
-        let mut control = Vec::new();
-        let outcome = sweep::sweep_active(self, sweep, &mut None, |mesh, peer, arrival| {
-            if let Arrival::Frame(message) = arrival {
-                control.extend(mesh.admit(peer, message)?.map(|message| (peer, message)));
-            }
-            Ok(())
-        })?;
-        Ok(CollectSweep {
-            delivered: outcome.delivered,
-            pending_future: outcome.pending_future,
-            control,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GlobalModel, InMemoryTransport, NackReason};
+    use crate::{FaultConfig, FaultPlan, GlobalModel, InMemoryTransport, NackReason};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -1097,6 +972,30 @@ mod tests {
             .iter()
             .flat_map(|(_, t)| t.data().iter().map(|v| v.to_bits()))
             .collect()
+    }
+
+    /// `n` seat links: the agents' ends and the runtime's ends.
+    fn seat_links(n: usize) -> (Vec<InMemoryTransport>, Vec<Box<dyn Transport>>) {
+        (0..n)
+            .map(|_| {
+                let (agent_end, runtime_end) = InMemoryTransport::pair();
+                (agent_end, Box::new(runtime_end) as Box<dyn Transport>)
+            })
+            .unzip()
+    }
+
+    /// Drains every seat link through the daemons' admission check and
+    /// returns the control traffic: the gossip collect without a
+    /// coordinator state machine.
+    fn collect(mesh: &mut GossipMesh, links: &[Box<dyn Transport>]) -> Vec<(usize, Message)> {
+        let mut control = Vec::new();
+        for (peer, link) in links.iter().enumerate() {
+            while let Some(message) = link.recv().unwrap() {
+                let admitted = mesh.admit(link.as_ref(), peer, message).unwrap();
+                control.extend(admitted.map(|message| (peer, message)));
+            }
+        }
+        control
     }
 
     #[test]
@@ -1149,15 +1048,16 @@ mod tests {
         assert!(Topology::Gossip { fanout: 0 }.validate(3).is_err());
     }
 
-    /// Pins the oversized-fanout rejection: `GossipMesh::new` would clamp
-    /// `fanout >= n` to `n - 1` silently, so before this check a scenario
-    /// could report a fabric it never got. The spec must *be* the topology.
+    /// Pins the oversized-fanout rejection: the mesh constructor does not
+    /// clamp `fanout >= n`, so validation is what keeps a scenario from
+    /// asking for a ring with self-links or doubled links. The spec must
+    /// *be* the topology.
     #[test]
     fn gossip_fanout_beyond_the_mesh_is_rejected_at_validation() {
         // fanout == n - 1 is the complete mesh and stays valid…
         assert!(Topology::Gossip { fanout: 2 }.validate(3).is_ok());
-        // …fanout == n (what the constructor used to clamp) is not, and
-        // neither is anything above it.
+        // …fanout == n (each peer's last out-link would loop back to
+        // itself) is not, and neither is anything above it.
         assert!(Topology::Gossip { fanout: 3 }.validate(3).is_err());
         assert!(Topology::Gossip { fanout: 17 }.validate(3).is_err());
         // A single-client "mesh" has no possible neighbour at all.
@@ -1397,6 +1297,36 @@ mod tests {
         assert_eq!(reason, NackReason::StragglerDeadline);
     }
 
+    /// The idle drain polls only the member links that hold traffic: with
+    /// a partition drawn on every poll, one queued Join draws exactly one
+    /// partition fate, whatever the number of members.
+    #[test]
+    fn edge_idle_drain_polls_only_members_holding_traffic() {
+        let plan = FaultPlan::new(FaultConfig {
+            partition: 1.0,
+            partition_sweeps: 1,
+            ..FaultConfig::default()
+        })
+        .unwrap();
+        let (edge_end, _root_end) = InMemoryTransport::pair();
+        let mut edge =
+            EdgeAggregator::new(0, ParticipationPolicy::default(), Box::new(edge_end)).unwrap();
+        let mut agent_ends = Vec::new();
+        for client_id in 0..3usize {
+            let (agent_end, server_end) = InMemoryTransport::pair();
+            edge.attach_member(
+                client_id,
+                plan.wrap_seat(client_id, Box::new(server_end)),
+                0,
+            );
+            agent_ends.push(agent_end);
+        }
+        agent_ends[1].send(&Message::Join { client_id: 1 }).unwrap();
+        // The partition holds the Join back; the idle members draw nothing.
+        assert!(!edge.pump_idle().unwrap());
+        assert_eq!(plan.stats().partitions, 1);
+    }
+
     /// Downstream relays: root Nacks reach the addressed member, RoundEnd
     /// reaches every participant that did not leave.
     #[test]
@@ -1454,28 +1384,9 @@ mod tests {
     /// accept.
     #[test]
     fn gossip_daemon_refuses_spoofed_stale_and_duplicate_updates() {
-        let mut coordinators = Vec::new();
-        let mut agent_ends = Vec::new();
-        for _ in 0..2usize {
-            let (agent_end, runtime_end) = InMemoryTransport::pair();
-            coordinators.push(Box::new(runtime_end) as Box<dyn Transport>);
-            agent_ends.push(agent_end);
-        }
-        let mut mesh = GossipMesh::new(
-            TransportKind::InMemory,
-            UpdateCodec::Raw,
-            coordinators,
-            vec![0; 2],
-            1,
-        );
-        let broadcast = GlobalModel {
-            round: 0,
-            parameters: named(&[0.0, 0.0]),
-        };
-        mesh.open_round(&round_start(broadcast), &[0, 1]).unwrap();
-        for agent_end in &agent_ends {
-            agent_end.recv().unwrap(); // consume the broadcast
-        }
+        let (agent_ends, links) = seat_links(2);
+        let mut mesh = GossipMesh::new(TransportKind::InMemory, UpdateCodec::Raw, 2, 1);
+        mesh.open_round(0, &[0, 1]);
         // Peer 0's link carries: an update spoofing peer 1's id, a stale
         // update, its genuine update, and a conflicting duplicate.
         agent_ends[0]
@@ -1508,19 +1419,12 @@ mod tests {
                 shielded: Vec::new(),
             })
             .unwrap();
-        let mut control = Vec::new();
-        let mut sweep = 0;
-        loop {
-            let pump = mesh.pump_collect(sweep).unwrap();
-            control.extend(pump.control);
-            if !pump.delivered && !pump.pending_future {
-                break;
-            }
-            sweep += 1;
-        }
         // Nothing leaked to the coordinator's control path; the refusals
         // rode peer 0's own link.
-        assert!(control.is_empty(), "refused updates must not reach control");
+        assert!(
+            collect(&mut mesh, &links).is_empty(),
+            "refused updates must not reach control"
+        );
         let Some(Message::Nack {
             client_id: 0,
             reason: NackReason::Rejected(_),
@@ -1559,34 +1463,16 @@ mod tests {
     #[test]
     fn gossip_mesh_floods_and_folds_to_consensus() {
         let clients = 4usize;
-        let mut coordinators = Vec::new();
-        let mut agent_ends = Vec::new();
-        for _ in 0..clients {
-            let (agent_end, runtime_end) = InMemoryTransport::pair();
-            coordinators.push(Box::new(runtime_end) as Box<dyn Transport>);
-            agent_ends.push(agent_end);
-        }
-        let mut mesh = GossipMesh::new(
-            TransportKind::InMemory,
-            UpdateCodec::Raw,
-            coordinators,
-            vec![0; clients],
-            1,
-        );
+        let (agent_ends, links) = seat_links(clients);
+        let mut mesh = GossipMesh::new(TransportKind::InMemory, UpdateCodec::Raw, clients, 1);
         let initial = named(&[0.0, 0.0]);
-        let broadcast = GlobalModel {
-            round: 0,
-            parameters: initial.clone(),
-        };
         let participants: Vec<usize> = (0..clients).collect();
-        mesh.open_round(&round_start(broadcast), &participants)
-            .unwrap();
+        mesh.open_round(0, &participants);
 
         let updates: Vec<ModelUpdate> = (0..clients)
             .map(|id| update(id, 0, 10 + id, id as f32 - 1.5))
             .collect();
         for (agent_end, u) in agent_ends.iter().zip(&updates) {
-            agent_end.recv().unwrap(); // consume the broadcast
             agent_end
                 .send(&Message::Update {
                     update: u.clone(),
@@ -1600,16 +1486,7 @@ mod tests {
                 })
                 .unwrap();
         }
-        let mut control = Vec::new();
-        let mut sweep = 0;
-        loop {
-            let pump = mesh.pump_collect(sweep).unwrap();
-            control.extend(pump.control);
-            if !pump.delivered && !pump.pending_future {
-                break;
-            }
-            sweep += 1;
-        }
+        let control = collect(&mut mesh, &links);
         assert_eq!(control.len(), clients, "one control frame per peer");
 
         let exchanged = mesh.exchange().unwrap();
