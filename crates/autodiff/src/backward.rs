@@ -93,11 +93,15 @@ impl Graph {
         for index in (0..=loss.index()).rev() {
             let id = NodeId::new(index);
             let node = self.node(id)?;
-            let Some(grad_out) = adjoints.get(&id).cloned() else {
-                continue;
-            };
             let Some(backward) = node.backward_fn() else {
                 continue; // Leaf node: nothing to propagate further.
+            };
+            // Every child has already propagated, so this adjoint is final.
+            // It leaves the map while the closure borrows it and goes back
+            // afterwards (the shield reads intermediate adjoints), so it is
+            // never copied.
+            let Some(grad_out) = adjoints.remove(&id) else {
+                continue;
             };
             let parent_values: Vec<&Tensor> = node
                 .parents()
@@ -110,6 +114,7 @@ impl Graph {
                 output_value: node.value(),
             };
             let parent_grads = backward(&ctx)?;
+            adjoints.insert(id, grad_out);
             debug_assert_eq!(parent_grads.len(), node.parents().len());
             for (&parent, grad) in node.parents().iter().zip(parent_grads) {
                 // Constants never accumulate gradients.

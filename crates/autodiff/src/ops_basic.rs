@@ -131,20 +131,6 @@ impl Graph {
         )
     }
 
-    /// Multiplies by a compile-time scalar: `a * s`.
-    ///
-    /// # Errors
-    /// Returns an error if the node id is invalid.
-    pub fn mul_scalar(&mut self, a: NodeId, s: f32) -> Result<NodeId> {
-        let value = self.value(a)?.mul_scalar(s);
-        self.push_op(
-            "mul_scalar",
-            value,
-            vec![a],
-            Box::new(move |ctx| Ok(vec![ctx.grad_output.mul_scalar(s)])),
-        )
-    }
-
     /// Rectified linear unit.
     ///
     /// # Errors
@@ -212,29 +198,6 @@ impl Graph {
                 let y = ctx.output_value;
                 let dy = y.mul(&y.neg().add_scalar(1.0))?;
                 Ok(vec![ctx.grad_output.mul(&dy)?])
-            }),
-        )
-    }
-
-    /// Numerically stable softmax along the last axis.
-    ///
-    /// # Errors
-    /// Returns an error if the node id is invalid or the tensor is empty.
-    pub fn softmax(&mut self, a: NodeId) -> Result<NodeId> {
-        let value = self.value(a)?.softmax_last_axis()?;
-        self.push_op(
-            "softmax",
-            value,
-            vec![a],
-            Box::new(|ctx| {
-                // dL/dx = y ⊙ (dL/dy − Σ_last(dL/dy ⊙ y)).
-                let y = ctx.output_value;
-                let g = ctx.grad_output;
-                let gy = g.mul(y)?;
-                let last_axis = y.rank() - 1;
-                let sum = gy.sum_axis(last_axis, true)?;
-                let dx = y.mul(&g.sub(&sum)?)?;
-                Ok(vec![dx])
             }),
         )
     }
@@ -366,7 +329,8 @@ mod tests {
     fn scalar_ops_and_neg_gradients() {
         let mut g = Graph::new();
         let x = g.input(Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap(), "x");
-        let y = g.mul_scalar(x, 3.0).unwrap();
+        let three = g.constant(Tensor::full(&[2], 3.0));
+        let y = g.mul(x, three).unwrap();
         let z = g.add_scalar(y, 1.0).unwrap();
         let n = g.neg(z).unwrap();
         let loss = g.sum_all(n).unwrap();
@@ -378,13 +342,17 @@ mod tests {
     fn softmax_and_log_softmax_gradients_numerically() {
         let mut seeds = SeedStream::new(102);
         let mut rng = seeds.derive("softmax");
-        let x = Tensor::rand_uniform(&[2, 5], -1.0, 1.0, &mut rng);
+        let x = Tensor::rand_uniform(&[1, 2, 5], -1.0, 1.0, &mut rng);
         // Use a weighted sum so the gradient is not identically zero (softmax
         // rows sum to one, so an unweighted sum has zero gradient).
-        let weights = Tensor::rand_uniform(&[2, 5], 0.0, 1.0, &mut rng);
+        let weights = Tensor::rand_uniform(&[1, 2, 5], 0.0, 1.0, &mut rng);
         let w2 = weights.clone();
+        // The softmax runs through `attention_probs` against identity keys,
+        // whose scores `x·Iᵀ` are exactly `x`.
+        let identity = Tensor::eye(5).reshape(&[1, 5, 5]).unwrap();
         check_input_gradient(&x, 5e-2, move |g, xid| {
-            let s = g.softmax(xid)?;
+            let keys = g.constant(identity.clone());
+            let s = g.attention_probs(xid, keys, 1.0)?;
             let w = g.constant(weights.clone());
             let weighted = g.mul(s, w)?;
             g.sum_all(weighted)

@@ -1,5 +1,5 @@
-//! Matrix-product graph ops: `matmul`, batched `matmul` and the fused
-//! `linear` layer primitive.
+//! Matrix-product graph ops: `matmul`, batched `matmul`, the attention
+//! probabilities and the fused `linear` layer primitive.
 
 use crate::node::NodeId;
 use crate::{Graph, Result};
@@ -50,26 +50,40 @@ impl Graph {
         )
     }
 
-    /// Batched `A · Bᵀ` of rank-3 nodes: `[b, m, k] × [b, n, k] → [b, m, n]`
-    /// — the per-head `Q·Kᵀ` attention primitive, fused so the key tensor is
-    /// never permuted.
+    /// Attention probabilities `softmax(scale · q·kᵀ)` of rank-3 nodes:
+    /// `q` `[b, t, d]` and `k` `[b, s, d]` give `[b, t, s]`, the softmax taken
+    /// along the last axis.
+    ///
+    /// The node stores only the probabilities: the scores `q·kᵀ` are
+    /// computed into a buffer that becomes the probabilities in place
+    /// ([`pelta_tensor::Tensor::into_scaled_softmax`]), and the backward
+    /// pass needs only the probabilities, `q` and `k`. Every operation runs
+    /// in the order of the unfused chain (batched `q·kᵀ`, scale, softmax),
+    /// so the value and both gradients have that chain's bits.
     ///
     /// # Errors
-    /// Returns an error on rank, batch or inner-dimension mismatch.
-    pub fn batch_matmul_nt(&mut self, a: NodeId, b: NodeId) -> Result<NodeId> {
-        let value = self.value(a)?.batch_matmul_nt(self.value(b)?)?;
+    /// Returns an error on rank, batch or inner-dimension mismatch, or if
+    /// the scores are empty.
+    pub fn attention_probs(&mut self, q: NodeId, k: NodeId, scale: f32) -> Result<NodeId> {
+        let value = self
+            .value(q)?
+            .batch_matmul_nt(self.value(k)?)?
+            .into_scaled_softmax(scale)?;
         self.push_op(
-            "batch_matmul_nt",
+            "attention_probs",
             value,
-            vec![a, b],
-            Box::new(|ctx| {
-                let a_val = ctx.parent_values[0];
-                let b_val = ctx.parent_values[1];
-                let g = ctx.grad_output;
-                // y = A Bᵀ ⇒ dL/dA = G B ; dL/dB = Gᵀ A.
-                let ga = g.batch_matmul(b_val)?;
-                let gb = g.batch_matmul_tn(a_val)?;
-                Ok(vec![ga, gb])
+            vec![q, k],
+            Box::new(move |ctx| {
+                let q_val = ctx.parent_values[0];
+                let k_val = ctx.parent_values[1];
+                // dS = (y ⊙ (G − Σ G⊙y)) · scale is the gradient of the
+                // scores S = q kᵀ, so dL/dq = dS k and dL/dk = dSᵀ q.
+                let ds = ctx
+                    .output_value
+                    .scaled_softmax_backward(ctx.grad_output, scale)?;
+                let gq = ds.batch_matmul(k_val)?;
+                let gk = ds.batch_matmul_tn(q_val)?;
+                Ok(vec![gq, gk])
             }),
         )
     }
@@ -179,34 +193,83 @@ mod tests {
     }
 
     #[test]
-    fn batch_matmul_nt_matches_permuted_composition_and_gradients() {
+    fn attention_probs_gradients_numerically() {
         let mut seeds = SeedStream::new(205);
-        let mut rng = seeds.derive("batch_matmul_nt");
+        let mut rng = seeds.derive("attention_probs");
         let q = Tensor::rand_uniform(&[2, 3, 4], -1.0, 1.0, &mut rng);
         let k = Tensor::rand_uniform(&[2, 5, 4], -1.0, 1.0, &mut rng);
-
-        // Value matches batch_matmul against the explicit permute.
-        let mut g = Graph::new();
-        let qid = g.input(q.clone(), "q");
-        let kid = g.parameter(k.clone(), "k");
-        let fused = g.batch_matmul_nt(qid, kid).unwrap();
-        let expected = q.batch_matmul(&k.permute(&[0, 2, 1]).unwrap()).unwrap();
-        assert_eq!(g.value(fused).unwrap(), &expected);
-
-        // Both gradients check out numerically.
-        let k1 = k.clone();
-        check_input_gradient(&q, 5e-2, |g, qid| {
+        // A weighted sum, because the rows of a softmax sum to one and an
+        // unweighted sum has zero gradient.
+        let weights = Tensor::rand_uniform(&[2, 3, 5], 0.0, 1.0, &mut rng);
+        let (k1, w1) = (k.clone(), weights.clone());
+        check_input_gradient(&q, 5e-2, move |g, qid| {
             let kid = g.parameter(k1.clone(), "k");
-            let y = g.batch_matmul_nt(qid, kid)?;
-            g.sum_all(y)
+            let probs = g.attention_probs(qid, kid, 0.5)?;
+            let w = g.constant(w1.clone());
+            let weighted = g.mul(probs, w)?;
+            g.sum_all(weighted)
         });
         let q2 = q.clone();
         check_parameter_gradient(&k, "k", 5e-2, move |g, k_current| {
             let qid = g.input(q2.clone(), "q");
             let kid = g.parameter(k_current.clone(), "k");
-            let y = g.batch_matmul_nt(qid, kid)?;
-            g.sum_all(y)
+            let probs = g.attention_probs(qid, kid, 0.5)?;
+            let w = g.constant(weights.clone());
+            let weighted = g.mul(probs, w)?;
+            g.sum_all(weighted)
         });
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The node's value and both parent gradients equal the unfused
+    /// tensor-level chain bit for bit: `batch_matmul_nt`, `mul_scalar`,
+    /// `softmax_last_axis`, and the softmax backward `y ⊙ (g − Σ g⊙y)`
+    /// followed by the scale and the two products.
+    #[test]
+    fn attention_probs_matches_the_tensor_chain_bit_for_bit() {
+        let mut seeds = SeedStream::new(206);
+        let mut rng = seeds.derive("attention_probs_bits");
+        let scale = 1.0 / 8.0f32.sqrt();
+        for t in [1, 65] {
+            let q = Tensor::rand_uniform(&[3, t, 8], -2.0, 2.0, &mut rng);
+            let mut k = Tensor::rand_uniform(&[3, t, 8], -2.0, 2.0, &mut rng);
+            // Slice 1: every key equal, so each row of scores ties at its
+            // maximum.
+            let key = k.data()[t * 8..t * 8 + 8].to_vec();
+            for row in k.data_mut()[t * 8..2 * t * 8].chunks_exact_mut(8) {
+                row.copy_from_slice(&key);
+            }
+            let upstream = Tensor::rand_uniform(&[3, t, t], -1.0, 1.0, &mut rng);
+
+            let mut g = Graph::new();
+            let qid = g.input(q.clone(), "q");
+            let kid = g.parameter(k.clone(), "k");
+            let probs = g.attention_probs(qid, kid, scale).unwrap();
+            let w = g.constant(upstream.clone());
+            let weighted = g.mul(probs, w).unwrap();
+            let loss = g.sum_all(weighted).unwrap();
+            let grads = g.backward(loss).unwrap();
+
+            let y = q
+                .batch_matmul_nt(&k)
+                .unwrap()
+                .mul_scalar(scale)
+                .softmax_last_axis()
+                .unwrap();
+            assert_eq!(bits(g.value(probs).unwrap()), bits(&y), "value, t={t}");
+            let sum = upstream.mul(&y).unwrap().sum_axis(2, true).unwrap();
+            let ds = y
+                .mul(&upstream.sub(&sum).unwrap())
+                .unwrap()
+                .mul_scalar(scale);
+            let gq = ds.batch_matmul(&k).unwrap();
+            let gk = ds.batch_matmul_tn(&q).unwrap();
+            assert_eq!(bits(grads.get(qid).unwrap()), bits(&gq), "dq, t={t}");
+            assert_eq!(bits(grads.get(kid).unwrap()), bits(&gk), "dk, t={t}");
+        }
     }
 
     #[test]

@@ -106,10 +106,9 @@ impl Module for MultiHeadAttention {
         let kh = self.split_heads(graph, k)?;
         let vh = self.split_heads(graph, v)?;
 
-        // scores = Q Kᵀ / sqrt(d_h), fused so K is never permuted.
-        let scores = graph.batch_matmul_nt(qh, kh)?;
-        let scaled = graph.mul_scalar(scores, 1.0 / (dh as f32).sqrt())?;
-        let probs = graph.softmax(scaled)?;
+        // probs = softmax(Q Kᵀ / sqrt(d_h)) in one node: K is never
+        // permuted and the scores are never stored.
+        let probs = graph.attention_probs(qh, kh, 1.0 / (dh as f32).sqrt())?;
         graph.set_tag(probs, &self.attn_probs_tag())?;
 
         let context = graph.batch_matmul(probs, vh)?;

@@ -9,16 +9,24 @@
 //! element is loaded once per block rather than once per multiply (the naive
 //! i-k-j loop stores and reloads the output row on every `k` step).
 //!
+//! Products with `m·k·n ≤ 48³` skip the packing and run a small GEMM that
+//! holds a block of up to `4 × 16` outputs in registers across the whole `k`
+//! loop.
+//!
 //! # Determinism
 //!
 //! Every output element accumulates its `k` products in strictly ascending
 //! order: `KC` blocks are visited sequentially and the micro-kernel walks
 //! `p = 0..kc` in order. Row blocks only partition *which* outputs a task
 //! owns, never the summation order, so results are bit-identical at any
-//! thread count on a given host. (They are *not* bitwise-identical to the
-//! scalar naive reference on FMA-capable CPUs — fused multiply-add rounds
-//! once per term instead of twice — which is why the property tests compare
-//! against the oracle with a tolerance.)
+//! thread count on a given host.
+//!
+//! The two paths round differently. The packed path fuses each term's
+//! multiply and add (every micro-kernel, the portable one included), so it
+//! is *not* bitwise-identical to the scalar naive reference, which rounds
+//! twice per term; the property tests compare it with a tolerance. The
+//! small GEMM multiplies and then adds on every path, so it has the bits of
+//! [`super::reference::naive_matmul`] on every host.
 
 use std::cell::RefCell;
 use std::thread::LocalKey;
@@ -73,10 +81,17 @@ const KC: usize = 256;
 const NC: usize = 4096;
 
 /// Below this `m·k·n` product the packing and task setup cost more than they
-/// save; a plain register-free triple loop is used instead. The threshold
-/// depends only on the operand shapes, never on the thread count, so the
-/// chosen path (and therefore the rounding) is stable for a given problem.
+/// save; the unpacked [`small_gemm`] is used instead. The threshold depends
+/// only on the operand shapes, never on the thread count, so the chosen path
+/// (and therefore the rounding) is stable for a given problem.
 const SMALL_GEMM_FLOPS: usize = 48 * 48 * 48;
+/// Output rows one small-GEMM block keeps in registers.
+const SMALL_ROWS: usize = 4;
+/// Width of a full small-GEMM block: one 512-bit lane on AVX-512.
+const SMALL_WIDE: usize = 16;
+/// Width of the narrow blocks that follow the full ones, and of the
+/// zero-padded tail.
+const SMALL_NARROW: usize = 8;
 
 /// `out = op(A) · op(B)` (or `out += …` when `accumulate`), where
 /// `op(A)` is `[m, k]` and `op(B)` is `[k, n]`.
@@ -149,10 +164,13 @@ fn a_at(trans_a: bool, a: &[f32], m: usize, k: usize, i: usize, p: usize) -> f32
     }
 }
 
-/// Dense triple loop for small problems (accumulates into `out`). A
-/// transposed B is first copied `[k, n]` into the thread's B packing buffer,
-/// so the inner loop always reads a contiguous row of `op(B)`; each output
-/// still adds `a·b` products (multiply, then add) in ascending `p`.
+/// Unpacked GEMM for small problems (accumulates into `out`). A transposed B
+/// is first copied `[k, n]` into the thread's B packing buffer, so the
+/// kernel always reads a contiguous row of `op(B)`; the last `n % 8`
+/// columns of `op(B)` are also copied, zero-padded, into a `[k, 8]` panel
+/// there, so no column block reads a partial row. Each output starts from
+/// its current value and adds its `a·b` products (multiply, then add) in
+/// ascending `p`, which are the bits of the naive reference.
 #[allow(clippy::too_many_arguments)]
 fn small_gemm(
     trans_a: bool,
@@ -164,39 +182,203 @@ fn small_gemm(
     n: usize,
     out: &mut [f32],
 ) {
-    if !trans_b {
-        small_gemm_rows(trans_a, a, b, m, k, n, out);
-        return;
-    }
     with_pack_buffer(&PACK_B_BUF, |buf| {
-        ensure_len(buf, k * n);
-        let bt = &mut buf[..k * n];
-        for (j, b_row) in b.chunks_exact(k).enumerate() {
-            for (p, &v) in b_row.iter().enumerate() {
-                bt[p * n + j] = v;
+        let copy_len = if trans_b { k * n } else { 0 };
+        let panel_len = if n.is_multiple_of(SMALL_NARROW) {
+            0
+        } else {
+            k * SMALL_NARROW
+        };
+        ensure_len(buf, copy_len + panel_len);
+        let (bt, tail) = buf[..copy_len + panel_len].split_at_mut(copy_len);
+        let b = if trans_b {
+            for (j, b_row) in b.chunks_exact(k).enumerate() {
+                for (p, &v) in b_row.iter().enumerate() {
+                    bt[p * n + j] = v;
+                }
             }
-        }
-        small_gemm_rows(trans_a, a, bt, m, k, n, out);
+            &*bt
+        } else {
+            b
+        };
+        fill_tail_panel(b, n, tail);
+        small_gemm_rows(trans_a, a, b, tail, m, k, n, out);
     });
 }
 
-/// The i–p–j loop of [`small_gemm`] over a row-major `[k, n]` B.
+/// Copies the last `n % 8` columns of the row-major `[k, n]` `b` into
+/// `panel` as `[k, 8]` rows, zero-padded (nothing when `panel` is empty).
+fn fill_tail_panel(b: &[f32], n: usize, panel: &mut [f32]) {
+    let full = n - n % SMALL_NARROW;
+    for (panel_row, b_row) in panel.chunks_exact_mut(SMALL_NARROW).zip(b.chunks_exact(n)) {
+        for (c, v) in panel_row.iter_mut().enumerate() {
+            *v = if full + c < n { b_row[full + c] } else { 0.0 };
+        }
+    }
+}
+
+/// The small GEMM over a row-major `[k, n]` B and the `[k, 8]` panel of its
+/// zero-padded last `n % 8` columns (empty when there are none).
+///
+/// Dispatches to the body compiled for AVX-512 or AVX2 when the CPU supports
+/// them (the checks are cached by `std`), as [`micro_kernel`] does. No path
+/// fuses a multiply with its add, so every path gives the same bits.
+#[allow(clippy::too_many_arguments)]
 fn small_gemm_rows(
     trans_a: bool,
     a: &[f32],
     b: &[f32],
+    tail: &[f32],
     m: usize,
     k: usize,
     n: usize,
     out: &mut [f32],
 ) {
-    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
-        for (p, b_row) in b.chunks_exact(n).enumerate() {
-            let av = a_at(trans_a, a, m, k, i, p);
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the required target feature was just detected.
+            return unsafe { small_gemm_rows_avx512(trans_a, a, b, tail, m, k, n, out) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the required target feature was just detected.
+            return unsafe { small_gemm_rows_avx2(trans_a, a, b, tail, m, k, n, out) };
+        }
+    }
+    small_gemm_rows_body(trans_a, a, b, tail, m, k, n, out);
+}
+
+/// [`small_gemm_rows_body`] compiled for AVX-512.
+///
+/// # Safety
+/// The caller must have verified `avx512f` support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn small_gemm_rows_avx512(
+    trans_a: bool,
+    a: &[f32],
+    b: &[f32],
+    tail: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    small_gemm_rows_body(trans_a, a, b, tail, m, k, n, out);
+}
+
+/// [`small_gemm_rows_body`] compiled for AVX2.
+///
+/// # Safety
+/// The caller must have verified `avx2` support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn small_gemm_rows_avx2(
+    trans_a: bool,
+    a: &[f32],
+    b: &[f32],
+    tail: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    small_gemm_rows_body(trans_a, a, b, tail, m, k, n, out);
+}
+
+/// Walks the output in blocks of [`SMALL_ROWS`] rows (single rows for the
+/// remainder).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn small_gemm_rows_body(
+    trans_a: bool,
+    a: &[f32],
+    b: &[f32],
+    tail: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    let mut i0 = 0;
+    while i0 + SMALL_ROWS <= m {
+        small_row_block::<SMALL_ROWS>(trans_a, a, b, tail, m, k, n, i0, out);
+        i0 += SMALL_ROWS;
+    }
+    for i in i0..m {
+        small_row_block::<1>(trans_a, a, b, tail, m, k, n, i, out);
+    }
+}
+
+/// The `R` output rows starting at `i0`, in [`SMALL_WIDE`]-wide column
+/// blocks, then [`SMALL_NARROW`]-wide ones, then one block over the
+/// zero-padded `tail` panel.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn small_row_block<const R: usize>(
+    trans_a: bool,
+    a: &[f32],
+    b: &[f32],
+    tail: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    i0: usize,
+    out: &mut [f32],
+) {
+    let a = (trans_a, a, m, k);
+    let mut j0 = 0;
+    while j0 + SMALL_WIDE <= n {
+        small_tile::<R, SMALL_WIDE>(a, b, n, j0, out, n, i0, j0, SMALL_WIDE);
+        j0 += SMALL_WIDE;
+    }
+    while j0 + SMALL_NARROW <= n {
+        small_tile::<R, SMALL_NARROW>(a, b, n, j0, out, n, i0, j0, SMALL_NARROW);
+        j0 += SMALL_NARROW;
+    }
+    if j0 < n {
+        small_tile::<R, SMALL_NARROW>(a, tail, SMALL_NARROW, 0, out, n, i0, j0, n - j0);
+    }
+}
+
+/// One `R × W` block of outputs at `(i0, j0)`, of which the first `width`
+/// columns are real, against columns `b_col..b_col + W` of a B stored with
+/// row stride `b_stride`; `a` is `(trans_a, a, m, k)` as [`a_at`] takes
+/// them. The block is loaded into local accumulators, takes every `p` in
+/// ascending order as one multiply and then one add, and is stored once;
+/// lanes past `width` are dropped.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn small_tile<const R: usize, const W: usize>(
+    (trans_a, a, m, k): (bool, &[f32], usize, usize),
+    b: &[f32],
+    b_stride: usize,
+    b_col: usize,
+    out: &mut [f32],
+    n: usize,
+    i0: usize,
+    j0: usize,
+    width: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        let start = (i0 + r) * n + j0;
+        acc_row[..width].copy_from_slice(&out[start..start + width]);
+    }
+    for (p, b_row) in b.chunks_exact(b_stride).enumerate() {
+        let bv = &b_row[b_col..b_col + W];
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let av = a_at(trans_a, a, m, k, i0 + r, p);
+            for (o, &x) in acc_row.iter_mut().zip(bv) {
+                *o += av * x;
             }
         }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let start = (i0 + r) * n + j0;
+        out[start..start + width].copy_from_slice(&acc_row[..width]);
     }
 }
 
@@ -318,7 +500,8 @@ unsafe fn multiply_block(
 /// (the checks are cached by `std`); the choice depends on the machine,
 /// never on the thread count, so a given host always computes identical
 /// results. Every path accumulates each output element in the same ascending
-/// `p` order.
+/// `p` order with one fused multiply-add per term, so the paths agree bit
+/// for bit.
 #[inline(always)]
 fn micro_kernel(kc: usize, a_tile: &[f32], b_tile: &[f32]) -> [[f32; NR]; MR] {
     #[cfg(target_arch = "x86_64")]
@@ -341,9 +524,10 @@ fn micro_kernel(kc: usize, a_tile: &[f32], b_tile: &[f32]) -> [[f32; NR]; MR] {
     micro_kernel_generic(kc, a_tile, b_tile)
 }
 
-/// Portable micro-kernel; the fixed-size accumulator array vectorises on any
-/// SIMD width the target offers. Works on one 16-column half at a time to
-/// keep the live accumulator set small.
+/// Portable micro-kernel. Works on one 16-column half at a time to keep the
+/// live accumulator set small. Each term is one fused multiply-add, as in
+/// the AVX kernels, so every kernel gives the same bits; on a target without
+/// hardware FMA, `f32::mul_add` is a (slow) library call.
 fn micro_kernel_generic(kc: usize, a_tile: &[f32], b_tile: &[f32]) -> [[f32; NR]; MR] {
     let mut out = [[0.0f32; NR]; MR];
     for half in [0, NR_HALF] {
@@ -356,7 +540,7 @@ fn micro_kernel_generic(kc: usize, a_tile: &[f32], b_tile: &[f32]) -> [[f32; NR]
             for r in 0..MR {
                 let av = a[r];
                 for c in 0..NR_HALF {
-                    acc[r][c] += av * b[c];
+                    acc[r][c] = av.mul_add(b[c], acc[r][c]);
                 }
             }
         }
@@ -561,6 +745,129 @@ pub fn batch_gemm(
                 &mut out[bi * m * n..(bi + 1) * m * n],
                 false,
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    type MicroKernel = fn(usize, &[f32], &[f32]) -> [[f32; NR]; MR];
+    type SmallGemm = fn(bool, &[f32], &[f32], &[f32], usize, usize, usize, &mut [f32]);
+
+    /// The micro-kernels this CPU runs besides the portable one.
+    fn offered_micro_kernels() -> Vec<(&'static str, MicroKernel)> {
+        let mut kernels: Vec<(&'static str, MicroKernel)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the required target feature was detected above.
+                kernels.push(("avx512f", |kc, a, b| unsafe {
+                    micro_kernel_avx512(kc, a, b)
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                kernels.push(("avx2+fma", |kc, a, b| {
+                    let mut out = [[0.0f32; NR]; MR];
+                    // SAFETY: the required target features were detected above.
+                    unsafe {
+                        micro_kernel_fma_half(kc, a, b, 0, &mut out);
+                        micro_kernel_fma_half(kc, a, b, NR_HALF, &mut out);
+                    }
+                    out
+                }));
+            }
+        }
+        kernels
+    }
+
+    /// The small-GEMM bodies this CPU runs besides the plain one.
+    fn offered_small_gemms() -> Vec<(&'static str, SmallGemm)> {
+        let mut paths: Vec<(&'static str, SmallGemm)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the required target feature was detected above.
+                paths.push(("avx512f", |ta, a, b, tail, m, k, n, out| unsafe {
+                    small_gemm_rows_avx512(ta, a, b, tail, m, k, n, out)
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the required target feature was detected above.
+                paths.push(("avx2", |ta, a, b, tail, m, k, n, out| unsafe {
+                    small_gemm_rows_avx2(ta, a, b, tail, m, k, n, out)
+                }));
+            }
+        }
+        paths
+    }
+
+    fn uniform(rng: &mut ChaCha8Rng, len: usize) -> Vec<f32> {
+        (0..len).map(|_| rng.gen_range(-4.0f32..4.0)).collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every micro-kernel this CPU runs gives the portable kernel's bits, on
+    /// 50 random tile pairs at each depth (32 000 outputs in all).
+    #[test]
+    fn every_micro_kernel_matches_the_portable_one() {
+        let kernels = offered_micro_kernels();
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        for kc in [1, 7, 16, 65, 256] {
+            for _ in 0..50 {
+                let a_tile = uniform(&mut rng, kc * MR);
+                let b_tile = uniform(&mut rng, kc * NR);
+                let portable = micro_kernel_generic(kc, &a_tile, &b_tile);
+                for (name, kernel) in &kernels {
+                    let out = kernel(kc, &a_tile, &b_tile);
+                    assert_eq!(
+                        bits(out.as_flattened()),
+                        bits(portable.as_flattened()),
+                        "{name}, kc={kc}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every small-GEMM body this CPU runs gives the plain body's bits, over
+    /// shapes that hit every row and column block edge, from a non-zero
+    /// starting output.
+    #[test]
+    fn every_small_gemm_path_matches_the_plain_one() {
+        let paths = offered_small_gemms();
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        for trans_a in [false, true] {
+            for m in [1, 3, 4, 5, 8, 9, 65] {
+                for n in [1, 7, 8, 9, 15, 16, 17, 24, 25, 33, 65] {
+                    for k in [1, 8, 65] {
+                        let a = uniform(&mut rng, m * k);
+                        let b = uniform(&mut rng, k * n);
+                        let start = uniform(&mut rng, m * n);
+                        let mut tail = vec![0.0f32; k * SMALL_NARROW];
+                        fill_tail_panel(&b, n, &mut tail);
+                        let mut plain = start.clone();
+                        small_gemm_rows_body(trans_a, &a, &b, &tail, m, k, n, &mut plain);
+                        for (name, path) in &paths {
+                            let mut out = start.clone();
+                            path(trans_a, &a, &b, &tail, m, k, n, &mut out);
+                            assert_eq!(
+                                bits(&out),
+                                bits(&plain),
+                                "{name}, m={m} k={k} n={n} trans_a={trans_a}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

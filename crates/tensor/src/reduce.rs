@@ -236,31 +236,79 @@ impl Tensor {
         ))
     }
 
-    /// Numerically stable softmax along the last axis.
+    /// Numerically stable softmax along the last axis:
+    /// [`Tensor::into_scaled_softmax`] at scale 1, which is exact (`x·1 = x`).
     ///
     /// # Errors
     /// Returns [`TensorError::EmptyTensor`] for empty tensors.
     pub fn softmax_last_axis(&self) -> Result<Tensor> {
+        self.clone().into_scaled_softmax(1.0)
+    }
+
+    /// `softmax(scale · self)` along the last axis, computed in place. Each
+    /// row multiplies every element by `scale`, takes the row maximum, sums
+    /// `exp(x − max)` in ascending order from +0.0 and divides each
+    /// exponential by that sum.
+    ///
+    /// # Errors
+    /// Returns [`TensorError::EmptyTensor`] for empty tensors.
+    pub fn into_scaled_softmax(mut self, scale: f32) -> Result<Tensor> {
         if self.numel() == 0 {
             return Err(TensorError::EmptyTensor { op: "softmax" });
         }
         let last = *self.dims().last().unwrap_or(&1);
-        let rows = self.numel() / last;
-        let mut out = vec![0.0f32; self.numel()];
-        for r in 0..rows {
-            let row = &self.data()[r * last..(r + 1) * last];
+        for row in self.data_mut().chunks_exact_mut(last) {
+            for x in row.iter_mut() {
+                *x *= scale;
+            }
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut denom = 0.0f32;
-            for (i, &x) in row.iter().enumerate() {
-                let e = (x - max).exp();
-                out[r * last + i] = e;
-                denom += e;
+            for x in row.iter_mut() {
+                *x = (*x - max).exp();
+                denom += *x;
             }
-            for i in 0..last {
-                out[r * last + i] /= denom;
+            for x in row.iter_mut() {
+                *x /= denom;
             }
         }
-        Tensor::from_vec(out, self.dims())
+        Ok(self)
+    }
+
+    /// The vector–Jacobian product of [`Tensor::into_scaled_softmax`]: with
+    /// `self` the probabilities `y` and `grad` the upstream gradient `g` of
+    /// the same shape, returns `(y ⊙ (g − Σ g⊙y)) · scale`, the gradient with
+    /// respect to the unscaled input. Each row's `Σ g⊙y` adds its products
+    /// in ascending order from +0.0.
+    ///
+    /// # Errors
+    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
+    pub fn scaled_softmax_backward(&self, grad: &Tensor, scale: f32) -> Result<Tensor> {
+        if self.dims() != grad.dims() {
+            return Err(TensorError::ShapeMismatch {
+                op: "scaled_softmax_backward",
+                lhs: self.dims().to_vec(),
+                rhs: grad.dims().to_vec(),
+            });
+        }
+        let mut out = grad.clone();
+        if out.numel() == 0 {
+            return Ok(out);
+        }
+        let last = *self.dims().last().unwrap_or(&1);
+        for (g, y) in out
+            .data_mut()
+            .chunks_exact_mut(last)
+            .zip(self.data().chunks_exact(last))
+        {
+            let mut dot = 0.0f32;
+            for (&gi, &yi) in g.iter().zip(y) {
+                dot += gi * yi;
+            }
+            for (gi, &yi) in g.iter_mut().zip(y) {
+                *gi = yi * (*gi - dot) * scale;
+            }
+        }
+        Ok(out)
     }
 
     /// Numerically stable log-softmax along the last axis.
@@ -372,6 +420,68 @@ mod tests {
         for (a, b) in ls.data().iter().zip(s.data().iter()) {
             assert!((a - b.ln()).abs() < 1e-5);
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Rows of width 65 (a ViT's token count): random values, a row whose
+    /// maximum is tied, and a row holding ±0.0 and −∞.
+    fn softmax_rows() -> Tensor {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let mut t = Tensor::rand_uniform(&[4, 65], -6.0, 6.0, &mut rng);
+        let data = t.data_mut();
+        for (i, x) in data[65..130].iter_mut().enumerate() {
+            *x = if i % 3 == 0 { 2.5 } else { -1.0 };
+        }
+        data[130] = -0.0;
+        data[131] = 0.0;
+        data[132] = f32::NEG_INFINITY;
+        t
+    }
+
+    #[test]
+    fn scaled_softmax_matches_scale_then_softmax_bitwise() {
+        let x = softmax_rows();
+        for scale in [1.0, 0.353_553_38, 3.0] {
+            let fused = x.clone().into_scaled_softmax(scale).unwrap();
+            // The two-pass chain: scale every element, then softmax.
+            let mut expected = x.mul_scalar(scale).into_vec();
+            for row in expected.chunks_exact_mut(65) {
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
+                let denom = exps.iter().fold(0.0f32, |acc, &e| acc + e);
+                for (o, e) in row.iter_mut().zip(exps) {
+                    *o = e / denom;
+                }
+            }
+            assert_eq!(
+                bits(&fused),
+                bits(&Tensor::from_vec(expected, &[4, 65]).unwrap())
+            );
+        }
+    }
+
+    #[test]
+    fn scaled_softmax_backward_matches_the_tensor_chain_bitwise() {
+        use rand::SeedableRng;
+        // Not a power of two, so where the scale is applied shows in the bits.
+        let scale = 0.353_553_38;
+        let y = softmax_rows().into_scaled_softmax(scale).unwrap();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(6);
+        let mut g = Tensor::rand_uniform(&[4, 65], -1.0, 1.0, &mut rng);
+        // A row of −0.0 upstream gradients: its Σ g⊙y is +0.0 only because
+        // the sum starts from +0.0, and the sign reaches every output.
+        g.data_mut()[195..].fill(-0.0);
+        let fused = y.scaled_softmax_backward(&g, scale).unwrap();
+        let sum = g.mul(&y).unwrap().sum_axis(1, true).unwrap();
+        let expected = y.mul(&g.sub(&sum).unwrap()).unwrap().mul_scalar(scale);
+        assert_eq!(bits(&fused), bits(&expected));
+        assert!(y
+            .scaled_softmax_backward(&g.reshape(&[65, 4]).unwrap(), scale)
+            .is_err());
     }
 
     #[test]

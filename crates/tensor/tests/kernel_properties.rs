@@ -6,8 +6,8 @@
 //! shapes, strides and paddings — and against itself across thread counts,
 //! where the determinism contract requires **bitwise** identical results.
 //! The row-walking broadcast, broadcast-reduction, permutation and
-//! row-sum kernels, and the small GEMM's transposed-B path, must match
-//! their per-element references bitwise too.
+//! row-sum kernels, and the small GEMM in every transpose variant, must
+//! match their per-element references bitwise too.
 
 use pelta_tensor::kernels::{conv, gemm::gemm, reference};
 use pelta_tensor::pool::ThreadPool;
@@ -19,6 +19,9 @@ use rand_chacha::ChaCha8Rng;
 /// Absolute tolerance for fast-vs-naive comparisons (the FMA kernels round
 /// differently from the scalar reference).
 const TOL: f32 = 1e-4;
+
+/// The largest `m·k·n` that `gemm` sends to its unpacked small path.
+const SMALL_GEMM_FLOPS: usize = 48 * 48 * 48;
 
 fn assert_close(fast: &[f32], naive: &[f32], what: &str) {
     assert_eq!(fast.len(), naive.len(), "{what}: length mismatch");
@@ -379,31 +382,45 @@ proptest! {
         }
     }
 
-    /// Below the small-GEMM cutoff (every `m·k·n` here is under 48³),
-    /// `gemm` with a transposed B matches `gemm` on the explicitly
-    /// transposed B bit for bit, for either layout of A.
+    /// Below the small-GEMM cutoff, `gemm` has the bits of
+    /// `reference::naive_matmul` on the explicit transposes, for all four
+    /// transpose pairs. `m` and `n` reach past every row- and column-block
+    /// edge; each depth is capped so `m·k·n` stays within the cutoff. With
+    /// `accumulate`, a second product continues the first, so the two calls
+    /// must equal one naive product over the concatenated depth.
     #[test]
-    fn prop_small_gemm_trans_b_matches_explicit_transpose_bitwise(
-        m in 1usize..48,
-        k in 1usize..48,
-        n in 1usize..48,
-        trans_a in 0usize..2,
+    fn prop_small_gemm_matches_naive_matmul_bitwise(
+        m in 1usize..=70,
+        n in 1usize..=70,
+        k1 in 1usize..=64,
+        k2 in 1usize..=64,
+        trans_bits in 0usize..4,
+        accumulate in 0usize..2,
         seed in 0u64..1_000_000,
     ) {
-        let trans_a = trans_a == 1;
+        let (trans_a, trans_b) = (trans_bits & 1 != 0, trans_bits & 2 != 0);
+        let k_max = SMALL_GEMM_FLOPS / (m * n);
+        let calls = if accumulate == 1 { 2 } else { 1 };
+        let depths: Vec<usize> = [k1, k2][..calls].iter().map(|&k| k.min(k_max)).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a_dims = if trans_a { [k, m] } else { [m, k] };
-        let a = edge_tensor(&mut rng, &a_dims);
-        let b = edge_tensor(&mut rng, &[n, k]);
-        let b_t = b.transpose().unwrap();
         let pool = ThreadPool::new(1);
-        let mut packed = vec![0.0f32; m * n];
-        gemm(&pool, trans_a, a.data(), true, b.data(), m, k, n, &mut packed, false);
-        let mut plain = vec![0.0f32; m * n];
-        gemm(&pool, trans_a, a.data(), false, b_t.data(), m, k, n, &mut plain, false);
+        let mut out = vec![0.0f32; m * n];
+        let (mut a_parts, mut b_parts) = (Vec::new(), Vec::new());
+        for (call, &k) in depths.iter().enumerate() {
+            let a_dims = if trans_a { [k, m] } else { [m, k] };
+            let b_dims = if trans_b { [n, k] } else { [k, n] };
+            let a = edge_tensor(&mut rng, &a_dims);
+            let b = edge_tensor(&mut rng, &b_dims);
+            gemm(&pool, trans_a, a.data(), trans_b, b.data(), m, k, n, &mut out, call > 0);
+            a_parts.push(if trans_a { a.transpose().unwrap() } else { a });
+            b_parts.push(if trans_b { b.transpose().unwrap() } else { b });
+        }
+        let a_mat = Tensor::concat(&a_parts.iter().collect::<Vec<_>>(), 1).unwrap();
+        let b_mat = Tensor::concat(&b_parts.iter().collect::<Vec<_>>(), 0).unwrap();
+        let naive = reference::naive_matmul(&a_mat, &b_mat).unwrap();
         prop_assert!(
-            packed.to_bits_vec() == plain.to_bits_vec(),
-            "m={m} k={k} n={n} trans_a={trans_a}"
+            out.to_bits_vec() == naive.data().to_bits_vec(),
+            "m={m} n={n} depths={depths:?} trans_a={trans_a} trans_b={trans_b}"
         );
     }
 }
