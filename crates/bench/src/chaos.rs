@@ -28,15 +28,19 @@ pub const CHAOS_CLIENTS: usize = 6;
 /// Data seed for the soak shards.
 const DATA_SEED: u64 = 0x50AC;
 
-/// Tiny per-channel-mean defender so a faulted round costs microseconds and
-/// a multi-hundred-round soak stays tractable, while every seat still
-/// trains a distinct update on its own shard.
-struct ChannelHead {
+/// The tiny defender of every population-scale and fuzzing harness: global
+/// average pooling to per-channel means, then one `3 → 10` linear head (40
+/// parameters, tensors of 30 and 10 elements, nothing shielded). A faulted
+/// round costs microseconds, so a multi-hundred-round soak or a
+/// thousand-seat round stays tractable, while every seat still trains a
+/// distinct update on its own shard.
+pub struct ChannelHead {
     head: Linear,
 }
 
 impl ChannelHead {
-    fn new(rng: &mut ChaCha8Rng) -> Self {
+    /// A fresh head, initialised from `rng`.
+    pub fn new(rng: &mut ChaCha8Rng) -> Self {
         ChannelHead {
             head: Linear::new("channel_head", 3, 10, rng),
         }

@@ -60,7 +60,9 @@ pub use ablations::{
     ablation_substitute_budget, backdoor_defense, BackdoorReport, EnclaveBudgetReport,
     PriorFidelityReport, SoftwareStackReport, SubstituteBudgetReport,
 };
-pub use chaos::{chaos_fault_config, chaos_topologies, run_chaos, ChaosRun, CHAOS_CLIENTS};
+pub use chaos::{
+    chaos_fault_config, chaos_topologies, run_chaos, ChannelHead, ChaosRun, CHAOS_CLIENTS,
+};
 pub use defenders::{build_defenders, train_ensemble_members, ExperimentConfig, TrainedDefender};
 pub use report::{format_percent, TextTable};
 pub use secure::{run_secure_agg, SecureAggRun, SECURE_AGG_CLIENTS};

@@ -21,12 +21,23 @@
 //! draw (links do not get healthier because a frame is a retry), so
 //! recovery is probabilistic but budgeted and exactly reproducible.
 //!
-//! Faults only ever strike the frames a client *produces* towards the
-//! consensus point — `Update`, `AggregateUpdate` and the secure-aggregation
-//! [`Message::MaskShare`] *response* (a request carries no seeds and rides
-//! the clean server→client direction); control traffic (`Join`,
-//! `RoundStart`, `Nack`, …) passes clean, which keeps the protocol's round
-//! framing intact while its payloads suffer.
+//! The per-frame fates only ever strike the frames a client *produces*
+//! towards the consensus point — `Update`, `AggregateUpdate` and the
+//! secure-aggregation [`Message::MaskShare`] *response* (a request carries
+//! no seeds and rides the clean server→client direction); control traffic
+//! (`Join`, `Leave`, `Nack`, …) is never dropped, duplicated, corrupted or
+//! reordered, which keeps the protocol's round framing intact while its
+//! payloads suffer.
+//!
+//! A partition is a property of the link, not of a frame: while a window
+//! is open the wrapper holds **every** inbound frame, control frames
+//! included, and the sweep that polls the link waits for it. A window
+//! drawn at sweep `s` holds the link through sweep `s + partition_sweeps -
+//! 1`; its end instant `s + partition_sweeps` is open and draws no new
+//! window, so every partitioned link delivers a frame at least once every
+//! `partition_sweeps + 1` sweeps, even at partition rate 1.0. Every
+//! delivery phase, between rounds as in them, is a clocked sweep to
+//! quiescence, so a held `Join` or update always reaches its phase.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -95,7 +106,8 @@ pub struct FaultConfig {
     /// at most [`MAX_DELAY_SWEEPS`]).
     pub reorder_window: usize,
     /// Per-sweep probability a link goes dark for `partition_sweeps` sweeps
-    /// (traffic is delayed, not lost: the round's sweeps wait for it).
+    /// (traffic is delayed, not lost: the round's sweeps wait for it). No
+    /// window opens at the sweep another one ends, so the link heals there.
     pub partition: f32,
     /// Length of one partition window in sweeps (≥ 1 when `partition > 0`,
     /// and at most [`MAX_DELAY_SWEEPS`]).
@@ -422,7 +434,8 @@ struct LinkState {
     cached: BTreeMap<(usize, usize), CachedFrame>,
     /// Exclusive `(round, sweep)` end of the active partition window.
     partition_until: Option<(usize, usize)>,
-    /// Last `(round, sweep)` a partition draw was made at (one per sweep).
+    /// Last `(round, sweep)` a partition draw was made at (one per sweep)
+    /// or a window healed at (no draw there).
     partition_drawn: Option<(usize, usize)>,
 }
 
@@ -460,13 +473,19 @@ impl FaultyTransport {
     }
 
     /// Whether the link is inside (or just entered) a partition window at
-    /// the given time. Draws at most once per `(round, sweep)`.
+    /// the given time. Draws at most once per `(round, sweep)`, and never
+    /// at a window's exclusive end: that instant heals the link, so a
+    /// partitioned link opens at least once every `partition_sweeps + 1`
+    /// sweeps whatever the rate.
     fn partition_active(&self, state: &mut LinkState, now: (usize, usize)) -> bool {
         if let Some(until) = state.partition_until {
             if now < until {
                 return true;
             }
             state.partition_until = None;
+            if now == until {
+                state.partition_drawn = Some(now);
+            }
         }
         if self.config.partition <= 0.0 || state.partition_drawn == Some(now) {
             return false;
@@ -526,8 +545,8 @@ impl Transport for FaultyTransport {
     }
 
     fn recv(&self) -> Result<Option<Message>> {
-        // The unchecked path (idle pumping between rounds): a faulted frame
-        // here has no round context to Nack into, so it is simply lost.
+        // The unchecked path, which only the discard drains of a crashed or
+        // re-syncing edge take: a faulted frame is simply lost.
         loop {
             match self.recv_checked()? {
                 Delivery::Frame(message) => return Ok(Some(message)),

@@ -7,7 +7,7 @@
 //! [`Transport`] link; the server holds the other end. A round proceeds as
 //!
 //! 1. scheduled rejoins send [`Message::Join`]; all pending client→server
-//!    traffic is delivered;
+//!    traffic is delivered, in the same clocked sweeps as step 3;
 //! 2. the server samples participants ([`FedAvgServer::begin_round`]) and
 //!    the runtime broadcasts [`Message::RoundStart`] over their links;
 //! 3. seats step in parallel on the shared compute pool — training is
@@ -470,6 +470,28 @@ impl SweepLinks for SeatLinks<'_> {
     }
 }
 
+/// The frame of one sweep arrival. A damaged frame yields none: it burns
+/// a straggler-deadline slot while the server collects, and the sweep
+/// engine sends its refusal.
+fn arrived(server: &mut FedAvgServer, arrival: Arrival) -> Option<Message> {
+    match arrival {
+        Arrival::Frame(message) => Some(message),
+        Arrival::Damaged { sender, round } => {
+            server.deliver_corrupt(sender, round);
+            None
+        }
+    }
+}
+
+/// Delivers `message` to the server and sends its answers back over the
+/// link it came in on.
+fn answer(server: &mut FedAvgServer, link: &dyn Transport, message: &Message) -> Result<()> {
+    for response in server.deliver(message) {
+        link.send(&response)?;
+    }
+    Ok(())
+}
+
 impl Federation {
     /// Builds a federation from a [`ScenarioSpec`]: every seat plays the
     /// role the spec assigns it (honest by default), all speaking
@@ -917,14 +939,14 @@ impl Federation {
         })
     }
 
-    /// Delivers all pending client→server traffic outside a round (Join
-    /// handshakes, rejoins, stray RoundEnd acknowledgements) through the
-    /// topology fabric with the one idle drain, [`sweep::drain_idle`], on
-    /// the root's links: the seat links of a star or gossip fabric feed the
-    /// server directly; under a hierarchy the live edges first drain their
-    /// members into the uplinks, and afterwards relay the root's answers
-    /// down. The idle drain is not a sweep: it is unclocked and polls only
-    /// links that hold traffic (`docs/determinism.md` §3).
+    /// Delivers all pending client→server traffic between rounds (Join
+    /// handshakes, rejoins) through the topology fabric as one clocked
+    /// sweep phase from sweep 0 of the coming round, with the max-latency
+    /// floor (`docs/determinism.md` §3): the active seat links of a star or
+    /// gossip fabric feed the server directly; under a hierarchy the live
+    /// edges sweep their active members in lockstep, the root sweeps every
+    /// uplink on the member sweep's clock, and the edges relay the root's
+    /// answers down.
     fn pump_links(&mut self) -> Result<()> {
         let Federation {
             server,
@@ -933,40 +955,45 @@ impl Federation {
             faults,
             ..
         } = self;
-        loop {
-            let mut delivered = false;
-            let root: &mut dyn SweepLinks = match fabric {
-                Fabric::Star { links } | Fabric::Gossip { links, .. } => {
-                    &mut SeatLinks { links, seats }
-                }
-                Fabric::Hierarchical { edges, uplinks } => {
-                    for edge in edges.iter_mut() {
-                        // A dead edge relays nothing; its members' traffic
-                        // queues until the rejoin-round resync discards it.
-                        if !edge_dark(faults, edge.edge_id(), server.round()) {
-                            delivered |= edge.pump_idle()?;
+        let faults = &*faults;
+        let max_latency = seats.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
+        match fabric {
+            Fabric::Star { links } | Fabric::Gossip { links, .. } => {
+                let mut root = SeatLinks { links, seats };
+                let mut active = None;
+                sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
+                    sweep::sweep_active(&mut root, sweep, &mut active, |root, index, arrival| {
+                        match arrived(server, arrival) {
+                            Some(message) => answer(server, root.link(index), &message),
+                            None => Ok(()),
                         }
-                    }
-                    uplinks
-                }
-            };
-            delivered |= sweep::drain_idle(root, |root, index, message| {
-                for response in server.deliver(&message) {
-                    root.link(index).send(&response)?;
-                }
-                Ok(())
-            })?;
-            if let Fabric::Hierarchical { edges, .. } = fabric {
-                for edge in edges.iter_mut() {
-                    if !edge_dark(faults, edge.edge_id(), server.round()) {
-                        delivered |= edge.pump_downstream()? > 0;
-                    }
-                }
+                    })
+                })?;
             }
-            if !delivered {
-                return Ok(());
+            Fabric::Hierarchical { edges, uplinks } => {
+                let round = server.round();
+                let last_sweep = sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
+                    pump_live_edges(edges, faults, round, sweep)
+                })?;
+                let edge_count = uplinks.len();
+                sweep::run(faults.as_ref(), last_sweep, 0, |sweep| {
+                    sweep::sweep_every(uplinks, sweep, 0..edge_count, |uplinks, edge, arrival| {
+                        match arrived(server, arrival) {
+                            Some(message) => answer(server, uplinks.link(edge), &message),
+                            None => Ok(()),
+                        }
+                    })
+                })?;
+                // A dead edge relays nothing; its members' traffic queues
+                // until the rejoin-round resync discards it.
+                for edge in edges.iter_mut() {
+                    if !edge_dark(faults, edge.edge_id(), round) {
+                        edge.pump_downstream()?;
+                    }
+                }
             }
         }
+        Ok(())
     }
 
     /// Drains the round's update traffic through the fabric with the sweep
@@ -1009,12 +1036,8 @@ impl Federation {
                 let mut active = None;
                 sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
                     sweep::sweep_active(&mut star, sweep, &mut active, |star, index, arrival| {
-                        let message = match arrival {
-                            Arrival::Frame(message) => message,
-                            Arrival::Damaged { sender, round } => {
-                                server.deliver_corrupt(sender, round);
-                                return Ok(());
-                            }
+                        let Some(message) = arrived(server, arrival) else {
+                            return Ok(());
                         };
                         let (message, sealed) = reassemble(
                             server.parameters(),
@@ -1023,10 +1046,7 @@ impl Federation {
                             message,
                         )?;
                         shielded_bytes += sealed;
-                        for response in server.deliver(&message) {
-                            star.link(index).send(&response)?;
-                        }
-                        Ok(())
+                        answer(server, star.link(index), &message)
                     })
                 })?;
                 Ok((shielded_bytes, Vec::new(), 0, mask_stash))
@@ -1076,12 +1096,8 @@ impl Federation {
                 sweep::run(faults.as_ref(), last_sweep, 0, |sweep| {
                     sweep::sweep_every(uplinks, sweep, 0..edge_count, |uplinks, edge, arrival| {
                         let uplink = uplinks.link(edge);
-                        let message = match arrival {
-                            Arrival::Frame(message) => message,
-                            Arrival::Damaged { sender, round } => {
-                                server.deliver_corrupt(sender, round);
-                                return Ok(());
-                            }
+                        let Some(message) = arrived(server, arrival) else {
+                            return Ok(());
                         };
                         let Message::AggregateUpdate {
                             origin,
@@ -1089,10 +1105,7 @@ impl Federation {
                             members,
                         } = message
                         else {
-                            for response in server.deliver(&message) {
-                                uplink.send(&response)?;
-                            }
-                            return Ok(());
+                            return answer(server, uplink, &message);
                         };
                         if !folded_origins.insert(origin) {
                             return uplink.send(&Message::Nack {
@@ -1112,9 +1125,7 @@ impl Federation {
                                 },
                             )?;
                             shielded_bytes += sealed;
-                            for response in server.deliver(&wrapped) {
-                                uplink.send(&response)?;
-                            }
+                            answer(server, uplink, &wrapped)?;
                         }
                         Ok(())
                     })
@@ -1139,12 +1150,10 @@ impl Federation {
                             return Ok(());
                         };
                         let link = peers.link(peer);
-                        if let Some(control) = mesh.admit(link, peer, message)? {
-                            for response in server.deliver(&control) {
-                                link.send(&response)?;
-                            }
+                        match mesh.admit(link, peer, message)? {
+                            Some(control) => answer(server, link, &control),
+                            None => Ok(()),
                         }
-                        Ok(())
                     })
                 })?;
                 // Phase 2: flood the mesh to quiescence.
@@ -1158,9 +1167,7 @@ impl Federation {
                         update,
                         shielded: Vec::new(),
                     };
-                    for response in server.deliver(&message) {
-                        peers.link(client_id).send(&response)?;
-                    }
+                    answer(server, peers.link(client_id), &message)?;
                 }
                 Ok((0, Vec::new(), gossip_messages, None))
             }
@@ -1200,13 +1207,21 @@ impl Federation {
     /// it: reconstructs the masks of dead seats from the reporters' shares,
     /// folds the stashed sealed blobs inside the root enclave (no individual
     /// blob is ever opened) against the round-open reference, and splices
-    /// the aggregate over the zero placeholders in the global model.
+    /// the aggregate over the zero placeholders in the global model. A model
+    /// with no shielded parameters leaves nothing to mask, unseal or splice.
     fn fold_masked_round(
         &mut self,
         round_open: &[(String, Tensor)],
         summary: &RoundSummary,
         mut stash: MaskStash,
     ) -> Result<()> {
+        // The enclave folds against the round-open snapshot of the shielded
+        // names — the reference every client's delta was trained from.
+        let (shielded_reference, _clear) =
+            split_segments(self.eval_model.as_ref(), round_open.to_vec());
+        if shielded_reference.is_empty() {
+            return Ok(());
+        }
         // Exactly the members the state machine folded, at the weights it
         // folded them with.
         let mut members: BTreeMap<usize, (usize, Vec<SealedBlob>)> = BTreeMap::new();
@@ -1236,10 +1251,6 @@ impl Federation {
         } else {
             self.sweep_mask_shares(summary.round, &dead, &summary.reporters)?
         };
-        // The enclave folds against the round-open snapshot of the shielded
-        // names — the reference every client's delta was trained from.
-        let (shielded_reference, _clear) =
-            split_segments(self.eval_model.as_ref(), round_open.to_vec());
         let masks = self
             .masks
             .as_ref()

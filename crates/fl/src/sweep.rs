@@ -1,5 +1,5 @@
-//! The in-round delivery sweep engine — the one owner of the sweep
-//! discipline every topology's collection loop runs (see
+//! The delivery sweep engine — the one owner of the sweep discipline
+//! every delivery phase runs, in a round and between rounds (see
 //! `docs/determinism.md` §3).
 //!
 //! A *sweep* is one tick of the round's logical clock. [`run`] ticks the
@@ -12,9 +12,6 @@
 //! has not yet passed, and answer a [`Delivery::Faulted`] frame with the
 //! [`NackReason::CorruptFrame`] refusal that triggers the fault wrapper's
 //! retransmission. Callers keep only their per-frame handling.
-//!
-//! Between rounds there is no sweep: [`drain_idle`] is the one idle drain,
-//! and it polls only the links that hold traffic.
 
 use std::collections::BTreeSet;
 use std::ops::BitOrAssign;
@@ -86,29 +83,6 @@ impl SweepLinks for Vec<Box<dyn Transport>> {
     fn link(&self, index: usize) -> &dyn Transport {
         self[index].as_ref()
     }
-}
-
-/// The between-round idle drain (Join handshakes, rejoins, stray
-/// acknowledgements): drains each link holding traffic, in ascending link
-/// order, with the plain unclocked [`Transport::recv`]. It is not a sweep,
-/// so it never ticks the fault clock, and a link that holds nothing is not
-/// polled, so it draws no fault fate. Returns whether anything was
-/// delivered.
-pub(crate) fn drain_idle<L: SweepLinks + ?Sized>(
-    links: &mut L,
-    mut handle: impl FnMut(&mut L, usize, Message) -> Result<()>,
-) -> Result<bool> {
-    let mut delivered = false;
-    for index in 0..links.count() {
-        if !links.link(index).has_pending() {
-            continue;
-        }
-        while let Some(message) = links.link(index).recv()? {
-            delivered = true;
-            handle(links, index, message)?;
-        }
-    }
-    Ok(delivered)
 }
 
 /// Runs sweeps `start, start + 1, …`, ticking the fault clock before each,

@@ -409,17 +409,18 @@ impl EdgeAggregator {
         outcome
     }
 
-    /// Drains the member links that hold traffic between rounds (Join
-    /// handshakes, rejoins, stray acknowledgements) with the runtime's one
-    /// idle drain, `sweep::drain_idle`: not a sweep, so unclocked
-    /// (`docs/determinism.md` §3). Returns whether anything was delivered.
+    /// Repeats sweep 0 of [`EdgeAggregator::pump`] until a sweep delivers
+    /// nothing, for a caller that drives an edge without a fault clock.
+    /// Returns whether anything was delivered.
     ///
     /// # Errors
     /// Returns an error if a transport fails.
     pub fn pump_idle(&mut self) -> Result<bool> {
-        sweep::drain_idle(self, |edge, index, message| {
-            edge.route_upward(index, message)
-        })
+        let mut delivered = false;
+        while self.pump(0)?.delivered {
+            delivered = true;
+        }
+        Ok(delivered)
     }
 
     /// Routes one member message: Join/Leave are mirrored into the subtree
@@ -1297,9 +1298,10 @@ mod tests {
         assert_eq!(reason, NackReason::StragglerDeadline);
     }
 
-    /// The idle drain polls only the member links that hold traffic: with
+    /// A member sweep polls only the member links that hold traffic: with
     /// a partition drawn on every poll, one queued Join draws exactly one
-    /// partition fate, whatever the number of members.
+    /// partition fate, whatever the number of members, and the window's
+    /// end instant lets the Join through.
     #[test]
     fn edge_idle_drain_polls_only_members_holding_traffic() {
         let plan = FaultPlan::new(FaultConfig {
@@ -1324,6 +1326,10 @@ mod tests {
         agent_ends[1].send(&Message::Join { client_id: 1 }).unwrap();
         // The partition holds the Join back; the idle members draw nothing.
         assert!(!edge.pump_idle().unwrap());
+        assert_eq!(plan.stats().partitions, 1);
+        // Even at rate 1.0 no window opens at the end instant of the last.
+        plan.set_sweep(1);
+        assert!(edge.pump(1).unwrap().delivered);
         assert_eq!(plan.stats().partitions, 1);
     }
 

@@ -17,29 +17,7 @@ impl Tensor {
     /// Returns an error if either operand is not rank 2 or the inner
     /// dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k) = check_rank2(self, "matmul")?;
-        let (k2, n) = check_rank2(other, "matmul")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; m * n];
-        gemm(
-            &pool::global(),
-            false,
-            self.data(),
-            false,
-            other.data(),
-            m,
-            k,
-            n,
-            &mut out,
-            false,
-        );
-        Tensor::from_vec(out, &[m, n])
+        matmul_2d(self, false, other, false, "matmul")
     }
 
     /// `self · otherᵀ` for `self` `[m, k]` and `other` `[n, k]`, without
@@ -48,29 +26,7 @@ impl Tensor {
     /// # Errors
     /// Returns an error on rank or inner-dimension mismatch.
     pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k) = check_rank2(self, "matmul_nt")?;
-        let (n, k2) = check_rank2(other, "matmul_nt")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_nt",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; m * n];
-        gemm(
-            &pool::global(),
-            false,
-            self.data(),
-            true,
-            other.data(),
-            m,
-            k,
-            n,
-            &mut out,
-            false,
-        );
-        Tensor::from_vec(out, &[m, n])
+        matmul_2d(self, false, other, true, "matmul_nt")
     }
 
     /// `selfᵀ · other` for `self` `[k, m]` and `other` `[k, n]`, without
@@ -79,29 +35,7 @@ impl Tensor {
     /// # Errors
     /// Returns an error on rank or inner-dimension mismatch.
     pub fn matmul_tn(&self, other: &Tensor) -> Result<Tensor> {
-        let (k, m) = check_rank2(self, "matmul_tn")?;
-        let (k2, n) = check_rank2(other, "matmul_tn")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_tn",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; m * n];
-        gemm(
-            &pool::global(),
-            true,
-            self.data(),
-            false,
-            other.data(),
-            m,
-            k,
-            n,
-            &mut out,
-            false,
-        );
-        Tensor::from_vec(out, &[m, n])
+        matmul_2d(self, true, other, false, "matmul_tn")
     }
 
     /// Batched matrix product of rank-3 tensors: `[b, m, k] × [b, k, n] → [b, m, n]`.
@@ -110,29 +44,7 @@ impl Tensor {
     /// Returns an error if either operand is not rank 3, the batch sizes
     /// differ, or the inner dimensions disagree.
     pub fn batch_matmul(&self, other: &Tensor) -> Result<Tensor> {
-        let (b, m, k) = check_rank3(self, other, "batch_matmul")?;
-        let (k2, n) = (other.dims()[1], other.dims()[2]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "batch_matmul",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; b * m * n];
-        batch_gemm(
-            &pool::global(),
-            false,
-            self.data(),
-            false,
-            other.data(),
-            b,
-            m,
-            k,
-            n,
-            &mut out,
-        );
-        Tensor::from_vec(out, &[b, m, n])
+        matmul_3d(self, false, other, false, "batch_matmul")
     }
 
     /// Per-slice `self · otherᵀ` for `self` `[b, m, k]` and `other`
@@ -142,29 +54,7 @@ impl Tensor {
     /// # Errors
     /// Returns an error on rank, batch or inner-dimension mismatch.
     pub fn batch_matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
-        let (b, m, k) = check_rank3(self, other, "batch_matmul_nt")?;
-        let (n, k2) = (other.dims()[1], other.dims()[2]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "batch_matmul_nt",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; b * m * n];
-        batch_gemm(
-            &pool::global(),
-            false,
-            self.data(),
-            true,
-            other.data(),
-            b,
-            m,
-            k,
-            n,
-            &mut out,
-        );
-        Tensor::from_vec(out, &[b, m, n])
+        matmul_3d(self, false, other, true, "batch_matmul_nt")
     }
 
     /// Per-slice `selfᵀ · other` for `self` `[b, k, m]` and `other`
@@ -173,29 +63,7 @@ impl Tensor {
     /// # Errors
     /// Returns an error on rank, batch or inner-dimension mismatch.
     pub fn batch_matmul_tn(&self, other: &Tensor) -> Result<Tensor> {
-        let (b, k, m) = check_rank3(self, other, "batch_matmul_tn")?;
-        let (k2, n) = (other.dims()[1], other.dims()[2]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "batch_matmul_tn",
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; b * m * n];
-        batch_gemm(
-            &pool::global(),
-            true,
-            self.data(),
-            false,
-            other.data(),
-            b,
-            m,
-            k,
-            n,
-            &mut out,
-        );
-        Tensor::from_vec(out, &[b, m, n])
+        matmul_3d(self, true, other, false, "batch_matmul_tn")
     }
 
     /// Matrix–vector product `[m, k] × [k] → [m]`.
@@ -247,6 +115,85 @@ impl Tensor {
         }
         Tensor::from_vec(out, &[m, n])
     }
+}
+
+/// The one rank-2 product body: `a` read as `[m, k]` and `b` as `[k, n]`,
+/// each through its transpose when flagged, without materialising it.
+fn matmul_2d(
+    a: &Tensor,
+    trans_a: bool,
+    b: &Tensor,
+    trans_b: bool,
+    op: &'static str,
+) -> Result<Tensor> {
+    let (m, k) = oriented(check_rank2(a, op)?, trans_a);
+    let (k2, n) = oriented(check_rank2(b, op)?, trans_b);
+    check_inner(k, k2, a, b, op)?;
+    let mut out = vec![0.0f32; m * n];
+    gemm(
+        &pool::global(),
+        trans_a,
+        a.data(),
+        trans_b,
+        b.data(),
+        m,
+        k,
+        n,
+        &mut out,
+        false,
+    );
+    Tensor::from_vec(out, &[m, n])
+}
+
+/// The one rank-3 product body: per batch slice, `a` read as `[m, k]` and
+/// `b` as `[k, n]`, each through its transpose when flagged.
+fn matmul_3d(
+    a: &Tensor,
+    trans_a: bool,
+    b: &Tensor,
+    trans_b: bool,
+    op: &'static str,
+) -> Result<Tensor> {
+    let (batch, rows, cols) = check_rank3(a, b, op)?;
+    let (m, k) = oriented((rows, cols), trans_a);
+    let (k2, n) = oriented((b.dims()[1], b.dims()[2]), trans_b);
+    check_inner(k, k2, a, b, op)?;
+    let mut out = vec![0.0f32; batch * m * n];
+    batch_gemm(
+        &pool::global(),
+        trans_a,
+        a.data(),
+        trans_b,
+        b.data(),
+        batch,
+        m,
+        k,
+        n,
+        &mut out,
+    );
+    Tensor::from_vec(out, &[batch, m, n])
+}
+
+/// A stored `(rows, cols)` as the product reads it: swapped when the
+/// operand is read transposed.
+fn oriented((rows, cols): (usize, usize), transposed: bool) -> (usize, usize) {
+    if transposed {
+        (cols, rows)
+    } else {
+        (rows, cols)
+    }
+}
+
+/// Refuses a product whose inner dimensions disagree.
+fn check_inner(k: usize, k2: usize, a: &Tensor, b: &Tensor, op: &'static str) -> Result<()> {
+    if k != k2 {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: a.dims().to_vec(),
+            rhs: b.dims().to_vec(),
+        });
+    }
+    Ok(())
 }
 
 /// Validates a rank-2 operand and returns its dimensions.

@@ -18,73 +18,18 @@
 //! The hundreds-of-rounds soak lives in `pelta-bench` behind the
 //! `slow-tests` feature; this file is its always-on tier-1 shadow.
 
-use pelta_autodiff::{Graph, NodeId};
+use pelta_bench::ChannelHead;
 use pelta_data::{Dataset, DatasetSpec, GeneratorConfig};
 use pelta_fl::{
     ClientSchedule, CrashPoint, CrashTarget, FaultConfig, FaultStats, Federation, FederationConfig,
     ParticipationPolicy, ScenarioSpec, Topology, TransportKind,
 };
-use pelta_models::{Architecture, ImageModel, TrainingConfig};
-use pelta_nn::{Linear, Module, Param};
+use pelta_models::TrainingConfig;
 use pelta_tensor::{pool, SeedStream};
-use rand_chacha::ChaCha8Rng;
 
 const SEED: u64 = 0xC0A5;
 const CLIENTS: usize = 6;
 const ROUNDS: usize = 8;
-
-/// Minimal defender for the soak: per-channel means into a linear head, so
-/// every faulted round stays cheap while each seat still trains a distinct
-/// update on its own shard.
-struct ChannelHead {
-    head: Linear,
-}
-
-impl ChannelHead {
-    fn new(rng: &mut ChaCha8Rng) -> Self {
-        ChannelHead {
-            head: Linear::new("channel_head", 3, 10, rng),
-        }
-    }
-}
-
-impl Module for ChannelHead {
-    fn name(&self) -> &str {
-        "channel_head"
-    }
-
-    fn forward(&self, graph: &mut Graph, input: NodeId) -> pelta_nn::Result<NodeId> {
-        let pooled = graph.global_avg_pool2d(input)?;
-        graph.set_tag(pooled, &self.frontier_tag())?;
-        self.head.forward(graph, pooled)
-    }
-
-    fn parameters(&self) -> Vec<&Param> {
-        self.head.parameters()
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Param> {
-        self.head.parameters_mut()
-    }
-}
-
-impl ImageModel for ChannelHead {
-    fn architecture(&self) -> Architecture {
-        Architecture::ResNet
-    }
-
-    fn num_classes(&self) -> usize {
-        10
-    }
-
-    fn input_shape(&self) -> [usize; 3] {
-        [3, 32, 32]
-    }
-
-    fn frontier_tag(&self) -> String {
-        "channel_head.pelta_frontier".to_string()
-    }
-}
 
 fn dataset() -> Dataset {
     Dataset::generate(

@@ -1,15 +1,16 @@
-//! Cross-build delivery golden: the integer outcome of the in-round delivery
-//! sweeps, pinned to committed values.
+//! Cross-build delivery golden: the integer outcome of every delivery
+//! phase, pinned to committed values.
 //!
 //! Every other determinism check compares two runs of the *same* build, so
 //! a change that shifts every run's delivery the same way — a sweep that
 //! polls one link more or less, a clock that ticks from a different origin
 //! — passes all of them. This suite compares against
 //! `tests/golden/delivery.txt` instead. Its scenarios together enter every
-//! delivery loop of the runtime (`docs/determinism.md` §3): the star
-//! collect sweep, the edge-member and uplink sweeps of the hierarchy, the
-//! gossip collect sweep and both arms of the secure-aggregation
-//! `MaskShare` drain, under latency schedules, straggler deadlines,
+//! delivery phase of the runtime (`docs/determinism.md` §3): the
+//! between-round phase on each fabric, the star collect sweep, the
+//! edge-member and uplink sweeps of the hierarchy, the gossip collect
+//! sweep and both arms of the secure-aggregation `MaskShare` drain, under
+//! latency schedules, straggler deadlines,
 //! mid-round churn, a Nack-spamming free rider, every fault class and
 //! scripted seat and edge crashes. The role-mix scenarios put every
 //! adversarial role (static and adaptive backdoor, probing, free rider)
@@ -28,13 +29,18 @@
 //! first difference is the one the change intends, replace the scenario's
 //! section of the golden file with the printed actual block, and record
 //! the reason in `CHANGES.md`.
+//!
+//! Two `repro_*` tests pin the liveness of the delivery phases under
+//! partitions: the secure scenario completes on 64 consecutive fault seeds
+//! on the star and on the hierarchy, and partition rate 1.0 completes every
+//! round on all three topologies.
 
 use pelta_autodiff::{Graph, NodeId};
 use pelta_data::{Dataset, DatasetSpec, GeneratorConfig};
 use pelta_fl::{
     AgentRole, AggregationRule, AttackKind, ClientSchedule, CrashPoint, CrashTarget, FaultConfig,
-    FaultStats, Federation, FederationConfig, ParticipationPolicy, RoundSummary, ScenarioSpec,
-    Topology, TrojanTrigger, UpdateCodec,
+    FaultStats, Federation, FederationConfig, ParticipationPolicy, RoundSummary, RunHistory,
+    ScenarioSpec, Topology, TrojanTrigger, UpdateCodec,
 };
 use pelta_models::{Architecture, ImageModel, TrainingConfig};
 use pelta_nn::{Linear, Module, Param};
@@ -191,7 +197,7 @@ fn secure(topology: Topology) -> ScenarioSpec {
         secure_aggregation: true,
         schedules: vec![churn(1, 0, 1), latency(2, 1), churn(3, 1, 2)],
         faults: Some(FaultConfig {
-            seed: 0x005E_C02F,
+            seed: 0x005E_C02E,
             corrupt: 0.20,
             partition: 0.25,
             partition_sweeps: 2,
@@ -288,16 +294,19 @@ fn write_faults(out: &mut String, f: &FaultStats) {
     ));
 }
 
-/// Runs the scenario and renders its host-independent integers.
-fn render(spec: &ScenarioSpec) -> String {
+/// Builds and runs the scenario, returning the federation and its history.
+fn run(spec: &ScenarioSpec) -> pelta_fl::Result<(Federation, RunHistory)> {
     let data = dataset();
     let mut seeds = SeedStream::new(SEED);
     let mut federation =
-        Federation::from_scenario(&data, spec, &mut seeds, |rng| Box::new(TinyMlp::new(rng)))
-            .expect("golden scenario must build");
-    let history = federation
-        .run(&mut seeds)
-        .expect("golden scenario must run");
+        Federation::from_scenario(&data, spec, &mut seeds, |rng| Box::new(TinyMlp::new(rng)))?;
+    let history = federation.run(&mut seeds)?;
+    Ok((federation, history))
+}
+
+/// Runs the scenario and renders its host-independent integers.
+fn render(spec: &ScenarioSpec) -> String {
+    let (federation, history) = run(spec).expect("golden scenario must run");
     let mut out = String::new();
     for record in &history.rounds {
         write_summary(&mut out, "round", &record.summary);
@@ -509,4 +518,60 @@ fn gossip_role_mix_krum() {
         "gossip_role_mix_krum",
         role_mix(Topology::Gossip { fanout: 2 }),
     );
+}
+
+/// The liveness census: the `secure(..)` scenario over 64 consecutive fault
+/// seeds on the star and on the hierarchy. While Joins were delivered by an
+/// unclocked drain between rounds, a partition drawn on a held `Join` could
+/// not heal before the round opened, and 1 (star) and 14 (hierarchy) of
+/// these seeds stalled round 0 below quorum.
+#[test]
+fn repro_secure_scenario_completes_on_every_fault_seed() {
+    for topology in [
+        Topology::Star,
+        Topology::hierarchical(vec![vec![0, 2], vec![1, 3]]),
+    ] {
+        for seed in 0x005E_C000..0x005E_C040u64 {
+            let mut spec = secure(topology.clone());
+            if let Some(faults) = spec.federation.faults.as_mut() {
+                faults.seed = seed;
+            }
+            let outcome = run(&spec).map(|(_, history)| history.rounds.len());
+            assert!(
+                matches!(outcome, Ok(3)),
+                "{} with fault seed {seed:#x}: {outcome:?}",
+                topology.name()
+            );
+        }
+    }
+}
+
+/// Partition rate 1.0 passes validation, but a fresh window used to open
+/// the instant the last one closed, and the unclocked between-round drain
+/// gave up on every held `Join`: round 0 stalled below quorum on all three
+/// topologies. A window's end instant now heals the link, so every round
+/// completes with every seat reporting.
+#[test]
+fn repro_partition_rate_one_completes_every_round() {
+    for topology in [
+        Topology::Star,
+        Topology::hierarchical(vec![vec![0, 2], vec![1, 3]]),
+        Topology::Gossip { fanout: 1 },
+    ] {
+        let name = topology.name();
+        let spec = ScenarioSpec::honest(FederationConfig {
+            topology,
+            faults: Some(FaultConfig {
+                partition: 1.0,
+                partition_sweeps: 3,
+                ..FaultConfig::default()
+            }),
+            ..base(4, 3)
+        });
+        let (_, history) = run(&spec).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        assert_eq!(history.rounds.len(), 3, "{name}");
+        for record in &history.rounds {
+            assert_eq!(record.summary.reporters, vec![0, 1, 2, 3], "{name}");
+        }
+    }
 }

@@ -7,9 +7,11 @@
 //! straddling the validity boundary), aggregation rule (all five, with
 //! degenerate parameters), wire codec, data partition (IID, label skew,
 //! Dirichlet(α) including invalid concentrations), dropout/latency
-//! schedules, fault plans with scripted crashes, sweep delays one past
-//! `MAX_DELAY_SWEEPS`, and adversarial role mixes. Roughly half the drawn
-//! specs are deliberately broken.
+//! schedules, fault plans with scripted crashes, partitions up to rate 1.0
+//! and the edges of the rate space (a rate at exactly 0 or 1, fate rates
+//! summing to exactly 1 and to just above it), `TopK` at and past a
+//! tensor's size, sweep delays one past `MAX_DELAY_SWEEPS`, and
+//! adversarial role mixes. Most drawn specs are deliberately broken.
 //!
 //! No case asserts anything scenario-specific. Only the global invariants
 //! of the runtime's contract are checked:
@@ -31,6 +33,11 @@
 //!    leaves the global model bits unchanged — member granularity always
 //!    survives to the consensus point, so every rule (FedAvg, clipping,
 //!    trimmed mean, Krum, multi-Krum) folds the same update set.
+//! 5. **Liveness.** A valid spec whose fault plan cannot lose a frame (drop
+//!    and corrupt at 0, no crash), with no scheduled churn and no straggler
+//!    deadline at either level, completes every round: partitions, reorders
+//!    and duplicates only delay or repeat frames, and every delivery phase
+//!    is a clocked sweep that waits for them.
 //!
 //! Every run is a fixed-seed batch of 240 cases, small enough for tier-1.
 //! `PROPTEST_SEED` overrides the seed.
@@ -39,15 +46,14 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use pelta_autodiff::{Graph, NodeId};
+use pelta_bench::ChannelHead;
 use pelta_data::{Dataset, DatasetSpec, GeneratorConfig, Partition};
 use pelta_fl::{
     AgentRole, AggregationRule, ClientSchedule, CrashPoint, CrashTarget, FaultConfig, Federation,
     FederationConfig, ParticipationPolicy, ScenarioSpec, Topology, TransportKind, TrojanTrigger,
     UpdateCodec, MAX_DELAY_SWEEPS,
 };
-use pelta_models::{Architecture, ImageModel, TrainingConfig};
-use pelta_nn::{Linear, Module, Param};
+use pelta_models::{ImageModel, TrainingConfig};
 use pelta_tensor::{pool, SeedStream, Tensor};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -74,60 +80,6 @@ fn dataset() -> &'static Dataset {
             912,
         )
     })
-}
-
-// ---------------------------------------------------------------------------
-// Tiny defender model (the population-scale ChannelHead: 40 parameters)
-// ---------------------------------------------------------------------------
-
-struct ChannelHead {
-    head: Linear,
-}
-
-impl ChannelHead {
-    fn new(rng: &mut ChaCha8Rng) -> Self {
-        ChannelHead {
-            head: Linear::new("channel_head", 3, 10, rng),
-        }
-    }
-}
-
-impl Module for ChannelHead {
-    fn name(&self) -> &str {
-        "channel_head"
-    }
-
-    fn forward(&self, graph: &mut Graph, input: NodeId) -> pelta_nn::Result<NodeId> {
-        let pooled = graph.global_avg_pool2d(input)?;
-        graph.set_tag(pooled, &self.frontier_tag())?;
-        self.head.forward(graph, pooled)
-    }
-
-    fn parameters(&self) -> Vec<&Param> {
-        self.head.parameters()
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Param> {
-        self.head.parameters_mut()
-    }
-}
-
-impl ImageModel for ChannelHead {
-    fn architecture(&self) -> Architecture {
-        Architecture::ResNet
-    }
-
-    fn num_classes(&self) -> usize {
-        10
-    }
-
-    fn input_shape(&self) -> [usize; 3] {
-        [3, 32, 32]
-    }
-
-    fn frontier_tag(&self) -> String {
-        "channel_head.pelta_frontier".to_string()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -211,8 +163,9 @@ fn draw_codec(rng: &mut ChaCha8Rng) -> UpdateCodec {
         1 => UpdateCodec::Bf16,
         2 => UpdateCodec::Int8,
         _ => UpdateCodec::TopK {
-            // k = 0 is degenerate and must be rejected.
-            k: rng.gen_range(0..=3usize),
+            // k = 0 is degenerate and must be rejected; 10 and 30 are the
+            // sizes of `ChannelHead`'s two tensors, and 31 is past both.
+            k: [0, 1, 3, 10, 30, 31][rng.gen_range(0..6usize)],
         },
     }
 }
@@ -360,7 +313,58 @@ fn draw_faults(rng: &mut ChaCha8Rng, clients: usize, rounds: usize) -> Option<Fa
     })
 }
 
-/// Derives one complete scenario — roughly half the draws are invalid in
+/// Heavy partitions and the edges of the fault-rate space, drawn after
+/// every other axis so no earlier draw moves: a drawn plan may partition
+/// at rate 0.25, 0.5 or 1.0 over 1–2 sweeps, set one fate rate to exactly
+/// 1 and the others to exactly 0, or split exactly 1 (valid) or the next
+/// `f32` above it (rejected) across the four fate rates; a spec without a
+/// plan may gain a partition-only one, which cannot lose a frame.
+fn draw_fault_edges(rng: &mut ChaCha8Rng, faults: &mut Option<FaultConfig>) {
+    let (faults, partition) = match faults {
+        Some(faults) => (faults, rng.gen_bool(0.5)),
+        None if rng.gen_bool(0.3) => {
+            let seed = rng.gen_range(0..u64::MAX);
+            (
+                faults.insert(FaultConfig {
+                    seed,
+                    ..FaultConfig::default()
+                }),
+                true,
+            )
+        }
+        None => return,
+    };
+    if partition {
+        faults.partition = [0.25, 0.5, 1.0][rng.gen_range(0..3usize)];
+        faults.partition_sweeps = rng.gen_range(1..=2usize);
+    }
+    let fates = [
+        &mut faults.drop,
+        &mut faults.duplicate,
+        &mut faults.corrupt,
+        &mut faults.reorder,
+    ];
+    match rng.gen_range(0..8usize) {
+        0 => {
+            let one = rng.gen_range(0..4usize);
+            for (index, rate) in fates.into_iter().enumerate() {
+                *rate = if index == one { 1.0 } else { 0.0 };
+            }
+        }
+        1 => {
+            let above = rng.gen_bool(0.5);
+            for rate in fates {
+                *rate = 0.25;
+            }
+            if above {
+                faults.reorder += f32::EPSILON;
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Derives one complete scenario — most draws are invalid in
 /// at least one axis, so both sides of the validation gate get traffic.
 fn draw_spec(rng: &mut ChaCha8Rng) -> ScenarioSpec {
     let clients = rng.gen_range(1..=8usize);
@@ -445,6 +449,7 @@ fn draw_spec(rng: &mut ChaCha8Rng) -> ScenarioSpec {
             }
         }
     }
+    draw_fault_edges(rng, &mut spec.federation.faults);
     spec
 }
 
@@ -487,6 +492,25 @@ fn run_outcome(spec: &ScenarioSpec) -> Outcome {
         )),
         Err(e) => Err(format!("run: {e:?}")),
     }
+}
+
+/// Whether a valid spec's run must complete every round (invariant 5): its
+/// fault plan cannot lose a frame — no drop, no corruption, no crash; only
+/// partitions, reorders and duplicates, which delay or repeat — and no
+/// seat drops out on schedule and no straggler deadline cuts a round short
+/// at either level.
+fn cannot_lose_a_frame(config: &FederationConfig) -> bool {
+    let lossless = config.faults.as_ref().is_none_or(|faults| {
+        faults.drop == 0.0 && faults.corrupt == 0.0 && faults.crashes.is_empty()
+    });
+    let edge_deadline = match &config.topology {
+        Topology::Hierarchical { edge_policy, .. } => edge_policy.straggler_deadline,
+        _ => 0,
+    };
+    lossless
+        && config.schedules.iter().all(|s| s.drop_at_round.is_none())
+        && config.policy.straggler_deadline == 0
+        && edge_deadline == 0
 }
 
 /// Whether a valid spec is eligible for the topology-invariance sweep:
@@ -707,15 +731,34 @@ fn repro_sweep_delays_beyond_the_cap_are_rejected_at_validation() {
     }
 }
 
+/// Secure aggregation over a model with no shielded parameters (here the
+/// fuzzer's own `ChannelHead`) used to validate and then fail every run in
+/// round 0: honest seats sealed an empty segment, delivery stashed nothing
+/// for them, and the masked fold demanded a sealed segment from every
+/// reporter. With nothing to mask, unseal or splice, the run now completes
+/// with the bits of the unmasked shielded run.
+#[test]
+fn repro_secure_aggregation_without_shielded_parameters_completes() {
+    let mut config = base_config();
+    config.shield_updates = true;
+    let shielded = run_outcome(&ScenarioSpec::honest(config.clone()));
+    config.secure_aggregation = true;
+    let masked = run_outcome(&ScenarioSpec::honest(config));
+    assert!(masked.is_ok(), "the masked run failed: {masked:?}");
+    assert_eq!(masked, shielded);
+}
+
 /// Guards the generator against degenerating into an all-valid or
 /// all-invalid distribution (either would silently hollow out the fuzzer):
-/// across a fixed window of seeds, both sides of the validation gate and
-/// the topology-sweep eligibility must see real traffic.
+/// across a fixed window of seeds, both sides of the validation gate, the
+/// topology-sweep eligibility and partitioned specs under invariant 5 must
+/// see real traffic.
 #[test]
 fn spec_generator_covers_both_sides_of_the_validation_gate() {
     let mut valid = 0usize;
     let mut invalid = 0usize;
     let mut sweep_eligible = 0usize;
+    let mut partitioned_liveness = 0usize;
     for case_seed in 0..400u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(case_seed);
         let spec = draw_spec(&mut rng);
@@ -724,6 +767,14 @@ fn spec_generator_covers_both_sides_of_the_validation_gate() {
                 valid += 1;
                 if clean_full_participation(&spec.federation) {
                     sweep_eligible += 1;
+                }
+                let partitioned = spec
+                    .federation
+                    .faults
+                    .as_ref()
+                    .is_some_and(|faults| faults.partition > 0.0);
+                if partitioned && cannot_lose_a_frame(&spec.federation) {
+                    partitioned_liveness += 1;
                 }
             }
             Err(_) => invalid += 1,
@@ -734,6 +785,10 @@ fn spec_generator_covers_both_sides_of_the_validation_gate() {
     assert!(
         sweep_eligible >= 10,
         "only {sweep_eligible}/400 drawn specs were eligible for the topology sweep"
+    );
+    assert!(
+        partitioned_liveness >= 5,
+        "only {partitioned_liveness}/400 drawn specs held invariant 5 to a partition"
     );
     // The run path must genuinely complete for a healthy share of valid
     // specs — an always-failing runtime would leave the replay invariants
@@ -801,6 +856,12 @@ proptest! {
             // Invariant 2 + 3: the run (or its structured failure) replays
             // bit-identically across repeats, transports and threads.
             let reference = run_outcome(&spec);
+            // Invariant 5: a plan that cannot lose a frame only delays
+            // delivery, and every delivery phase waits for it.
+            prop_assert!(
+                reference.is_ok() || !cannot_lose_a_frame(&spec.federation),
+                "a spec that cannot lose a frame failed ({reference:?}):\n{spec:#?}"
+            );
             let repeat = run_outcome(&spec);
             prop_assert!(
                 repeat == reference,

@@ -14,16 +14,14 @@
 //! segments forwarded (unopened) by an edge and unsealed at the root yield
 //! the same bits as the clear hierarchical run.
 
-use pelta_autodiff::{Graph, NodeId};
+use pelta_bench::ChannelHead;
 use pelta_data::{Dataset, DatasetSpec, GeneratorConfig, Partition};
 use pelta_fl::{
     AggregationRule, Federation, FederationConfig, ParticipationPolicy, ScenarioSpec, Topology,
     TransportKind,
 };
-use pelta_models::{Architecture, ImageModel, TrainingConfig};
-use pelta_nn::{Linear, Module, Param};
+use pelta_models::TrainingConfig;
 use pelta_tensor::{pool, SeedStream, Tensor};
-use rand_chacha::ChaCha8Rng;
 
 const SEED: u64 = 830;
 
@@ -156,61 +154,6 @@ fn topologies_produce_bit_identical_global_models() {
 // ---------------------------------------------------------------------------
 
 const POPULATION: usize = 1_000;
-
-/// A minimal defender model for the population-scale harness: global
-/// average pooling to per-channel means, then a single linear head — 40
-/// scalars for CIFAR-shaped inputs — so a thousand-seat round's update
-/// messages stay tiny while every seat still trains a genuinely distinct
-/// update on its own shard.
-struct ChannelHead {
-    head: Linear,
-}
-
-impl ChannelHead {
-    fn new(rng: &mut ChaCha8Rng) -> Self {
-        ChannelHead {
-            head: Linear::new("channel_head", 3, 10, rng),
-        }
-    }
-}
-
-impl Module for ChannelHead {
-    fn name(&self) -> &str {
-        "channel_head"
-    }
-
-    fn forward(&self, graph: &mut Graph, input: NodeId) -> pelta_nn::Result<NodeId> {
-        let pooled = graph.global_avg_pool2d(input)?;
-        graph.set_tag(pooled, &self.frontier_tag())?;
-        self.head.forward(graph, pooled)
-    }
-
-    fn parameters(&self) -> Vec<&Param> {
-        self.head.parameters()
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Param> {
-        self.head.parameters_mut()
-    }
-}
-
-impl ImageModel for ChannelHead {
-    fn architecture(&self) -> Architecture {
-        Architecture::ResNet
-    }
-
-    fn num_classes(&self) -> usize {
-        10
-    }
-
-    fn input_shape(&self) -> [usize; 3] {
-        [3, 32, 32]
-    }
-
-    fn frontier_tag(&self) -> String {
-        "channel_head.pelta_frontier".to_string()
-    }
-}
 
 /// The population-scale topologies: the flat star, a 2-level tree of 8
 /// non-contiguous 125-member edges (member `m` sits under edge `m % 8`),
