@@ -65,7 +65,7 @@ pub use chaos::{
 };
 pub use defenders::{build_defenders, train_ensemble_members, ExperimentConfig, TrainedDefender};
 pub use report::{format_percent, TextTable};
-pub use secure::{run_secure_agg, SecureAggRun, SECURE_AGG_CLIENTS};
+pub use secure::{run_secure_agg, SecureAggRun, ShieldedProbe, SECURE_AGG_CLIENTS};
 pub use tables::{
     figure3, figure4, system_overhead, table1, table2, table3, table4, Figure3Report,
     Figure4Report, OverheadReport, Table1Report, Table3Cell, Table3Report, Table4Report, Table4Row,

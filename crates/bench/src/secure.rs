@@ -28,16 +28,19 @@ pub const SECURE_AGG_CLIENTS: usize = 4;
 const DATA_SEED: u64 = 0x5EA1;
 
 /// A tiny defender with a genuine shielded/clear split: per-channel means
-/// feed a shielded stem projection (the sealed segment) and a clear linear
-/// head, so a masked round costs microseconds while still exercising the
-/// seal → mask → fold → splice path end to end.
-struct ShieldedProbe {
+/// feed a shielded stem projection (the sealed segment, a `3 → 8` linear
+/// layer) and a clear `8 → 10` linear head, so a masked round costs
+/// microseconds while still exercising the seal → mask → fold → splice path
+/// end to end. The scenario fuzzer runs every spec that shields updates on
+/// it.
+pub struct ShieldedProbe {
     stem: Linear,
     head: Linear,
 }
 
 impl ShieldedProbe {
-    fn new(rng: &mut ChaCha8Rng) -> Self {
+    /// A fresh probe, initialised from `rng`.
+    pub fn new(rng: &mut ChaCha8Rng) -> Self {
         ShieldedProbe {
             stem: Linear::new("probe.stem", 3, 8, rng),
             head: Linear::new("probe.head", 8, 10, rng),

@@ -19,11 +19,15 @@
 //! [`round_mask_seed`] then ratchets a pair seed into a per-round stream
 //! seed, keyed on `(round, min(i, j), max(i, j))` exactly as the federation
 //! protocol requires, so mask streams never repeat across rounds or pairs.
-//! The stream itself is expanded by the federation crate's vendored ChaCha8
-//! generator; this module only owns the deterministic key schedule, which
-//! is the part that must agree bit-for-bit between every client enclave and
-//! the aggregator. The normative statement of this contract lives in
-//! `docs/determinism.md` at the repository root.
+//! The stream itself is expanded by the federation crate
+//! (`pelta_fl`'s `secure_agg` module): it seeds the vendored ChaCha8
+//! generator with the round seed and draws the stream in 4-KB chunks
+//! through `fill_bytes`, which computes a batch of ChaCha blocks per step
+//! and yields exactly the generator's one-word-at-a-time stream. This
+//! module only owns the deterministic key schedule, which is the part that
+//! must agree bit-for-bit between every client enclave and the aggregator.
+//! The normative statement of this contract lives in `docs/determinism.md`
+//! at the repository root.
 
 /// Derives the shared pairwise mask seed for two attested clients.
 ///

@@ -46,7 +46,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use pelta_bench::ChannelHead;
+use pelta_bench::{ChannelHead, ShieldedProbe};
 use pelta_data::{Dataset, DatasetSpec, GeneratorConfig, Partition};
 use pelta_fl::{
     AgentRole, AggregationRule, ClientSchedule, CrashPoint, CrashTarget, FaultConfig, Federation,
@@ -450,7 +450,28 @@ fn draw_spec(rng: &mut ChaCha8Rng) -> ScenarioSpec {
         }
     }
     draw_fault_edges(rng, &mut spec.federation.faults);
+    draw_secure_companions(rng, &mut spec);
     spec
+}
+
+/// A masked spec is valid only with all of its companions: shielded
+/// updates, FedAvg, `sample` 0, no adversarial roles and a root enclave
+/// (star or hierarchy). Drawn independently they almost never coincide, so
+/// three masked draws in four take them together (gossip becomes a star);
+/// the rest stay as drawn, so validation still sees broken masked specs.
+/// Drawn last, and only for masked specs, so no other spec moves.
+fn draw_secure_companions(rng: &mut ChaCha8Rng, spec: &mut ScenarioSpec) {
+    if !spec.federation.secure_aggregation || !rng.gen_bool(0.75) {
+        return;
+    }
+    let federation = &mut spec.federation;
+    federation.shield_updates = true;
+    federation.rule = AggregationRule::FedAvg;
+    federation.policy.sample = 0;
+    if matches!(federation.topology, Topology::Gossip { .. }) {
+        federation.topology = Topology::Star;
+    }
+    spec.roles.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -477,13 +498,27 @@ fn global_bits(parameters: &[(String, Tensor)]) -> GlobalBits {
         .collect()
 }
 
-fn factory(rng: &mut ChaCha8Rng) -> Box<dyn ImageModel> {
-    Box::new(ChannelHead::new(rng))
+/// The model every seat of `spec` trains: `ShieldedProbe`, whose stem is a
+/// sealed segment, when the spec shields updates, so sealing and masking
+/// move real bytes; `ChannelHead`, with nothing shielded, otherwise.
+fn factory(spec: &ScenarioSpec) -> fn(&mut ChaCha8Rng) -> Box<dyn ImageModel> {
+    if spec.federation.shield_updates {
+        |rng| Box::new(ShieldedProbe::new(rng))
+    } else {
+        |rng| Box::new(ChannelHead::new(rng))
+    }
 }
 
 fn run_outcome(spec: &ScenarioSpec) -> Outcome {
+    run_outcome_on(spec, factory(spec))
+}
+
+fn run_outcome_on(
+    spec: &ScenarioSpec,
+    model: fn(&mut ChaCha8Rng) -> Box<dyn ImageModel>,
+) -> Outcome {
     let mut seeds = SeedStream::new(RUN_SEED);
-    let mut federation = Federation::from_scenario(dataset(), spec, &mut seeds, factory)
+    let mut federation = Federation::from_scenario(dataset(), spec, &mut seeds, model)
         .map_err(|e| format!("build: {e:?}"))?;
     match federation.run(&mut seeds) {
         Ok(history) => Ok((
@@ -546,7 +581,7 @@ fn assert_rejected_before_build(spec: &ScenarioSpec) {
     let verdict = spec.validate();
     let rejection = verdict.expect_err("validation accepted a defective spec");
     let mut seeds = SeedStream::new(RUN_SEED);
-    let built = Federation::from_scenario(dataset(), spec, &mut seeds, factory);
+    let built = Federation::from_scenario(dataset(), spec, &mut seeds, factory(spec));
     let build_rejection = built.err().expect("the builder accepted a defective spec");
     assert_eq!(
         format!("{build_rejection:?}"),
@@ -739,11 +774,13 @@ fn repro_sweep_delays_beyond_the_cap_are_rejected_at_validation() {
 /// with the bits of the unmasked shielded run.
 #[test]
 fn repro_secure_aggregation_without_shielded_parameters_completes() {
+    let channel_head: fn(&mut ChaCha8Rng) -> Box<dyn ImageModel> =
+        |rng| Box::new(ChannelHead::new(rng));
     let mut config = base_config();
     config.shield_updates = true;
-    let shielded = run_outcome(&ScenarioSpec::honest(config.clone()));
+    let shielded = run_outcome_on(&ScenarioSpec::honest(config.clone()), channel_head);
     config.secure_aggregation = true;
-    let masked = run_outcome(&ScenarioSpec::honest(config));
+    let masked = run_outcome_on(&ScenarioSpec::honest(config), channel_head);
     assert!(masked.is_ok(), "the masked run failed: {masked:?}");
     assert_eq!(masked, shielded);
 }
@@ -751,14 +788,15 @@ fn repro_secure_aggregation_without_shielded_parameters_completes() {
 /// Guards the generator against degenerating into an all-valid or
 /// all-invalid distribution (either would silently hollow out the fuzzer):
 /// across a fixed window of seeds, both sides of the validation gate, the
-/// topology-sweep eligibility and partitioned specs under invariant 5 must
-/// see real traffic.
+/// topology-sweep eligibility, partitioned specs under invariant 5 and
+/// valid masked specs must see real traffic.
 #[test]
 fn spec_generator_covers_both_sides_of_the_validation_gate() {
     let mut valid = 0usize;
     let mut invalid = 0usize;
     let mut sweep_eligible = 0usize;
     let mut partitioned_liveness = 0usize;
+    let mut masked = 0usize;
     for case_seed in 0..400u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(case_seed);
         let spec = draw_spec(&mut rng);
@@ -776,6 +814,9 @@ fn spec_generator_covers_both_sides_of_the_validation_gate() {
                 if partitioned && cannot_lose_a_frame(&spec.federation) {
                     partitioned_liveness += 1;
                 }
+                if spec.federation.secure_aggregation {
+                    masked += 1;
+                }
             }
             Err(_) => invalid += 1,
         }
@@ -789,6 +830,10 @@ fn spec_generator_covers_both_sides_of_the_validation_gate() {
     assert!(
         partitioned_liveness >= 5,
         "only {partitioned_liveness}/400 drawn specs held invariant 5 to a partition"
+    );
+    assert!(
+        masked >= 5,
+        "only {masked}/400 drawn specs were valid masked (secure-aggregation) specs"
     );
     // The run path must genuinely complete for a healthy share of valid
     // specs — an always-failing runtime would leave the replay invariants
@@ -823,7 +868,7 @@ proptest! {
 
         pool::set_global_threads(1);
         let mut seeds = SeedStream::new(RUN_SEED);
-        let built = Federation::from_scenario(dataset(), &spec, &mut seeds, factory);
+        let built = Federation::from_scenario(dataset(), &spec, &mut seeds, factory(&spec));
         match (&verdict, &built) {
             (Ok(()), Ok(_)) | (Err(_), Err(_)) => {}
             (Ok(()), Err(e)) => {
@@ -845,7 +890,7 @@ proptest! {
             // Rejection itself must be deterministic: the builder surfaces
             // the identical error on every attempt.
             let mut seeds = SeedStream::new(RUN_SEED);
-            let again = Federation::from_scenario(dataset(), &spec, &mut seeds, factory)
+            let again = Federation::from_scenario(dataset(), &spec, &mut seeds, factory(&spec))
                 .err()
                 .map(|e| format!("{e:?}"));
             prop_assert!(
