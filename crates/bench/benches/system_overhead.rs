@@ -40,12 +40,14 @@ fn bench_overhead(c: &mut Criterion) {
     });
 
     group.bench_function("enclave_seal_unseal_1mb", |b| {
+        // A sealed segment's round trip, client enclave to root enclave.
         let enclave = Enclave::new(EnclaveConfig::trustzone_default());
-        enclave
-            .store_tensor("state", Tensor::zeros(&[262_144]))
-            .unwrap();
+        enclave.store_bytes("state", vec![0; 1 << 20]).unwrap();
+        let root = Enclave::new(EnclaveConfig::trustzone_default());
         b.iter(|| {
             let blob = enclave.seal("state").unwrap();
+            root.unseal(&blob).unwrap();
+            root.free("state").unwrap();
             criterion::black_box(blob.len())
         })
     });

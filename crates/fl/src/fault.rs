@@ -5,12 +5,14 @@
 //! **reorder-within-a-window**, **corrupt** (checksum-caught) and
 //! **partition** the link, and can take a client seat dark mid-round per a
 //! scripted [`CrashPoint`]. Every fault is scheduled in the federation's
-//! own logical time — `(round, delivery sweep)` pairs ticked by the
-//! scheduler — and decided by a stateless ChaCha8 draw keyed on
-//! `(plan seed, link id, event counter)`, never wall clock. The same seed
-//! therefore replays the same faults bit-identically across repeats, both
-//! transports and any `PELTA_THREADS` value: the determinism contract
-//! extends into the failure domain.
+//! own logical time and decided by a stateless ChaCha8 draw keyed on
+//! `(plan seed, link id, event counter)`, never wall clock. That time is
+//! the round, which crash windows key on, and an *instant* that only moves
+//! forward: the sweep engine advances it by one before every delivery
+//! sweep of every phase ([`FaultPlan::tick`]), so no two sweeps of a run
+//! share an instant. The same seed therefore replays the same faults
+//! bit-identically across repeats, both transports and any `PELTA_THREADS`
+//! value: the determinism contract extends into the failure domain.
 //!
 //! Recovery is `Nack`-driven: when a faulted `Update`/`AggregateUpdate`
 //! surfaces as [`Delivery::Faulted`], the runtime answers with a
@@ -32,9 +34,10 @@
 //! A partition is a property of the link, not of a frame: while a window
 //! is open the wrapper holds **every** inbound frame, control frames
 //! included, and the sweep that polls the link waits for it. A window
-//! drawn at sweep `s` holds the link through sweep `s + partition_sweeps -
-//! 1`; its end instant `s + partition_sweeps` is open and draws no new
-//! window, so every partitioned link delivers a frame at least once every
+//! drawn at instant `t` holds the link through instant `t +
+//! partition_sweeps - 1`, whichever phase or round those instants fall in;
+//! its end instant `t + partition_sweeps` is open and draws no new window,
+//! so every partitioned link delivers a frame at least once every
 //! `partition_sweeps + 1` sweeps, even at partition rate 1.0. Every
 //! delivery phase, between rounds as in them, is a clocked sweep to
 //! quiescence, so a held `Join` or update always reaches its phase.
@@ -272,13 +275,14 @@ pub struct FaultStats {
 }
 
 /// A live fault plan: the validated [`FaultConfig`] plus the shared logical
-/// clock and stats every wrapped link reads. The scheduler ticks the clock
-/// ([`FaultPlan::begin_round`] / [`FaultPlan::set_sweep`]); the wrappers
-/// only ever read it.
+/// clock and stats every wrapped link reads. The clock is `(round,
+/// instant)`: the scheduler sets the round ([`FaultPlan::begin_round`]),
+/// the sweep engine advances the instant ([`FaultPlan::tick`]), and the
+/// wrappers only ever read it.
 #[derive(Clone)]
 pub struct FaultPlan {
     config: Arc<FaultConfig>,
-    clock: Arc<Mutex<(usize, usize)>>,
+    clock: Arc<Mutex<(usize, u64)>>,
     stats: Arc<Mutex<FaultStats>>,
 }
 
@@ -297,14 +301,15 @@ impl FaultPlan {
         })
     }
 
-    /// Advances the logical clock to the start (sweep 0) of `round`.
+    /// Enters `round`, which crash windows key on; the instant carries on.
     pub fn begin_round(&self, round: usize) {
-        *self.clock.lock() = (round, 0);
+        self.clock.lock().0 = round;
     }
 
-    /// Advances the logical clock to `sweep` within the current round.
-    pub fn set_sweep(&self, sweep: usize) {
-        self.clock.lock().1 = sweep;
+    /// Advances the instant by one. The sweep engine ticks before every
+    /// delivery sweep, so each sweep of a run has an instant of its own.
+    pub fn tick(&self) {
+        self.clock.lock().1 += 1;
     }
 
     /// A snapshot of what the plan has done so far.
@@ -405,8 +410,8 @@ fn faultable(message: &Message) -> Option<(usize, usize)> {
 
 /// A frame the wrapper is holding for a later sweep.
 struct HeldFrame {
-    /// `(round, sweep)` at which the frame becomes deliverable.
-    release: (usize, usize),
+    /// The instant at which the frame becomes deliverable.
+    release: u64,
     message: Message,
     /// Retransmissions already spent on this frame.
     budget_used: usize,
@@ -432,11 +437,11 @@ struct LinkState {
     /// Faulted originals keyed by `(sender, round)`, awaiting a
     /// `CorruptFrame` Nack to trigger retransmission.
     cached: BTreeMap<(usize, usize), CachedFrame>,
-    /// Exclusive `(round, sweep)` end of the active partition window.
-    partition_until: Option<(usize, usize)>,
-    /// Last `(round, sweep)` a partition draw was made at (one per sweep)
-    /// or a window healed at (no draw there).
-    partition_drawn: Option<(usize, usize)>,
+    /// Exclusive end instant of the active partition window.
+    partition_until: Option<u64>,
+    /// Last instant a partition draw was made at (one per instant) or a
+    /// window healed at (no draw there).
+    partition_drawn: Option<u64>,
 }
 
 /// The fault-injecting wrapper around a runtime-side link end. See the
@@ -447,7 +452,7 @@ struct FaultyTransport {
     /// Seat crash window `(crash_round, rejoin_round)`, if scripted.
     crash: Option<(usize, usize)>,
     config: Arc<FaultConfig>,
-    clock: Arc<Mutex<(usize, usize)>>,
+    clock: Arc<Mutex<(usize, u64)>>,
     stats: Arc<Mutex<FaultStats>>,
     state: Mutex<LinkState>,
 }
@@ -473,11 +478,11 @@ impl FaultyTransport {
     }
 
     /// Whether the link is inside (or just entered) a partition window at
-    /// the given time. Draws at most once per `(round, sweep)`, and never
-    /// at a window's exclusive end: that instant heals the link, so a
-    /// partitioned link opens at least once every `partition_sweeps + 1`
-    /// sweeps whatever the rate.
-    fn partition_active(&self, state: &mut LinkState, now: (usize, usize)) -> bool {
+    /// instant `now`. Draws at most once per instant, keyed on the instant
+    /// itself, and never at a window's exclusive end: that instant heals the
+    /// link, so a partitioned link opens at least once every
+    /// `partition_sweeps + 1` sweeps whatever the rate.
+    fn partition_active(&self, state: &mut LinkState, now: u64) -> bool {
         if let Some(until) = state.partition_until {
             if now < until {
                 return true;
@@ -491,13 +496,9 @@ impl FaultyTransport {
             return false;
         }
         state.partition_drawn = Some(now);
-        let counter = ((now.0 as u64) << 24) | now.1 as u64;
-        let mut rng = self.rng_for(PARTITION_SALT, counter);
+        let mut rng = self.rng_for(PARTITION_SALT, now);
         if unit(rng.next_u64()) < self.config.partition {
-            // Validation caps the window at MAX_DELAY_SWEEPS; saturating
-            // keeps the end sweep sound whatever the clock reads.
-            let end = now.1.saturating_add(self.config.partition_sweeps);
-            state.partition_until = Some((now.0, end));
+            state.partition_until = Some(now + self.config.partition_sweeps as u64);
             self.stats.lock().partitions += 1;
             return true;
         }
@@ -507,7 +508,7 @@ impl FaultyTransport {
 
 impl Transport for FaultyTransport {
     fn send(&self, message: &Message) -> Result<()> {
-        let (round, sweep) = *self.clock.lock();
+        let (round, now) = *self.clock.lock();
         if self.outbound_dark(round) {
             self.stats.lock().suppressed += 1;
             return Ok(());
@@ -522,7 +523,7 @@ impl Transport for FaultyTransport {
             if let Some(cached) = state.cached.remove(&(*client_id, *nack_round)) {
                 if cached.budget_used < self.config.max_retransmits {
                     state.held.push(HeldFrame {
-                        release: (round, sweep + 1),
+                        release: now + 1,
                         message: cached.message,
                         budget_used: cached.budget_used + 1,
                         refate: true,
@@ -557,9 +558,9 @@ impl Transport for FaultyTransport {
     }
 
     fn recv_checked(&self) -> Result<Delivery> {
-        let now = *self.clock.lock();
+        let (round, now) = *self.clock.lock();
         let mut state = self.state.lock();
-        if self.inbound_dark(now.0) {
+        if self.inbound_dark(round) {
             let mut suppressed = state.held.len() + state.cached.len();
             state.held.clear();
             state.cached.clear();
@@ -648,7 +649,7 @@ impl Transport for FaultyTransport {
             }
             if fate < config.corrupt + config.drop + config.duplicate {
                 state.held.push(HeldFrame {
-                    release: (now.0, now.1 + 1),
+                    release: now + 1,
                     message: message.clone(),
                     budget_used,
                     refate: false,
@@ -663,9 +664,9 @@ impl Transport for FaultyTransport {
                 return Ok(Delivery::Frame(message));
             }
             if fate < config.corrupt + config.drop + config.duplicate + config.reorder {
-                let delay = 1 + (rng.next_u64() as usize) % config.reorder_window.max(1);
+                let delay = 1 + rng.next_u64() % config.reorder_window.max(1) as u64;
                 state.held.push(HeldFrame {
-                    release: (now.0, now.1 + delay),
+                    release: now + delay,
                     message,
                     budget_used,
                     refate: false,
@@ -805,7 +806,7 @@ mod tests {
                     agent_end.send(&update(0, round, burst as f32)).unwrap();
                 }
                 for sweep in 0..12usize {
-                    plan.set_sweep(sweep);
+                    plan.tick();
                     loop {
                         match link.recv_checked().unwrap() {
                             Delivery::Empty => break,
@@ -841,8 +842,8 @@ mod tests {
         plan.begin_round(0);
         agent_end.send(&update(3, 0, 1.0)).unwrap();
         let mut faults = 0;
-        for sweep in 0..8usize {
-            plan.set_sweep(sweep);
+        for _ in 0..8 {
+            plan.tick();
             while let Delivery::Faulted { sender, round, .. } = link.recv_checked().unwrap() {
                 assert_eq!((sender, round), (3, 0));
                 faults += 1;
@@ -905,8 +906,9 @@ mod tests {
 
     #[test]
     fn a_round_long_partition_drawn_after_sweep_zero_does_not_overflow() {
-        // The longest window validation admits, drawn at sweep 1, must hold
-        // the link dark to its last sweep instead of reopening it at once.
+        // The longest window validation admits, drawn at instant 1, must
+        // hold the link dark to its last instant instead of reopening it at
+        // once.
         let plan = FaultPlan::new(FaultConfig {
             partition: 1.0,
             partition_sweeps: MAX_DELAY_SWEEPS,
@@ -917,15 +919,64 @@ mod tests {
         let link = plan.wrap_seat(0, runtime_end);
         agent_end.send(&update(0, 0, 1.0)).unwrap();
         plan.begin_round(0);
-        for sweep in [1, 2, 3, MAX_DELAY_SWEEPS] {
-            plan.set_sweep(sweep);
+        for instant in 1..=MAX_DELAY_SWEEPS {
+            plan.tick();
             assert_eq!(
                 link.recv_checked().unwrap(),
                 Delivery::Empty,
-                "sweep {sweep}"
+                "instant {instant}"
             );
         }
         assert_eq!(plan.stats().partitions, 1);
+    }
+
+    /// Two consecutive sweep phases over one link at partition rate 1.0 run
+    /// on one clock: every sweep meets an instant of its own, so no instant
+    /// draws twice, and the window drawn at the first phase's last sweep
+    /// holds the second phase for its remaining sweeps only.
+    #[test]
+    fn consecutive_phases_share_one_monotone_instant() {
+        let plan = FaultPlan::new(FaultConfig {
+            partition: 1.0,
+            partition_sweeps: 3,
+            ..FaultConfig::default()
+        })
+        .unwrap();
+        let (agent_end, runtime_end) = TransportKind::InMemory.duplex();
+        let mut links = vec![plan.wrap_seat(0, runtime_end)];
+        // (phase, sweep, instant, delivered, windows opened so far)
+        let mut trace = Vec::new();
+        for phase in 0..2 {
+            agent_end.send(&update(0, 0, phase as f32)).unwrap();
+            crate::sweep::run(Some(&plan), 0, |sweep| {
+                let outcome = crate::sweep::sweep_every(&mut links, sweep, 0..1, |_, _, _| Ok(()))?;
+                let instant = plan.clock.lock().1;
+                let windows = plan.stats().partitions;
+                trace.push((phase, sweep, instant, outcome.delivered, windows));
+                Ok(outcome)
+            })
+            .unwrap();
+        }
+        let instants: Vec<u64> = trace.iter().map(|step| step.2).collect();
+        assert_eq!(instants, (1..=9).collect::<Vec<u64>>(), "{trace:?}");
+        // A window opens at instants 1, 5 and 9: each lasts three sweeps,
+        // and its end instant heals the link and draws nothing.
+        let drawn: Vec<u64> = trace
+            .iter()
+            .zip(std::iter::once(0).chain(trace.iter().map(|step| step.4)))
+            .filter(|(step, before)| step.4 > *before)
+            .map(|(step, _)| step.2)
+            .collect();
+        assert_eq!(drawn, vec![1, 5, 9], "{trace:?}");
+        // Phase 0 delivers at its heal instant 4 and draws a window at its
+        // last sweep (instant 5); phase 1 waits out that window's two
+        // remaining sweeps and delivers at its sweep 2 (instant 8).
+        let delivered: Vec<(usize, usize)> = trace
+            .iter()
+            .filter(|step| step.3)
+            .map(|step| (step.0, step.1))
+            .collect();
+        assert_eq!(delivered, vec![(0, 3), (1, 2)], "{trace:?}");
     }
 
     #[test]
@@ -939,13 +990,13 @@ mod tests {
         let link = plan.wrap_seat(0, runtime_end);
         plan.begin_round(5);
         agent_end.send(&update(0, 5, 2.5)).unwrap();
-        plan.set_sweep(0);
+        plan.tick();
         let Delivery::Frame(first) = link.recv_checked().unwrap() else {
             panic!("the original must be delivered in its sweep");
         };
         assert!(link.has_pending(), "the copy is held for the next sweep");
         assert_eq!(link.recv_checked().unwrap(), Delivery::Empty);
-        plan.set_sweep(1);
+        plan.tick();
         let Delivery::Frame(second) = link.recv_checked().unwrap() else {
             panic!("the copy must be delivered one sweep later");
         };

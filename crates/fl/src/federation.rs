@@ -29,7 +29,10 @@
 //!
 //! Shielded parameter segments arriving inside updates are reassembled
 //! through the server's attested [`ShieldedUpdateChannel`] before delivery,
-//! with their byte accounting surfaced in the [`RoundRecord`].
+//! with their byte accounting surfaced in the [`RoundRecord`]. Sealed
+//! segments are outside input: an update they cannot complete is refused
+//! with a `Rejected` Nack, like a clear update with a bad schema, and the
+//! round closes over the other seats.
 //!
 //! Under [`FederationConfig::secure_aggregation`] the runtime never opens an
 //! individual member's sealed segment at all (see [`crate::secure_agg`]):
@@ -729,7 +732,7 @@ impl Federation {
     /// secure aggregation this must stay 0 — the whole point of the masked
     /// fold is that no single member's blob is ever opened alone.
     pub fn server_raw_unseals(&self) -> Option<u64> {
-        self.server_shield.as_ref().map(|s| s.raw_unseal_count())
+        self.server_shield.as_ref().map(|s| s.unseal_count())
     }
 
     /// What the fault plan actually did so far (`None` when the federation
@@ -761,41 +764,26 @@ impl Federation {
     pub fn run(&mut self, seeds: &mut SeedStream) -> Result<RunHistory> {
         let mut rounds = Vec::with_capacity(self.config.rounds);
         for round_index in 0..self.config.rounds {
-            // The fault plan's logical clock follows the scheduler: faults
-            // are drawn against (round, sweep), never wall time.
+            // The fault plan enters the round, which crash windows key on;
+            // every other fault is drawn against its instant, which only the
+            // sweep engine moves. Crash recovery: a seat whose dark window
+            // ends here restarts with a fresh Join handshake; an edge
+            // re-syncs its subtree state machine from the coordinator's
+            // checkpoint before any round can open over it.
             if let Some(plan) = &self.faults {
                 plan.begin_round(round_index);
-            }
-            // Crash recovery: a seat whose dark window ends here restarts
-            // with a fresh Join handshake; an edge re-syncs its subtree
-            // state machine from the coordinator's checkpoint before any
-            // round can open over it.
-            if let Some(plan) = self.faults.clone() {
+                let rejoins = |crash: Option<(usize, usize)>| {
+                    crash.is_some_and(|(_, rejoin)| rejoin == round_index)
+                };
                 for (id, seat) in self.seats.iter().enumerate() {
-                    if plan
-                        .seat_crash(id)
-                        .is_some_and(|(_, rejoin)| rejoin == round_index)
-                    {
+                    if rejoins(plan.seat_crash(id)) {
                         seat.join()?;
                     }
                 }
-                if let Fabric::Hierarchical { edges, .. } = &self.fabric {
-                    let rejoining: Vec<usize> = edges
-                        .iter()
-                        .map(EdgeAggregator::edge_id)
-                        .filter(|&edge| {
-                            plan.edge_crash(edge)
-                                .is_some_and(|(_, rejoin)| rejoin == round_index)
-                        })
-                        .collect();
-                    if !rejoining.is_empty() {
-                        let checkpoint = self.server.checkpoint();
-                        if let Fabric::Hierarchical { edges, .. } = &mut self.fabric {
-                            for edge in edges.iter_mut() {
-                                if rejoining.contains(&edge.edge_id()) {
-                                    edge.resync(&checkpoint)?;
-                                }
-                            }
+                if let Fabric::Hierarchical { edges, .. } = &mut self.fabric {
+                    for edge in edges.iter_mut() {
+                        if rejoins(plan.edge_crash(edge.edge_id())) {
+                            edge.resync(&self.server.checkpoint())?;
                         }
                     }
                 }
@@ -940,13 +928,12 @@ impl Federation {
     }
 
     /// Delivers all pending client→server traffic between rounds (Join
-    /// handshakes, rejoins) through the topology fabric as one clocked
-    /// sweep phase from sweep 0 of the coming round, with the max-latency
-    /// floor (`docs/determinism.md` §3): the active seat links of a star or
-    /// gossip fabric feed the server directly; under a hierarchy the live
-    /// edges sweep their active members in lockstep, the root sweeps every
-    /// uplink on the member sweep's clock, and the edges relay the root's
-    /// answers down.
+    /// handshakes, rejoins) through the topology fabric as clocked sweep
+    /// phases to quiescence, with the max-latency floor
+    /// (`docs/determinism.md` §3): the active seat links of a star or gossip
+    /// fabric feed the server directly; under a hierarchy the live edges
+    /// sweep their active members in lockstep, then the root sweeps every
+    /// uplink, and the edges relay the root's answers down.
     fn pump_links(&mut self) -> Result<()> {
         let Federation {
             server,
@@ -961,7 +948,7 @@ impl Federation {
             Fabric::Star { links } | Fabric::Gossip { links, .. } => {
                 let mut root = SeatLinks { links, seats };
                 let mut active = None;
-                sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
+                sweep::run(faults.as_ref(), max_latency, |sweep| {
                     sweep::sweep_active(&mut root, sweep, &mut active, |root, index, arrival| {
                         match arrived(server, arrival) {
                             Some(message) => answer(server, root.link(index), &message),
@@ -972,11 +959,11 @@ impl Federation {
             }
             Fabric::Hierarchical { edges, uplinks } => {
                 let round = server.round();
-                let last_sweep = sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
+                sweep::run(faults.as_ref(), max_latency, |sweep| {
                     pump_live_edges(edges, faults, round, sweep)
                 })?;
                 let edge_count = uplinks.len();
-                sweep::run(faults.as_ref(), last_sweep, 0, |sweep| {
+                sweep::run(faults.as_ref(), 0, |sweep| {
                     sweep::sweep_every(uplinks, sweep, 0..edge_count, |uplinks, edge, arrival| {
                         match arrived(server, arrival) {
                             Some(message) => answer(server, uplinks.link(edge), &message),
@@ -1007,9 +994,8 @@ impl Federation {
     ///   lockstep; edges then close in ascending edge order (per-level
     ///   quorum/straggler semantics) and forward combined frames, which the
     ///   root unwraps member-by-member in ascending client order — unsealing
-    ///   each member through its enclave channel — while the uplink sweep
-    ///   carries on the member sweep's clock; the edges finally relay any
-    ///   refusals back down.
+    ///   each member through its enclave channel — in a sweep over every
+    ///   uplink; the edges finally relay any refusals back down.
     /// * **Gossip** — the star's latency-gated collect sweeps over the seat
     ///   links feed each peer's daemon, the mesh floods to quiescence, and
     ///   the coordinator folds the converged union through the same state
@@ -1034,19 +1020,24 @@ impl Federation {
             Fabric::Star { links } => {
                 let mut star = SeatLinks { links, seats };
                 let mut active = None;
-                sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
+                sweep::run(faults.as_ref(), max_latency, |sweep| {
                     sweep::sweep_active(&mut star, sweep, &mut active, |star, index, arrival| {
-                        let Some(message) = arrived(server, arrival) else {
-                            return Ok(());
-                        };
-                        let (message, sealed) = reassemble(
-                            server.parameters(),
-                            server_shield.as_ref(),
-                            mask_stash.as_mut(),
-                            message,
-                        )?;
-                        shielded_bytes += sealed;
-                        answer(server, star.link(index), &message)
+                        let link = star.link(index);
+                        match arrived(server, arrival) {
+                            Some(Message::Update { update, shielded }) => {
+                                shielded_bytes += deliver_update(
+                                    server,
+                                    server_shield.as_ref(),
+                                    mask_stash.as_mut(),
+                                    link,
+                                    update,
+                                    shielded,
+                                )?;
+                                Ok(())
+                            }
+                            Some(message) => answer(server, link, &message),
+                            None => Ok(()),
+                        }
                     })
                 })?;
                 Ok((shielded_bytes, Vec::new(), 0, mask_stash))
@@ -1054,7 +1045,7 @@ impl Federation {
             Fabric::Hierarchical { edges, uplinks } => {
                 // Phase 1: member → edge sweeps, all subtrees in lockstep.
                 let round = server.round();
-                let last_sweep = sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
+                sweep::run(faults.as_ref(), max_latency, |sweep| {
                     pump_live_edges(edges, faults, round, sweep)
                 })?;
                 // Phase 2: edges close their subtree rounds and forward —
@@ -1086,14 +1077,12 @@ impl Federation {
                         });
                     }
                 }
-                // Phase 3: the root unwraps the combined frames. The sweep
-                // clock carries on from phase 1 so fault wrappers on the
-                // uplinks release their held/retransmitted frames; a second
+                // Phase 3: the root unwraps the combined frames. A second
                 // combined frame from an origin already folded (a duplicated
                 // uplink frame) is refused wholesale, first-wins.
                 let mut folded_origins = std::collections::BTreeSet::new();
                 let edge_count = uplinks.len();
-                sweep::run(faults.as_ref(), last_sweep, 0, |sweep| {
+                sweep::run(faults.as_ref(), 0, |sweep| {
                     sweep::sweep_every(uplinks, sweep, 0..edge_count, |uplinks, edge, arrival| {
                         let uplink = uplinks.link(edge);
                         let Some(message) = arrived(server, arrival) else {
@@ -1115,17 +1104,14 @@ impl Federation {
                             });
                         }
                         for member in members {
-                            let (wrapped, sealed) = reassemble(
-                                server.parameters(),
+                            shielded_bytes += deliver_update(
+                                server,
                                 server_shield.as_ref(),
                                 mask_stash.as_mut(),
-                                Message::Update {
-                                    update: member.update,
-                                    shielded: member.shielded,
-                                },
+                                uplink,
+                                member.update,
+                                member.shielded,
                             )?;
-                            shielded_bytes += sealed;
-                            answer(server, uplink, &wrapped)?;
                         }
                         Ok(())
                     })
@@ -1144,7 +1130,7 @@ impl Federation {
                 // control traffic over the seat links.
                 let mut peers = SeatLinks { links, seats };
                 let mut active = None;
-                sweep::run(faults.as_ref(), 0, max_latency, |sweep| {
+                sweep::run(faults.as_ref(), max_latency, |sweep| {
                     sweep::sweep_active(&mut peers, sweep, &mut active, |peers, peer, arrival| {
                         let Arrival::Frame(message) = arrival else {
                             return Ok(());
@@ -1275,8 +1261,8 @@ impl Federation {
     /// reporter (directly over the star links, or relayed through the
     /// edges, which pass it to their reporters only), steps every reporter
     /// so they answer, and drains the responses with the sweep engine —
-    /// latency gates, the fault plan's logical clock (restarted at sweep 0
-    /// on every attempt) and `CorruptFrame`-Nack retransmission included
+    /// latency gates, the fault plan's instant (one tick per sweep of every
+    /// attempt) and `CorruptFrame`-Nack retransmission included
     /// (`docs/determinism.md` §3). A reporter whose
     /// response is lost is re-asked (fresh fate draws) up to a bounded
     /// number of attempts; a reporter that never answers is a protocol
@@ -1357,28 +1343,23 @@ impl Federation {
                 }
                 Ok(())
             };
-            sweep::run(
-                faults.as_ref(),
-                0,
-                max_latency,
-                |sweep| match &mut *fabric {
-                    Fabric::Star { links } | Fabric::Gossip { links, .. } => sweep::sweep_every(
-                        &mut SeatLinks { links, seats },
-                        sweep,
-                        pending.iter().copied(),
-                        |_, _, arrival| collect(arrival),
-                    ),
-                    Fabric::Hierarchical { edges, uplinks } => {
-                        let mut outcome = pump_live_edges(edges, faults, round, sweep)?;
-                        let edge_count = uplinks.len();
-                        outcome |=
-                            sweep::sweep_every(uplinks, sweep, 0..edge_count, |_, _, arrival| {
-                                collect(arrival)
-                            })?;
-                        Ok(outcome)
-                    }
-                },
-            )?;
+            sweep::run(faults.as_ref(), max_latency, |sweep| match &mut *fabric {
+                Fabric::Star { links } | Fabric::Gossip { links, .. } => sweep::sweep_every(
+                    &mut SeatLinks { links, seats },
+                    sweep,
+                    pending.iter().copied(),
+                    |_, _, arrival| collect(arrival),
+                ),
+                Fabric::Hierarchical { edges, uplinks } => {
+                    let mut outcome = pump_live_edges(edges, faults, round, sweep)?;
+                    let edge_count = uplinks.len();
+                    outcome |=
+                        sweep::sweep_every(uplinks, sweep, 0..edge_count, |_, _, arrival| {
+                            collect(arrival)
+                        })?;
+                    Ok(outcome)
+                }
+            })?;
         }
         let missing: Vec<usize> = reporters
             .iter()
@@ -1401,10 +1382,52 @@ impl Federation {
 /// state machine folds placeholders: `client id → (FedAvg weight, blobs)`.
 type MaskStash = BTreeMap<usize, (usize, Vec<SealedBlob>)>;
 
+/// Delivers an update to the server and sends the answers back over
+/// `link`, returning the sealed bytes it reassembled. Its sealed segments
+/// are reassembled first; an update they cannot complete — a blob that fails
+/// to open, segments that miss the schema, blobs sent to a server that
+/// shields nothing — is outside input, refused with [`NackReason::Rejected`]
+/// like an update that fails schema validation
+/// ([`FedAvgServer::deliver_refused`]), and the round goes on without it.
+fn deliver_update(
+    server: &mut FedAvgServer,
+    server_shield: Option<&ShieldedUpdateChannel>,
+    stash: Option<&mut MaskStash>,
+    link: &dyn Transport,
+    update: ModelUpdate,
+    shielded: Vec<SealedBlob>,
+) -> Result<usize> {
+    let (update, sealed) = if shielded.is_empty() {
+        (update, 0)
+    } else {
+        match reassemble(server.parameters(), server_shield, stash, &update, shielded) {
+            Ok((parameters, sealed)) => (
+                ModelUpdate {
+                    parameters,
+                    ..update
+                },
+                sealed,
+            ),
+            Err(error) => {
+                for response in server.deliver_refused(&update, error.to_string()) {
+                    link.send(&response)?;
+                }
+                return Ok(0);
+            }
+        }
+    };
+    let message = Message::Update {
+        update,
+        shielded: Vec::new(),
+    };
+    answer(server, link, &message)?;
+    Ok(sealed)
+}
+
 /// Opens the sealed segments of an update through the server's enclave
-/// channel and splices them back into the canonical parameter order, so the
-/// state machine sees a complete update. Non-update messages pass through
-/// untouched.
+/// channel and splices them into the canonical parameter order, so the
+/// state machine sees a complete update, and returns that parameter list
+/// with the sealed bytes.
 ///
 /// Under secure aggregation (`stash` is `Some`) the blobs are **not**
 /// opened: they are stashed first-wins for the post-round enclave fold, and
@@ -1412,24 +1435,17 @@ type MaskStash = BTreeMap<usize, (usize, Vec<SealedBlob>)>;
 /// names — FedAvg folds every parameter independently, so the clear
 /// parameters come out bit-identical and the placeholder entries are
 /// overwritten by [`FedAvgServer::splice_parameters`] after the fold.
+///
+/// # Errors
+/// Returns an error if the server shields nothing, a blob fails to open or
+/// the opened and clear segments do not complete the schema.
 fn reassemble(
     current: &[(String, Tensor)],
     server_shield: Option<&ShieldedUpdateChannel>,
     stash: Option<&mut MaskStash>,
-    message: Message,
-) -> Result<(Message, usize)> {
-    let Message::Update { update, shielded } = message else {
-        return Ok((message, 0));
-    };
-    if shielded.is_empty() {
-        return Ok((
-            Message::Update {
-                update,
-                shielded: Vec::new(),
-            },
-            0,
-        ));
-    }
+    update: &ModelUpdate,
+    shielded: Vec<SealedBlob>,
+) -> Result<(Vec<(String, Tensor)>, usize)> {
     let Some(server_shield) = server_shield else {
         return Err(FlError::InvalidConfig {
             reason: format!(
@@ -1438,56 +1454,35 @@ fn reassemble(
             ),
         });
     };
+    let clear = |name: &String| update.parameters.iter().find(|(n, _)| n == name);
     if let Some(stash) = stash {
         let sealed_bytes: usize = shielded.iter().map(SealedBlob::len).sum();
-        let mut parameters = Vec::with_capacity(current.len());
-        for (name, reference) in current {
-            if let Some((n, t)) = update.parameters.iter().find(|(n, _)| n == name) {
-                parameters.push((n.clone(), t.clone()));
-            } else {
-                parameters.push((name.clone(), Tensor::zeros(reference.dims())));
-            }
-        }
+        let parameters = current
+            .iter()
+            .map(|(name, reference)| match clear(name) {
+                Some((n, t)) => (n.clone(), t.clone()),
+                None => (name.clone(), Tensor::zeros(reference.dims())),
+            })
+            .collect();
         stash
             .entry(update.client_id)
             .or_insert((update.num_samples, shielded));
-        return Ok((
-            Message::Update {
-                update: ModelUpdate {
-                    parameters,
-                    ..update
-                },
-                shielded: Vec::new(),
-            },
-            sealed_bytes,
-        ));
+        return Ok((parameters, sealed_bytes));
     }
     let (opened, report) = server_shield.open_segments(&shielded)?;
     let mut parameters = Vec::with_capacity(current.len());
     for (name, _) in current {
-        if let Some((n, t)) = update.parameters.iter().find(|(n, _)| n == name) {
-            parameters.push((n.clone(), t.clone()));
-        } else if let Some((n, t)) = opened.iter().find(|(n, _)| n == name) {
-            parameters.push((n.clone(), t.clone()));
-        } else {
+        let Some((n, t)) = clear(name).or_else(|| opened.iter().find(|(n, _)| n == name)) else {
             return Err(FlError::SchemaMismatch {
                 reason: format!(
                     "client {} update is missing parameter '{name}' in both segments",
                     update.client_id
                 ),
             });
-        }
+        };
+        parameters.push((n.clone(), t.clone()));
     }
-    Ok((
-        Message::Update {
-            update: ModelUpdate {
-                parameters,
-                ..update
-            },
-            shielded: Vec::new(),
-        },
-        report.sealed_bytes,
-    ))
+    Ok((parameters, report.sealed_bytes))
 }
 
 #[cfg(test)]
@@ -1923,6 +1918,119 @@ mod tests {
             history.rounds[1].summary.delivered_messages,
             history.rounds[0].summary.delivered_messages
         );
+    }
+
+    /// Sealed segments the root cannot reassemble are outside input: the
+    /// update is refused with `Nack(Rejected)` like a clear update with a bad
+    /// schema, its delivery counts, and the round closes over the other seat
+    /// — in the star's collect and in the root's unwrap of a combined
+    /// subtree frame alike. Each case used to end the run with an error.
+    #[test]
+    fn updates_whose_sealed_segments_cannot_be_reassembled_are_refused() {
+        use rand::SeedableRng;
+
+        let dataset = small_dataset(11);
+        // (topology, server shields, blob tampered, clear segment sent)
+        let cases = [
+            (Topology::Star, true, true, true),
+            (Topology::Star, false, false, true),
+            (Topology::Star, true, false, false),
+            (Topology::hierarchical(vec![vec![0, 1]]), true, true, true),
+        ];
+        for (topology, shield_updates, tampered, with_clear) in cases {
+            let case = format!("{topology:?} shield={shield_updates} tampered={tampered}");
+            let config = FederationConfig {
+                clients: 2,
+                rounds: 1,
+                local_training: quick_training(),
+                eval_samples: 10,
+                topology,
+                shield_updates,
+                ..FederationConfig::default()
+            };
+            let mut seeds = SeedStream::new(11);
+            let mut federation =
+                Federation::vit_federation(&dataset, &config, Partition::Iid, &mut seeds).unwrap();
+            let participants = federation
+                .server
+                .begin_round(&mut ChaCha8Rng::seed_from_u64(11))
+                .unwrap();
+            assert_eq!(participants, vec![0, 1], "{case}");
+            let global = federation.server.parameters().to_vec();
+            let (shielded, clear) = split_segments(federation.eval_model.as_ref(), global.clone());
+            let (mut blobs, _) = ShieldedUpdateChannel::connect(1)
+                .unwrap()
+                .seal_segments(&shielded)
+                .unwrap();
+            if tampered {
+                blobs[0].tamper_for_tests();
+            }
+            let update = |client_id, parameters| ModelUpdate {
+                client_id,
+                round: 0,
+                num_samples: 5,
+                parameters,
+            };
+            let honest = update(0, global);
+            let broken = update(1, if with_clear { clear } else { Vec::new() });
+            // The test speaks for the seats: over fresh seat links on the
+            // star, or as the edge on its uplink under the hierarchy.
+            let (agent_ends, runtime_ends): (Vec<_>, Vec<_>) =
+                (0..2).map(|_| TransportKind::InMemory.duplex()).unzip();
+            let refusal_end = match &mut federation.fabric {
+                Fabric::Star { links } => {
+                    *links = runtime_ends;
+                    agent_ends[0]
+                        .send(&Message::Update {
+                            update: honest,
+                            shielded: Vec::new(),
+                        })
+                        .unwrap();
+                    agent_ends[1]
+                        .send(&Message::Update {
+                            update: broken,
+                            shielded: blobs,
+                        })
+                        .unwrap();
+                    &agent_ends[1]
+                }
+                Fabric::Hierarchical { uplinks, .. } => {
+                    *uplinks = runtime_ends;
+                    agent_ends[0]
+                        .send(&Message::AggregateUpdate {
+                            origin: 0,
+                            round: 0,
+                            members: vec![
+                                MemberUpdate::clear(honest),
+                                MemberUpdate {
+                                    update: broken,
+                                    shielded: blobs,
+                                },
+                            ],
+                        })
+                        .unwrap();
+                    &agent_ends[0]
+                }
+                Fabric::Gossip { .. } => unreachable!("no gossip case"),
+            };
+            federation
+                .deliver_round()
+                .unwrap_or_else(|error| panic!("{case}: {error}"));
+            let summary = federation.server.close_round().unwrap();
+            assert_eq!(summary.reporters, vec![0], "{case}");
+            assert_eq!(summary.delivered_messages, 2, "{case}");
+            assert!(
+                matches!(
+                    refusal_end.recv().unwrap(),
+                    Some(Message::Nack {
+                        client_id: 1,
+                        round: 0,
+                        reason: NackReason::Rejected(_),
+                    })
+                ),
+                "{case}"
+            );
+        }
     }
 
     #[test]

@@ -543,7 +543,9 @@ impl FedAvgServer {
                 }
                 Vec::new()
             }
-            Message::Update { update, .. } => self.deliver_update(update, message.wire_size()),
+            Message::Update { update, .. } => {
+                self.deliver_update(update, message.wire_size(), None)
+            }
             // A subtree-addressed combined update must be unwrapped by the
             // topology runtime (which unseals segments and delivers members
             // individually); a server handed one directly refuses it — and
@@ -569,7 +571,25 @@ impl FedAvgServer {
         }
     }
 
-    fn deliver_update(&mut self, update: &ModelUpdate, wire_size: usize) -> Vec<Message> {
+    /// Delivers an update whose sealed segments the runtime could not
+    /// reassemble (a blob that fails to open, segments that miss the
+    /// schema): outside input, refused like an update that fails schema
+    /// validation. It counts as a delivery and takes the same admission
+    /// checks as [`FedAvgServer::deliver`]; one that passes them is answered
+    /// with [`NackReason::Rejected`] carrying `reason`.
+    pub(crate) fn deliver_refused(&mut self, update: &ModelUpdate, reason: String) -> Vec<Message> {
+        if self.phase == RoundPhase::Collecting {
+            self.delivered += 1;
+        }
+        self.deliver_update(update, 0, Some(reason))
+    }
+
+    fn deliver_update(
+        &mut self,
+        update: &ModelUpdate,
+        wire_size: usize,
+        refusal: Option<String>,
+    ) -> Vec<Message> {
         let nack = |reason: NackReason| {
             vec![Message::Nack {
                 client_id: update.client_id,
@@ -595,8 +615,10 @@ impl FedAvgServer {
             self.advance_fold();
             return nack(NackReason::StragglerDeadline);
         }
-        if let Err(e) = self.validate_update(update) {
-            return nack(NackReason::Rejected(e.to_string()));
+        if let Some(reason) =
+            refusal.or_else(|| self.validate_update(update).err().map(|e| e.to_string()))
+        {
+            return nack(NackReason::Rejected(reason));
         }
         self.reporters.insert(update.client_id);
         self.update_bytes += wire_size;

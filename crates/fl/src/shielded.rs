@@ -129,11 +129,7 @@ impl ShieldedUpdateChannel {
             self.channel
                 .send_bytes(name, bytes)
                 .map_err(FlError::from)?;
-            let blob = self
-                .channel
-                .enclave()
-                .seal_raw(name)
-                .map_err(FlError::from)?;
+            let blob = self.channel.enclave().seal(name).map_err(FlError::from)?;
             report.sealed_bytes += blob.len();
             report.segments += 1;
             blobs.push(blob);
@@ -157,11 +153,7 @@ impl ShieldedUpdateChannel {
         let mut report = ShieldedTransferReport::default();
         for blob in blobs {
             report.sealed_bytes += blob.len();
-            let key = self
-                .channel
-                .enclave()
-                .unseal_raw(blob)
-                .map_err(FlError::from)?;
+            let key = self.channel.enclave().unseal(blob).map_err(FlError::from)?;
             let bytes = self
                 .channel
                 .receive_bytes_authorized(&key)
@@ -173,13 +165,13 @@ impl ShieldedUpdateChannel {
         Ok((segments, report))
     }
 
-    /// How many individual raw blobs this endpoint's enclave has ever
-    /// exposed into its keyed store ([`pelta_tee::Enclave::raw_unseal_count`]).
+    /// How many individual blobs this endpoint's enclave has ever exposed
+    /// into its keyed store ([`pelta_tee::Enclave::unseal_count`]).
     /// Secure-aggregation runs assert this stays **zero** on the
     /// aggregator: every member blob must go through
     /// [`ShieldedUpdateChannel::fold_masked_segments`] instead.
-    pub fn raw_unseal_count(&self) -> u64 {
-        self.channel.enclave().raw_unseal_count()
+    pub fn unseal_count(&self) -> u64 {
+        self.channel.enclave().unseal_count()
     }
 
     /// Server side, secure aggregation: folds every member's
@@ -444,8 +436,8 @@ mod tests {
                 .collect()
         };
         assert_eq!(bits(&expected), bits(&folded));
-        // The acceptance hook: no individual blob was ever raw-unsealed.
-        assert_eq!(server.raw_unseal_count(), 0);
+        // The acceptance hook: no individual blob was ever unsealed alone.
+        assert_eq!(server.unseal_count(), 0);
 
         // A member with a tampered blob aborts the fold.
         let (_, (_, blobs)) = members.iter_mut().next().unwrap();

@@ -2,8 +2,11 @@
 //! every delivery phase runs, in a round and between rounds (see
 //! `docs/determinism.md` §3).
 //!
-//! A *sweep* is one tick of the round's logical clock. [`run`] ticks the
-//! fault plan's clock to each sweep number in turn and stops at
+//! A *sweep* is one tick of the fault plan's instant: [`run`] advances it
+//! by one before every sweep of every phase, so a run never meets one
+//! instant twice, and no phase chooses where its clock starts. A phase
+//! numbers its own sweeps from 0 for what is relative to it — the latency
+//! gate, the floor, the active-set rebuild at sweep 0 — and stops at
 //! quiescence: the first sweep, at or past a floor, that delivered nothing
 //! and left no traffic pending. Within a sweep, [`sweep_active`] (the links
 //! that held traffic when the phase began) and [`sweep_every`] (every
@@ -85,23 +88,22 @@ impl SweepLinks for Vec<Box<dyn Transport>> {
     }
 }
 
-/// Runs sweeps `start, start + 1, …`, ticking the fault clock before each,
-/// until a sweep numbered at least `floor` delivers nothing and leaves
-/// nothing pending. Returns that last sweep's number.
+/// Runs the phase's sweeps `0, 1, …`, ticking the fault plan's instant
+/// before each, until a sweep numbered at least `floor` delivers nothing
+/// and leaves nothing pending.
 pub(crate) fn run(
     faults: Option<&FaultPlan>,
-    start: usize,
     floor: usize,
     mut sweep_once: impl FnMut(usize) -> Result<SweepOutcome>,
-) -> Result<usize> {
-    let mut sweep = start;
+) -> Result<()> {
+    let mut sweep = 0;
     loop {
         if let Some(plan) = faults {
-            plan.set_sweep(sweep);
+            plan.tick();
         }
         let outcome = sweep_once(sweep)?;
         if !outcome.delivered && !outcome.pending_future && sweep >= floor {
-            return Ok(sweep);
+            return Ok(());
         }
         sweep += 1;
     }

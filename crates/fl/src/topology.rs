@@ -1328,7 +1328,7 @@ mod tests {
         assert!(!edge.pump_idle().unwrap());
         assert_eq!(plan.stats().partitions, 1);
         // Even at rate 1.0 no window opens at the end instant of the last.
-        plan.set_sweep(1);
+        plan.tick();
         assert!(edge.pump(1).unwrap().delivered);
         assert_eq!(plan.stats().partitions, 1);
     }

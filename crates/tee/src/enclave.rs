@@ -80,7 +80,7 @@ pub struct Enclave {
     store: Mutex<HashMap<String, SecureObject>>,
     used: Mutex<usize>,
     ledger: Mutex<CostLedger>,
-    raw_unseals: Mutex<u64>,
+    unseals: Mutex<u64>,
 }
 
 impl Enclave {
@@ -91,7 +91,7 @@ impl Enclave {
             store: Mutex::new(HashMap::new()),
             used: Mutex::new(0),
             ledger: Mutex::new(CostLedger::default()),
-            raw_unseals: Mutex::new(0),
+            unseals: Mutex::new(0),
         }
     }
 
@@ -264,35 +264,16 @@ impl Enclave {
         *self.used.lock() = 0;
     }
 
-    /// Seals a stored object for export to untrusted storage, accounting the
-    /// sealing cost.
-    ///
-    /// # Errors
-    /// Returns [`TeeError::NotFound`] for unknown keys.
-    pub fn seal(&self, key: &str) -> Result<SealedBlob> {
-        let store = self.store.lock();
-        let object = store.get(key).ok_or_else(|| TeeError::NotFound {
-            key: key.to_string(),
-        })?;
-        let payload = match &object.tensor {
-            Some(t) => SealedBlob::encode_tensor(key, t, self.config.measurement),
-            None => SealedBlob::encode_bytes(key, &object.bytes, self.config.measurement),
-        };
-        self.ledger
-            .lock()
-            .record_seal(object.size, &self.config.cost_model);
-        Ok(payload)
-    }
-
-    /// Seals a stored **byte** object verbatim (bit-preserving raw framing,
-    /// see [`SealedBlob`]'s raw path), accounting the sealing cost. The
-    /// shielded-update channel of the federation uses this to ship
-    /// binary-encoded parameter segments between enclaves losslessly.
+    /// Seals a stored **byte** object for export to untrusted storage,
+    /// verbatim (see [`SealedBlob`] for the one sealed format), accounting the
+    /// sealing cost. The shielded-update channel of the federation uses this
+    /// to ship binary-encoded parameter segments between enclaves
+    /// losslessly.
     ///
     /// # Errors
     /// Returns [`TeeError::NotFound`] for unknown keys or tensor-valued
     /// objects.
-    pub fn seal_raw(&self, key: &str) -> Result<SealedBlob> {
+    pub fn seal(&self, key: &str) -> Result<SealedBlob> {
         let store = self.store.lock();
         let object = store.get(key).ok_or_else(|| TeeError::NotFound {
             key: key.to_string(),
@@ -302,23 +283,23 @@ impl Enclave {
                 key: key.to_string(),
             });
         }
-        let blob = SealedBlob::encode_raw(key, &object.bytes, self.config.measurement);
+        let blob = SealedBlob::encode(key, &object.bytes, self.config.measurement);
         self.ledger
             .lock()
             .record_seal(object.size, &self.config.cost_model);
         Ok(blob)
     }
 
-    /// Unseals a raw blob produced by [`Enclave::seal_raw`] on an enclave
-    /// with the same measurement, restoring the byte object into secure
-    /// memory.
+    /// Unseals a blob produced by [`Enclave::seal`] on an enclave with the
+    /// same measurement, restoring the byte object into secure memory.
     ///
     /// # Errors
-    /// Returns [`TeeError::SealIntegrity`] if the blob was tampered with or
-    /// sealed by a different measurement, plus the usual storage errors.
-    pub fn unseal_raw(&self, blob: &SealedBlob) -> Result<String> {
-        let (key, bytes) = blob.decode_raw(self.config.measurement)?;
-        *self.raw_unseals.lock() += 1;
+    /// Returns [`TeeError::SealIntegrity`] if the blob was tampered with,
+    /// sealed by a different measurement or carries a malformed plaintext,
+    /// plus the usual storage errors.
+    pub fn unseal(&self, blob: &SealedBlob) -> Result<String> {
+        let (key, bytes) = blob.decode(self.config.measurement)?;
+        *self.unseals.lock() += 1;
         self.ledger
             .lock()
             .record_seal(blob.len(), &self.config.cost_model);
@@ -326,18 +307,18 @@ impl Enclave {
         Ok(key)
     }
 
-    /// How many times [`Enclave::unseal_raw`] has exposed an **individual**
-    /// raw blob into the keyed secure store.
+    /// How many times [`Enclave::unseal`] has exposed an **individual**
+    /// blob into the keyed secure store.
     ///
     /// Secure aggregation asserts on this counter: a masked federation round
     /// must fold member updates through [`Enclave::unseal_fold`] (which
     /// never materialises a per-member object) and leave this count at zero
     /// on the aggregator's enclave.
-    pub fn raw_unseal_count(&self) -> u64 {
-        *self.raw_unseals.lock()
+    pub fn unseal_count(&self) -> u64 {
+        *self.unseals.lock()
     }
 
-    /// Unseals a batch of raw blobs **transiently**, handing each plaintext
+    /// Unseals a batch of blobs **transiently**, handing each plaintext
     /// to `visit` without ever storing an individual object in the keyed
     /// secure store.
     ///
@@ -345,40 +326,26 @@ impl Enclave {
     /// per-member bytes into a running sum inside the enclave, and only the
     /// aggregate ever leaves. Each blob is still accounted as an unsealing
     /// operation in the cost ledger, but none of them increments
-    /// [`Enclave::raw_unseal_count`] — the counter tracks individual
+    /// [`Enclave::unseal_count`] — the counter tracks individual
     /// exposure, which this path by construction avoids.
     ///
     /// # Errors
-    /// Returns [`TeeError::SealIntegrity`] if any blob was tampered with or
-    /// sealed by a different measurement; errors from `visit` propagate
-    /// unchanged and abort the fold.
+    /// Returns [`TeeError::SealIntegrity`] if any blob was tampered with,
+    /// sealed by a different measurement or carries a malformed plaintext;
+    /// errors from `visit` propagate unchanged and abort the fold.
     pub fn unseal_fold(
         &self,
         blobs: &[SealedBlob],
         visit: &mut dyn FnMut(&str, &[u8]) -> Result<()>,
     ) -> Result<()> {
         for blob in blobs {
-            let (key, bytes) = blob.decode_raw(self.config.measurement)?;
+            let (key, bytes) = blob.decode(self.config.measurement)?;
             self.ledger
                 .lock()
                 .record_seal(blob.len(), &self.config.cost_model);
             visit(&key, &bytes)?;
         }
         Ok(())
-    }
-
-    /// Unseals a blob produced by [`Enclave::seal`] on an enclave with the
-    /// same measurement, restoring the object into secure memory.
-    ///
-    /// # Errors
-    /// Returns [`TeeError::SealIntegrity`] if the blob was tampered with or
-    /// sealed by a different measurement, plus the usual storage errors.
-    pub fn unseal(&self, blob: &SealedBlob) -> Result<()> {
-        let (key, tensor) = blob.decode(self.config.measurement)?;
-        self.ledger
-            .lock()
-            .record_seal(blob.len(), &self.config.cost_model);
-        self.store_tensor(&key, tensor)
     }
 
     /// Produces an attestation report binding the enclave measurement to a
@@ -466,13 +433,13 @@ mod tests {
     #[test]
     fn seal_unseal_roundtrip_and_tamper_detection() {
         let enclave = Enclave::new(EnclaveConfig::trustzone_default());
-        let original = Tensor::from_vec(vec![1.0, -2.0, 3.5, 0.25], &[2, 2]).unwrap();
-        enclave.store_tensor("weights", original.clone()).unwrap();
+        let original = vec![1, 254, 3, 128];
+        enclave.store_bytes("weights", original.clone()).unwrap();
         let blob = enclave.seal("weights").unwrap();
 
         let other = Enclave::new(EnclaveConfig::trustzone_default());
         other.unseal(&blob).unwrap();
-        let restored = other.read_tensor("weights", World::Secure).unwrap();
+        let restored = other.read_bytes("weights", World::Secure).unwrap();
         assert_eq!(restored, original);
 
         // A tampered blob is rejected.
@@ -490,7 +457,7 @@ mod tests {
         assert!(foreign.unseal(&blob).is_err());
     }
 
-    fn other_unseal(enclave: &Enclave, blob: &SealedBlob) -> Result<()> {
+    fn other_unseal(enclave: &Enclave, blob: &SealedBlob) -> Result<String> {
         // Fresh key so AlreadyExists does not mask the integrity error.
         enclave.free("weights").ok();
         enclave.unseal(blob)
@@ -510,19 +477,19 @@ mod tests {
         // Tensor-valued objects are not visible through the bytes API.
         enclave.store_tensor("t", Tensor::ones(&[2])).unwrap();
         assert!(enclave.read_bytes("t", World::Secure).is_err());
-        assert!(enclave.seal_raw("t").is_err());
+        assert!(enclave.seal("t").is_err());
 
-        let blob = enclave.seal_raw("seg").unwrap();
+        let blob = enclave.seal("seg").unwrap();
         let other = Enclave::new(EnclaveConfig::trustzone_default());
-        let key = other.unseal_raw(&blob).unwrap();
+        let key = other.unseal(&blob).unwrap();
         assert_eq!(key, "seg");
         assert_eq!(other.read_bytes("seg", World::Secure).unwrap(), payload);
-        // A foreign measurement cannot unseal the raw blob either.
+        // A foreign measurement cannot unseal the blob either.
         let mut foreign_cfg = EnclaveConfig::trustzone_default();
         foreign_cfg.measurement = 0x1234;
         let foreign = Enclave::new(foreign_cfg);
         assert!(matches!(
-            foreign.unseal_raw(&blob),
+            foreign.unseal(&blob),
             Err(TeeError::SealIntegrity)
         ));
     }
@@ -532,7 +499,7 @@ mod tests {
         let sender = Enclave::new(EnclaveConfig::trustzone_default());
         sender.store_bytes("a", vec![1, 2, 3]).unwrap();
         sender.store_bytes("b", vec![4, 5]).unwrap();
-        let blobs = vec![sender.seal_raw("a").unwrap(), sender.seal_raw("b").unwrap()];
+        let blobs = vec![sender.seal("a").unwrap(), sender.seal("b").unwrap()];
 
         let root = Enclave::new(EnclaveConfig::trustzone_default());
         let mut seen: Vec<(String, Vec<u8>)> = Vec::new();
@@ -549,14 +516,14 @@ mod tests {
             ]
         );
         // The fold accounted unsealing costs but stored nothing and never
-        // counted an individual raw unseal.
+        // counted an individual unseal.
         assert_eq!(root.object_count(), 0);
-        assert_eq!(root.raw_unseal_count(), 0);
+        assert_eq!(root.unseal_count(), 0);
         assert!(root.ledger().sealed_bytes > 0);
 
         // The classic path, by contrast, bumps the exposure counter.
-        root.unseal_raw(&blobs[0]).unwrap();
-        assert_eq!(root.raw_unseal_count(), 1);
+        root.unseal(&blobs[0]).unwrap();
+        assert_eq!(root.unseal_count(), 1);
         assert_eq!(root.object_count(), 1);
 
         // Tampering aborts the fold with a seal-integrity error.

@@ -19,9 +19,10 @@
 //!   sealing operations using a configurable latency model (constants taken
 //!   from published SGX/TrustZone measurements), which the §VI system-
 //!   implications bench reads back;
-//! * supports **sealing** (encrypted export of enclave state) and a stub
-//!   remote **attestation** flow, mirroring the WaTZ-style attestation the
-//!   paper cites for establishing trust in the deployed enclave.
+//! * supports **sealing** (encrypted export of a byte object, in one
+//!   verbatim format: see [`SealedBlob`]) and a stub remote **attestation**
+//!   flow, mirroring the WaTZ-style attestation the paper cites for
+//!   establishing trust in the deployed enclave.
 //!
 //! # Example
 //!

@@ -7,17 +7,26 @@
 //! detection, wrong-measurement rejection) while using a keystream cipher and
 //! a checksum instead of real cryptography — none of the paper's claims
 //! depend on the cipher strength, only on the access-control semantics.
+//!
+//! There is one sealed format, over byte objects only ([`SealedBlob`]):
+//! a tensor leaves an enclave as its binary wire encoding, never as a
+//! tensor object, so unsealing reproduces every bit of what was sealed.
 
-use pelta_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::{Result, TeeError};
 
-/// Leading magic of raw-bytes payloads, distinguishing them from the JSON
-/// tensor payloads at decode time.
+/// Leading magic of every sealed plaintext.
 const RAW_MAGIC: &[u8; 4] = b"RAW1";
 
 /// An opaque sealed object that can live in untrusted storage.
+///
+/// The one sealed format: the plaintext `RAW1 ‖ key_len ‖ key ‖ bytes`
+/// (`key_len` a little-endian `u32`) XORed with a measurement-derived
+/// keystream, carried beside an FNV-1a checksum of the plaintext. Unsealing
+/// returns the key and the bytes verbatim, so the federation's
+/// shielded-update channel moves binary-encoded parameter segments between
+/// enclaves without any representation change.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SealedBlob {
     ciphertext: Vec<u8>,
@@ -25,46 +34,8 @@ pub struct SealedBlob {
 }
 
 impl SealedBlob {
-    /// Seals a tensor under the given enclave measurement.
-    pub(crate) fn encode_tensor(key: &str, tensor: &Tensor, measurement: u64) -> SealedBlob {
-        let payload = Payload {
-            key: key.to_string(),
-            dims: tensor.dims().to_vec(),
-            data: tensor.data().to_vec(),
-        };
-        Self::encode(&payload, measurement)
-    }
-
-    /// Seals raw bytes (stored as a rank-1 byte-valued tensor payload).
-    pub(crate) fn encode_bytes(key: &str, bytes: &[u8], measurement: u64) -> SealedBlob {
-        let payload = Payload {
-            key: key.to_string(),
-            dims: vec![bytes.len()],
-            data: bytes.iter().map(|&b| b as f32).collect(),
-        };
-        Self::encode(&payload, measurement)
-    }
-
-    fn encode(payload: &Payload, measurement: u64) -> SealedBlob {
-        let plain = serde_json::to_vec(payload).expect("payload serialises");
-        let mut ciphertext = Vec::with_capacity(plain.len());
-        let mut stream = SealStream::new(measurement);
-        stream.seal(&plain, &mut ciphertext);
-        SealedBlob {
-            ciphertext,
-            checksum: stream.checksum,
-        }
-    }
-
-    /// Seals an opaque byte string **verbatim** under the given measurement.
-    ///
-    /// Unlike [`SealedBlob::encode_bytes`] (which widens each byte to an
-    /// `f32` tensor element), this path frames the payload as
-    /// `RAW1 ‖ key_len ‖ key ‖ bytes`, so unsealing reproduces the input
-    /// bit for bit. The federation's shielded-update channel relies on this
-    /// to move binary-encoded parameter segments between enclaves without
-    /// any representation change.
-    pub(crate) fn encode_raw(key: &str, bytes: &[u8], measurement: u64) -> SealedBlob {
+    /// Seals `bytes` under `key` and the given enclave measurement.
+    pub(crate) fn encode(key: &str, bytes: &[u8], measurement: u64) -> SealedBlob {
         let key_len = (key.len() as u32).to_le_bytes();
         let mut ciphertext =
             Vec::with_capacity(RAW_MAGIC.len() + key_len.len() + key.len() + bytes.len());
@@ -78,13 +49,14 @@ impl SealedBlob {
         }
     }
 
-    /// Unseals a blob produced by [`SealedBlob::encode_raw`], returning the
-    /// original key and the verbatim bytes.
+    /// Unseals the blob, returning the original key and the verbatim bytes.
     ///
     /// # Errors
     /// Returns [`TeeError::SealIntegrity`] if the measurement is wrong, the
-    /// blob was modified, or the blob does not carry a raw payload.
-    pub(crate) fn decode_raw(&self, measurement: u64) -> Result<(String, Vec<u8>)> {
+    /// blob was modified, or its plaintext is not a well-formed payload (a
+    /// short header, a wrong magic, a key length past the end, a key that is
+    /// not UTF-8).
+    pub(crate) fn decode(&self, measurement: u64) -> Result<(String, Vec<u8>)> {
         let header_len = RAW_MAGIC.len() + 4;
         if self.ciphertext.len() < header_len {
             return Err(TeeError::SealIntegrity);
@@ -111,26 +83,6 @@ impl SealedBlob {
         }
         let key = String::from_utf8(plain_key).map_err(|_| TeeError::SealIntegrity)?;
         Ok((key, plain_body))
-    }
-
-    /// Unseals the blob with the given measurement, returning the original
-    /// key and tensor.
-    ///
-    /// # Errors
-    /// Returns [`TeeError::SealIntegrity`] if the measurement is wrong or the
-    /// blob was modified.
-    pub(crate) fn decode(&self, measurement: u64) -> Result<(String, Tensor)> {
-        let mut plain = Vec::with_capacity(self.ciphertext.len());
-        let mut stream = SealStream::new(measurement);
-        stream.open(&self.ciphertext, &mut plain);
-        if stream.checksum != self.checksum {
-            return Err(TeeError::SealIntegrity);
-        }
-        let payload: Payload =
-            serde_json::from_slice(&plain).map_err(|_| TeeError::SealIntegrity)?;
-        let tensor =
-            Tensor::from_vec(payload.data, &payload.dims).map_err(|_| TeeError::SealIntegrity)?;
-        Ok((payload.key, tensor))
     }
 
     /// Size of the sealed ciphertext in bytes.
@@ -172,13 +124,6 @@ impl SealedBlob {
     }
 }
 
-#[derive(Serialize, Deserialize)]
-struct Payload {
-    key: String,
-    dims: Vec<usize>,
-    data: Vec<f32>,
-}
-
 /// Seed of the sealing keystream, mixed with the measurement.
 const KEYSTREAM_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// FNV-1a offset basis: the checksum of no bytes.
@@ -201,8 +146,8 @@ fn checksum_step(hash: u64, byte: u8) -> u64 {
 
 /// The sealing cipher: a measurement-derived xorshift keystream XORed over
 /// the plaintext and an FNV-1a checksum of the plaintext, advanced together
-/// in one pass over consecutive parts of one plaintext, so the raw path
-/// needs no plaintext copy and the two dependency chains overlap.
+/// in one pass over consecutive parts of one plaintext, so sealing needs no
+/// plaintext copy and the two dependency chains overlap.
 struct SealStream {
     state: u64,
     checksum: u64,
@@ -243,6 +188,7 @@ impl SealStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Enclave, EnclaveConfig};
 
     /// Two-pass reference of the keystream half of [`SealStream`].
     fn keystream_xor(data: &[u8], measurement: u64) -> Vec<u8> {
@@ -261,67 +207,50 @@ mod tests {
             .fold(CHECKSUM_BASIS, |hash, &b| checksum_step(hash, b))
     }
 
-    #[test]
-    fn roundtrip_preserves_tensor() {
-        let tensor = Tensor::from_vec(vec![1.5, -2.25, 0.0, 7.0], &[2, 2]).unwrap();
-        let blob = SealedBlob::encode_tensor("weights", &tensor, 42);
-        assert!(!blob.is_empty());
-        // The ciphertext carries the JSON payload (key, dims and data), so
-        // it must exceed the raw tensor bytes alone.
-        assert!(blob.len() > 4 * std::mem::size_of::<f32>());
-        let (key, restored) = blob.decode(42).unwrap();
-        assert_eq!(key, "weights");
-        assert_eq!(restored, tensor);
+    /// A blob that seals `plain` verbatim with a valid checksum, whatever
+    /// the plaintext holds: the two-pass reference, not [`SealedBlob::encode`].
+    fn forged(plain: &[u8], measurement: u64) -> SealedBlob {
+        SealedBlob::from_parts(keystream_xor(plain, measurement), checksum(plain))
+    }
+
+    /// `RAW1 ‖ key_len ‖ key ‖ body`, with the given key length.
+    fn plaintext(magic: &[u8], key_len: u32, key: &[u8], body: &[u8]) -> Vec<u8> {
+        let mut plain = magic.to_vec();
+        plain.extend_from_slice(&key_len.to_le_bytes());
+        plain.extend_from_slice(key);
+        plain.extend_from_slice(body);
+        plain
     }
 
     #[test]
     fn wrong_measurement_is_rejected() {
-        let tensor = Tensor::ones(&[3]);
-        let blob = SealedBlob::encode_tensor("t", &tensor, 1);
+        let blob = SealedBlob::encode("t", &[1, 2, 3], 1);
         assert!(matches!(blob.decode(2), Err(TeeError::SealIntegrity)));
     }
 
     #[test]
     fn tampering_is_detected() {
-        let tensor = Tensor::ones(&[3]);
-        let mut blob = SealedBlob::encode_tensor("t", &tensor, 7);
+        let mut blob = SealedBlob::encode("t", &[1, 2, 3], 7);
         blob.tamper_for_tests();
         assert!(matches!(blob.decode(7), Err(TeeError::SealIntegrity)));
     }
 
     #[test]
-    fn bytes_payload_roundtrips() {
-        let blob = SealedBlob::encode_bytes("raw", &[1, 2, 250], 9);
-        let (key, tensor) = blob.decode(9).unwrap();
-        assert_eq!(key, "raw");
-        assert_eq!(tensor.data(), &[1.0, 2.0, 250.0]);
-    }
-
-    #[test]
     fn raw_payload_roundtrips_verbatim() {
         let bytes: Vec<u8> = (0u16..=255).map(|b| b as u8).collect();
-        let blob = SealedBlob::encode_raw("segment", &bytes, 11);
-        let (key, restored) = blob.decode_raw(11).unwrap();
+        let blob = SealedBlob::encode("segment", &bytes, 11);
+        let (key, restored) = blob.decode(11).unwrap();
         assert_eq!(key, "segment");
         assert_eq!(restored, bytes);
         // Wrong measurement and tampering are both rejected.
-        assert!(matches!(blob.decode_raw(12), Err(TeeError::SealIntegrity)));
+        assert!(matches!(blob.decode(12), Err(TeeError::SealIntegrity)));
         let mut tampered = blob.clone();
         tampered.tamper_for_tests();
-        assert!(matches!(
-            tampered.decode_raw(11),
-            Err(TeeError::SealIntegrity)
-        ));
-        // A JSON tensor blob is not a raw blob.
-        let tensor_blob = SealedBlob::encode_tensor("t", &Tensor::ones(&[2]), 11);
-        assert!(matches!(
-            tensor_blob.decode_raw(11),
-            Err(TeeError::SealIntegrity)
-        ));
+        assert!(matches!(tampered.decode(11), Err(TeeError::SealIntegrity)));
     }
 
-    /// The one-pass raw cipher gives the two-pass reference's ciphertext
-    /// and checksum byte for byte, at every payload length up to 300 and at
+    /// The one-pass cipher gives the two-pass reference's ciphertext and
+    /// checksum byte for byte, at every payload length up to 300 and at
     /// 64 KB, and unseals what it sealed; a flipped byte anywhere fails.
     #[test]
     fn one_pass_raw_sealing_matches_the_two_pass_reference() {
@@ -330,14 +259,11 @@ mod tests {
             .collect();
         for len in (0..=300).chain([65_536]) {
             let bytes = &payload[..len];
-            let blob = SealedBlob::encode_raw("seg", bytes, 0x5EA1);
-            let mut plain = RAW_MAGIC.to_vec();
-            plain.extend_from_slice(&3u32.to_le_bytes());
-            plain.extend_from_slice(b"seg");
-            plain.extend_from_slice(bytes);
+            let blob = SealedBlob::encode("seg", bytes, 0x5EA1);
+            let plain = plaintext(RAW_MAGIC, 3, b"seg", bytes);
             assert_eq!(blob.ciphertext, keystream_xor(&plain, 0x5EA1), "len {len}");
             assert_eq!(blob.checksum, checksum(&plain), "len {len}");
-            let (key, restored) = blob.decode_raw(0x5EA1).unwrap();
+            let (key, restored) = blob.decode(0x5EA1).unwrap();
             assert_eq!(
                 (key.as_str(), restored.as_slice()),
                 ("seg", bytes),
@@ -347,44 +273,82 @@ mod tests {
                 let mut tampered = blob.clone();
                 tampered.ciphertext[at] ^= 0x01;
                 assert!(
-                    matches!(tampered.decode_raw(0x5EA1), Err(TeeError::SealIntegrity)),
+                    matches!(tampered.decode(0x5EA1), Err(TeeError::SealIntegrity)),
                     "len {len}, byte {at}"
                 );
             }
         }
     }
 
-    /// The JSON tensor path seals with the same one-pass cipher: its
-    /// ciphertext and checksum are the two-pass reference's over the
-    /// serialised payload.
+    /// Pins the sealed format: FNV-1a over one blob's ciphertext followed
+    /// by its little-endian checksum. The value was computed with the
+    /// two-format sealing module this one replaced, on its raw path.
     #[test]
-    fn json_sealing_matches_the_two_pass_reference() {
-        let tensor = Tensor::from_vec(vec![1.5, -2.25, 0.0, 7.0], &[2, 2]).unwrap();
-        let blob = SealedBlob::encode_tensor("weights", &tensor, 0x5EA1);
-        let plain = serde_json::to_vec(&Payload {
-            key: "weights".to_string(),
-            dims: vec![2, 2],
-            data: tensor.data().to_vec(),
-        })
-        .unwrap();
-        assert_eq!(blob.ciphertext, keystream_xor(&plain, 0x5EA1));
-        assert_eq!(blob.checksum, checksum(&plain));
+    fn sealed_format_is_pinned() {
+        let payload: Vec<u8> = (0..1000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let blob = SealedBlob::encode("tiny.stem.weight", &payload, 0x70e1_7a5e_1fed);
+        let mut sealed = blob.ciphertext().to_vec();
+        sealed.extend_from_slice(&blob.checksum_value().to_le_bytes());
+        assert_eq!(blob.len(), 1024);
+        assert_eq!(checksum(&sealed), 0x6d0f_cf0a_b20e_6fe5);
+    }
+
+    /// Blobs whose checksum is valid but whose plaintext is hostile are
+    /// refused with `SealIntegrity` by both unseal paths, without a panic:
+    /// the checksum cannot catch them, so the parser must.
+    #[test]
+    fn forged_plaintexts_with_valid_checksums_are_refused() {
+        let measurement = EnclaveConfig::trustzone_default().measurement;
+        let cases = [
+            (
+                "key length past the end",
+                plaintext(RAW_MAGIC, 64, b"seg", b"ab"),
+            ),
+            (
+                "key length u32::MAX",
+                plaintext(RAW_MAGIC, u32::MAX, b"seg", b""),
+            ),
+            ("wrong magic", plaintext(b"RAW2", 3, b"seg", b"body")),
+            (
+                "non-UTF-8 key",
+                plaintext(RAW_MAGIC, 2, &[0xC3, 0x28], b"body"),
+            ),
+            ("header cut short", RAW_MAGIC[..3].to_vec()),
+            ("empty ciphertext", Vec::new()),
+        ];
+        let enclave = Enclave::new(EnclaveConfig::trustzone_default());
+        for (case, plain) in cases {
+            let blob = forged(&plain, measurement);
+            assert_eq!(blob.checksum, checksum(&plain), "{case}");
+            assert!(
+                matches!(enclave.unseal(&blob), Err(TeeError::SealIntegrity)),
+                "{case}"
+            );
+            let folded = enclave.unseal_fold(&[blob], &mut |_, _| Ok(()));
+            assert!(matches!(folded, Err(TeeError::SealIntegrity)), "{case}");
+        }
+        // The same forgery over a well-formed plaintext unseals: the cases
+        // above fail on their plaintext, not on the forging.
+        let blob = forged(&plaintext(RAW_MAGIC, 3, b"seg", b"body"), measurement);
+        assert_eq!(enclave.unseal(&blob).unwrap(), "seg");
+        assert_eq!(enclave.object_count(), 1);
     }
 
     #[test]
     fn wire_parts_reassemble() {
-        let blob = SealedBlob::encode_raw("k", &[9, 8, 7], 3);
+        let blob = SealedBlob::encode("k", &[9, 8, 7], 3);
         let rebuilt = SealedBlob::from_parts(blob.ciphertext().to_vec(), blob.checksum_value());
         assert_eq!(rebuilt, blob);
-        assert_eq!(rebuilt.decode_raw(3).unwrap().1, vec![9, 8, 7]);
+        assert_eq!(rebuilt.decode(3).unwrap().1, vec![9, 8, 7]);
     }
 
     #[test]
     fn ciphertext_differs_from_plaintext() {
-        let tensor = Tensor::zeros(&[8]);
-        let blob = SealedBlob::encode_tensor("zeros", &tensor, 3);
-        // The serialised plaintext contains the key name; the ciphertext must
-        // not leak it verbatim.
+        let blob = SealedBlob::encode("zeros", &[0; 8], 3);
+        // The plaintext contains the key name; the ciphertext must not leak
+        // it verbatim.
         let ciphertext_str = String::from_utf8_lossy(&blob.ciphertext);
         assert!(!ciphertext_str.contains("zeros"));
     }

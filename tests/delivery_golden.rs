@@ -3,8 +3,8 @@
 //!
 //! Every other determinism check compares two runs of the *same* build, so
 //! a change that shifts every run's delivery the same way — a sweep that
-//! polls one link more or less, a clock that ticks from a different origin
-//! — passes all of them. This suite compares against
+//! polls one link more or less, a clock that ticks once more or less —
+//! passes all of them. This suite compares against
 //! `tests/golden/delivery.txt` instead. Its scenarios together enter every
 //! delivery phase of the runtime (`docs/determinism.md` §3): the
 //! between-round phase on each fabric, the star collect sweep, the

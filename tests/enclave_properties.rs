@@ -48,16 +48,13 @@ proptest! {
     /// payload.
     #[test]
     fn sealing_is_bound_to_the_measurement(
-        values in proptest::collection::vec(-100.0f32..100.0, 1..32),
+        payload in proptest::collection::vec(0u8..=255, 1..32),
         measurement in 1u64..u64::MAX,
     ) {
-        let n = values.len();
         let mut config = EnclaveConfig::trustzone_default();
         config.measurement = measurement;
         let enclave = Enclave::new(config);
-        enclave
-            .store_tensor("payload", Tensor::from_vec(values.clone(), &[n]).unwrap())
-            .unwrap();
+        enclave.store_bytes("payload", payload.clone()).unwrap();
         let blob = enclave.seal("payload").unwrap();
 
         // Same measurement: restores the exact payload.
@@ -65,8 +62,8 @@ proptest! {
         same.measurement = measurement;
         let same_enclave = Enclave::new(same);
         same_enclave.unseal(&blob).unwrap();
-        let restored = same_enclave.read_tensor("payload", World::Secure).unwrap();
-        prop_assert_eq!(restored.data(), values.as_slice());
+        let restored = same_enclave.read_bytes("payload", World::Secure).unwrap();
+        prop_assert_eq!(restored, payload);
 
         // Different measurement: rejected.
         let mut other = EnclaveConfig::trustzone_default();

@@ -297,7 +297,7 @@ fn aggregate_with_faults(
     let mut nacks = Vec::new();
     let mut sweep = 0usize;
     loop {
-        plan.set_sweep(sweep);
+        plan.tick();
         let mut delivered = false;
         for (_, server_end) in &links {
             loop {
