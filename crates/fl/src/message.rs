@@ -53,7 +53,8 @@ use pelta_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{
-    bf16_from_hi, bf16_hi_bits, int8_quantize, int8_scale, topk_indices, UpdateCodec,
+    bf16_values, int8_scale, int8_values, put_bf16, put_int8, put_raw, raw_values, topk_indices,
+    UpdateCodec,
 };
 use crate::{FlError, Result};
 
@@ -659,12 +660,15 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 /// lossless). Public to the crate so the shielded-update channel can seal
 /// exactly the bytes the wire would carry.
 pub(crate) fn put_tensor(out: &mut Vec<u8>, tensor: &Tensor) {
+    put_dims(out, tensor);
+    put_raw(out, tensor.data());
+}
+
+/// The `rank ‖ dims` framing every tensor layout opens with.
+fn put_dims(out: &mut Vec<u8>, tensor: &Tensor) {
     put_u32(out, tensor.rank() as u32);
     for &dim in tensor.dims() {
         put_u64(out, dim as u64);
-    }
-    for &v in tensor.data() {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -680,36 +684,19 @@ pub(crate) fn put_tensor(out: &mut Vec<u8>, tensor: &Tensor) {
 /// Deterministic by construction: scale derivation, rounding and selection
 /// are the fixed scalar computations of [`crate::codec`], so encoding the
 /// same tensor always yields the same bytes — and encoding a dequantized
-/// tensor yields the *same* bytes again (idempotence).
+/// tensor yields the *same* bytes again (idempotence). The dense sections
+/// are written by the section kernels of [`crate::codec`], one pass each.
 fn put_tensor_coded(out: &mut Vec<u8>, tensor: &Tensor, codec: UpdateCodec) {
+    put_dims(out, tensor);
     match codec {
-        UpdateCodec::Raw => put_tensor(out, tensor),
-        UpdateCodec::Bf16 => {
-            put_u32(out, tensor.rank() as u32);
-            for &dim in tensor.dims() {
-                put_u64(out, dim as u64);
-            }
-            for &v in tensor.data() {
-                out.extend_from_slice(&bf16_hi_bits(v).to_le_bytes());
-            }
-        }
+        UpdateCodec::Raw => put_raw(out, tensor.data()),
+        UpdateCodec::Bf16 => put_bf16(out, tensor.data()),
         UpdateCodec::Int8 => {
-            put_u32(out, tensor.rank() as u32);
-            for &dim in tensor.dims() {
-                put_u64(out, dim as u64);
-            }
             let scale = int8_scale(tensor.data());
-            let inv = scale.recip();
             put_u32(out, scale.to_bits());
-            for &v in tensor.data() {
-                out.push(int8_quantize(v, inv) as u8);
-            }
+            put_int8(out, tensor.data(), scale);
         }
         UpdateCodec::TopK { k } => {
-            put_u32(out, tensor.rank() as u32);
-            for &dim in tensor.dims() {
-                put_u64(out, dim as u64);
-            }
             let kept = topk_indices(tensor.data(), k);
             put_u32(out, kept.len() as u32);
             for index in kept {
@@ -834,13 +821,10 @@ impl<'a> Cursor<'a> {
     fn take_tensor(&mut self) -> Result<Tensor> {
         let dims = self.take_dims()?;
         // The remaining payload bounds every plausible element count at 4
-        // bytes per element.
+        // bytes per element, so the section length cannot overflow; each
+        // dense section is then taken whole.
         let numel = Self::checked_numel(&dims, self.remaining() / 4 + 1)?;
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            let bits = self.take_u32()?;
-            data.push(f32::from_bits(bits));
-        }
+        let data = raw_values(self.take(4 * numel)?);
         Tensor::from_vec(data, &dims).or_else(|_| wire_err("inconsistent tensor framing"))
     }
 
@@ -855,22 +839,14 @@ impl<'a> Cursor<'a> {
             WireCodec::Bf16 => {
                 let dims = self.take_dims()?;
                 let numel = Self::checked_numel(&dims, self.remaining() / 2 + 1)?;
-                let mut data = Vec::with_capacity(numel);
-                for _ in 0..numel {
-                    let hi = u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes"));
-                    data.push(bf16_from_hi(hi));
-                }
+                let data = bf16_values(self.take(2 * numel)?);
                 Tensor::from_vec(data, &dims).or_else(|_| wire_err("inconsistent tensor framing"))
             }
             WireCodec::Int8 => {
                 let dims = self.take_dims()?;
                 let scale = f32::from_bits(self.take_u32()?);
                 let numel = Self::checked_numel(&dims, self.remaining() + 1)?;
-                let mut data = Vec::with_capacity(numel);
-                for _ in 0..numel {
-                    let code = self.take_u8()? as i8;
-                    data.push(f32::from(code) * scale);
-                }
+                let data = int8_values(self.take(numel)?, scale);
                 Tensor::from_vec(data, &dims).or_else(|_| wire_err("inconsistent tensor framing"))
             }
             WireCodec::TopK => {
@@ -1396,5 +1372,91 @@ mod tests {
         let json = serde_json::to_string(&update).unwrap();
         let back: ModelUpdate = serde_json::from_str(&json).unwrap();
         assert_eq!(back, update);
+    }
+
+    /// The edge cases of the dense element kernels, one tensor each: exact
+    /// `.5` ties after Int8 scaling with their one-ULP neighbours (at scale
+    /// 1 with the amax on a negative element, at scale `2^-3`, and at the
+    /// ±127 clamp), ±0, subnormals, NaNs with payloads, ±∞, bf16 ties, the
+    /// saturating top of the Int8 range, and an all-zero tensor.
+    fn pinned_params() -> Vec<(String, Tensor)> {
+        let with_neighbours = |ties: &[f32]| -> Vec<f32> {
+            ties.iter()
+                .flat_map(|&t| [t, -t])
+                .flat_map(|t| [t, t.next_down(), t.next_up()])
+                .collect()
+        };
+        let mut unit = with_neighbours(&[0.5, 1.5, 2.5, 3.5, 62.5, 63.5, 99.5]);
+        unit.push(-100.0); // amax on a negative element: scale 1
+        let mut eighth = with_neighbours(&[0.0625, 0.1875, 0.3125, 7.5625]);
+        eighth.push(-12.0); // scale 2^-3
+        let mut clamp = with_neighbours(&[125.5, 126.5]);
+        clamp.push(127.0); // scale 1, the top code
+        let specials = vec![
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 4.0,     // subnormal
+            f32::from_bits(0x8000_0001), // smallest negative subnormal
+            f32::from_bits(0x7FC0_1234), // quiet NaN with payload
+            f32::from_bits(0xFF80_0001), // negative signalling NaN
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            -3.0,                        // finite amax, negative: scale 2^-5
+            f32::from_bits(0x3F80_8000), // bf16 tie, even kept half
+            f32::from_bits(0x3F81_8000), // bf16 tie, odd kept half
+        ];
+        let top = vec![f32::MAX, -f32::MAX, 1.0e38, -3.3e38, 1.0];
+        let tensor = |data: Vec<f32>| {
+            let len = data.len();
+            Tensor::from_vec(data, &[len]).unwrap()
+        };
+        vec![
+            ("unit".to_string(), tensor(unit)),
+            ("eighth".to_string(), tensor(eighth)),
+            ("clamp".to_string(), tensor(clamp)),
+            (
+                "specials".to_string(),
+                Tensor::from_vec(specials, &[3, 4]).unwrap(),
+            ),
+            ("top".to_string(), tensor(top)),
+            (
+                "zeros".to_string(),
+                Tensor::from_vec(vec![0.0, -0.0, 0.0, 0.0], &[2, 2]).unwrap(),
+            ),
+        ]
+    }
+
+    /// Pins the frame bytes across builds: one FNV-1a hash over an `Update`
+    /// and a `RoundStart` of [`pinned_params`] encoded under every codec.
+    /// Replay and digest checks compare runs within one build, so only a
+    /// pinned constant catches a kernel change that moves every frame's
+    /// bytes the same way.
+    #[test]
+    fn frame_bytes_are_pinned_across_builds() {
+        let update = Message::Update {
+            update: ModelUpdate {
+                client_id: 3,
+                round: 5,
+                num_samples: 17,
+                parameters: pinned_params(),
+            },
+            shielded: vec![SealedBlob::from_parts(vec![7, 0, 255], 0xC0DE)],
+        };
+        let round_start = Message::RoundStart {
+            round: 5,
+            global: GlobalModel {
+                round: 5,
+                parameters: pinned_params(),
+            },
+        };
+        let mut frames = Vec::new();
+        for codec in all_codecs() {
+            for message in [&update, &round_start] {
+                frames.extend(message.encode_with(codec));
+            }
+        }
+        assert_eq!(frames.len(), 4122);
+        assert_eq!(fnv1a64(&frames), 0xf8eb_9875_7252_8fc4);
     }
 }

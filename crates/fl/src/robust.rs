@@ -244,16 +244,40 @@ pub fn aggregate_with_rule(
     fold.finish()
 }
 
-/// FedAvg's accumulate step, `sum + weight · (value − reference)`, shared
-/// by the [`AggregationFold`] and the masked enclave fold so the two cannot
-/// drift by a bit.
+/// FedAvg's accumulate step, `sum += weight · (value − reference)` in place,
+/// shared by the [`AggregationFold`] and the masked enclave fold so the two
+/// cannot drift by a bit. Each element takes the subtract, the multiply and
+/// the add in that order, unfused, which fixes the aggregate's bits
+/// (`docs/determinism.md` §2).
+///
+/// # Errors
+/// Returns [`FlError::SchemaMismatch`] when the three shapes differ; the
+/// element loop would otherwise fold a truncated prefix.
 pub(crate) fn accumulate(
-    sum: &Tensor,
+    sum: &mut Tensor,
     weight: f32,
     value: &Tensor,
     reference: &Tensor,
-) -> Result<Tensor> {
-    Ok(sum.axpy(weight, &value.sub(reference)?)?)
+) -> Result<()> {
+    if sum.dims() != value.dims() || value.dims() != reference.dims() {
+        return Err(FlError::SchemaMismatch {
+            reason: format!(
+                "accumulate over shapes {:?} (sum), {:?} (value) and {:?} (reference)",
+                sum.dims(),
+                value.dims(),
+                reference.dims()
+            ),
+        });
+    }
+    for ((s, &v), &r) in sum
+        .data_mut()
+        .iter_mut()
+        .zip(value.data())
+        .zip(reference.data())
+    {
+        *s += weight * (v - r);
+    }
+    Ok(())
 }
 
 /// FedAvg's normalise step, `reference + (1 / total_weight) · sum`, shared
@@ -352,7 +376,7 @@ impl AggregationFold {
             .zip(&self.reference)
             .zip(&update.parameters)
         {
-            *sum = accumulate(sum, scale, value, reference)?;
+            accumulate(sum, scale, value, reference)?;
         }
         Ok(())
     }
@@ -904,6 +928,93 @@ mod tests {
                 );
                 assert!(err.is_err(), "rule {rule:?} accepted {poison}");
             }
+        }
+    }
+
+    /// The two-temporary accumulate `accumulate` replaced, kept as its
+    /// reference.
+    fn accumulate_reference(
+        sum: &Tensor,
+        weight: f32,
+        value: &Tensor,
+        reference: &Tensor,
+    ) -> Result<Tensor> {
+        Ok(sum.axpy(weight, &value.sub(reference)?)?)
+    }
+
+    #[test]
+    fn in_place_accumulate_matches_the_two_temporary_reference_bit_for_bit() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(25);
+        // One tensor above the element-wise kernels' parallel threshold,
+        // one below it.
+        for dims in [vec![2, 20_000], vec![5, 7]] {
+            let normal = |rng: &mut rand_chacha::ChaCha8Rng, std: f32| {
+                Tensor::rand_normal(&dims, 0.0, std, rng)
+            };
+            // Special values at fixed, disjoint positions: ±∞ and one NaN
+            // payload in the reference, ±0, subnormals, overflowing
+            // magnitudes, ±∞ and the same NaN payload in the first update.
+            // Disjoint, so no two different NaNs meet (their payloads
+            // would depend on operand order, not on the fold).
+            let mut reference = normal(&mut rng, 1.0);
+            for (index, special) in [
+                (0, f32::INFINITY),
+                (1, f32::NEG_INFINITY),
+                (2, f32::from_bits(0x7FC0_1234)),
+            ] {
+                reference.data_mut()[index] = special;
+            }
+            let mut first = normal(&mut rng, 1.0);
+            for (index, special) in [
+                (3, 0.0),
+                (4, -0.0),
+                (5, f32::MIN_POSITIVE / 4.0),
+                (6, -f32::from_bits(1)),
+                (7, f32::MAX),
+                (8, -3.0e38),
+                (9, f32::INFINITY),
+                (10, f32::NEG_INFINITY),
+                (11, f32::from_bits(0x7FC0_1234)),
+            ] {
+                first.data_mut()[index] = special;
+            }
+            let mut updates = vec![(17.0, first)];
+            for (weight, std) in [(1.0, 1.0), (0.5, 1e-3), (3.0e-3, 10.0), (64.0, 1e-30)] {
+                updates.push((weight, normal(&mut rng, std)));
+            }
+            let mut sum = Tensor::zeros(&dims);
+            let mut expected = Tensor::zeros(&dims);
+            for (weight, value) in &updates {
+                accumulate(&mut sum, *weight, value, &reference).unwrap();
+                expected = accumulate_reference(&expected, *weight, value, &reference).unwrap();
+                for (index, (a, b)) in sum.data().iter().zip(expected.data()).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "element {index}: {a:e} vs {b:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_refuses_any_shape_mismatch() {
+        let t = |dims: &[usize]| Tensor::ones(dims);
+        // (sum, value, reference): each pair mismatched in element count,
+        // and a transposed shape with the same element count.
+        for (sum, value, reference) in [
+            (&[3][..], &[4][..], &[4][..]),
+            (&[4], &[3], &[4]),
+            (&[4], &[4], &[3]),
+            (&[4], &[3], &[3]),
+            (&[2, 3], &[3, 2], &[2, 3]),
+            (&[2, 3], &[2, 3], &[3, 2]),
+        ] {
+            let mut folded = t(sum);
+            let err = accumulate(&mut folded, 1.0, &t(value), &t(reference));
+            assert!(
+                err.is_err(),
+                "shapes {sum:?} += {value:?} - {reference:?} were folded"
+            );
+            assert!(folded.data().iter().all(|&v| v == 1.0), "sum was written");
         }
     }
 }

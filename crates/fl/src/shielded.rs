@@ -272,7 +272,7 @@ impl ShieldedUpdateChannel {
                         }
                         let len = tensor.numel();
                         unmask_tensor_bits(&mut tensor, &acc[offset..offset + len]);
-                        sums[index] = accumulate(&sums[index], weight, &tensor, reference)?;
+                        accumulate(&mut sums[index], weight, &tensor, reference)?;
                         offset += len;
                         index += 1;
                         Ok(())
