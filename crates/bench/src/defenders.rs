@@ -163,7 +163,7 @@ pub fn build_defenders(
     let mut defenders = Vec::with_capacity(labels.len());
     for &label in labels {
         let mut model = build_model(label, spec, &mut seeds);
-        let report = train_classifier(
+        train_classifier(
             model.as_mut(),
             dataset.train_images(),
             dataset.train_labels(),
@@ -173,7 +173,6 @@ pub fn build_defenders(
         let eval = dataset.test_subset(config.test_samples);
         let clean_accuracy =
             pelta_models::accuracy(model.as_ref(), &eval.images, &eval.labels).expect("evaluation");
-        let _ = report;
         defenders.push(TrainedDefender {
             label: label.to_string(),
             model: Arc::from(model),

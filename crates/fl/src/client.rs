@@ -69,15 +69,15 @@ pub fn split_segments<M: ImageModel + ?Sized>(
     (shielded, clear)
 }
 
-/// Summary of one client's local training in a round.
+/// Summary of one client's local training in a round: what training
+/// measured on the way. Scoring the trained replica is the caller's pass
+/// to pay for ([`pelta_models::accuracy`] on [`FlClient::model`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LocalTrainingReport {
     /// The client that trained.
     pub client_id: usize,
     /// Mean loss per local epoch.
     pub epoch_losses: Vec<f32>,
-    /// Local training-set accuracy after training.
-    pub local_accuracy: f32,
 }
 
 /// An honest federated client: owns a local data shard and a local copy of
@@ -154,7 +154,6 @@ impl FlClient {
             LocalTrainingReport {
                 client_id: self.id,
                 epoch_losses: report.epoch_losses,
-                local_accuracy: report.final_accuracy,
             },
         ))
     }
@@ -164,7 +163,7 @@ impl FlClient {
 mod tests {
     use super::*;
     use pelta_data::{federated_split, Dataset, DatasetSpec, GeneratorConfig, Partition};
-    use pelta_models::{ViTConfig, VisionTransformer};
+    use pelta_models::{accuracy, ViTConfig, VisionTransformer};
     use pelta_tensor::SeedStream;
 
     fn tiny_setup(seed: u64) -> (FlClient, GlobalModel) {
@@ -234,9 +233,11 @@ mod tests {
         assert_eq!(update.num_samples, 10);
         assert_eq!(update.parameters.len(), global.parameters.len());
         assert_eq!(report.epoch_losses.len(), 1);
-        assert!((0.0..=1.0).contains(&report.local_accuracy));
+        let shard = &client.shard().dataset;
+        let local_accuracy =
+            accuracy(client.model(), shard.train_images(), shard.train_labels()).unwrap();
+        assert!((0.0..=1.0).contains(&local_accuracy));
         // Local training actually changed the parameters.
         assert_ne!(update.parameters, global.parameters);
-        let _ = client.model();
     }
 }

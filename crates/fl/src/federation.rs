@@ -1409,7 +1409,7 @@ fn deliver_update(
                 sealed,
             ),
             Err(error) => {
-                for response in server.deliver_refused(&update, error.to_string()) {
+                for response in server.deliver_refused(&update, error) {
                     link.send(&response)?;
                 }
                 return Ok(0);

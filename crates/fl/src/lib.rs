@@ -54,15 +54,16 @@
 //!   (possibly) by its aggregation rule.
 //! * **Topology layer** — a [`Topology`] routes the updates to the
 //!   consensus point: the flat [`Topology::Star`] hub, a
-//!   [`Topology::Hierarchical`] tree of [`EdgeAggregator`]s (each reusing
-//!   the `FedAvgServer` state machine per subtree, with per-level quorum
-//!   and straggler semantics, forwarding one subtree-addressed
-//!   [`Message::AggregateUpdate`] upstream), or a [`Topology::Gossip`] mesh
-//!   flooding updates peer-to-peer with a final deterministic consensus
-//!   fold. Member granularity always survives to the consensus point, so
-//!   the configured rule folds the same update set whatever the route — the
-//!   global model is **bit-identical across topologies** under FedAvg with
-//!   full participation (see [`mod@topology`]).
+//!   [`Topology::Hierarchical`] tree of [`EdgeAggregator`]s (each running
+//!   the root's admission state machine per subtree, with per-level quorum
+//!   and straggler semantics, folding nothing and forwarding one
+//!   subtree-addressed [`Message::AggregateUpdate`] upstream), or a
+//!   [`Topology::Gossip`] mesh flooding updates peer-to-peer with a final
+//!   deterministic consensus fold. Member granularity always survives to
+//!   the consensus point, so the configured rule folds the same update set
+//!   whatever the route — the global model is **bit-identical across
+//!   topologies** under FedAvg with full participation (see
+//!   [`mod@topology`]).
 //! * **Security layer** — when a deployment shields updates, the
 //!   enclave-resident parameter segments of the Pelta shield travel sealed
 //!   through the attested [`ShieldedUpdateChannel`] (`pelta-tee` sealing +
@@ -161,7 +162,7 @@ pub use fault::{CrashPoint, CrashTarget, FaultConfig, FaultPlan, FaultStats};
 pub use federation::{ClientSchedule, Federation, FederationConfig, RoundRecord, RunHistory};
 pub use malicious::{AttackKind, CompromisedClient, EvasionReport};
 pub use message::{GlobalModel, MemberUpdate, Message, ModelUpdate, NackReason, PROTOCOL_VERSION};
-pub use poisoning::{backdoor_success_rate, BackdoorClient, PoisonReport, TrojanTrigger};
+pub use poisoning::{backdoor_success_rate, BackdoorClient, TrojanTrigger};
 pub use robust::{aggregate_with_rule, AggregationFold, AggregationRule};
 pub use scenario::{AgentRole, RoleAssignment, ScenarioSpec};
 pub use secure_agg::{pair_seeds_for_client, AggregatorMaskContext, ClientMaskContext};

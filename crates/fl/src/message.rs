@@ -142,7 +142,7 @@ impl MemberUpdate {
 
     /// Size of this member's payload in the binary wire encoding, in bytes.
     pub fn wire_size(&self) -> usize {
-        update_payload_wire_len(&self.update, &self.shielded, UpdateCodec::Raw)
+        update_payload_wire_len(&self.update.parameters, &self.shielded, UpdateCodec::Raw)
     }
 }
 
@@ -534,7 +534,7 @@ impl Message {
             Message::Join { .. } | Message::RoundEnd { .. } | Message::Leave { .. } => 8,
             Message::RoundStart { global, .. } => 8 + global.wire_size(),
             Message::Update { update, shielded } => {
-                1 + update_payload_wire_len(update, shielded, codec)
+                1 + update_payload_wire_len(&update.parameters, shielded, codec)
             }
             Message::AggregateUpdate { members, .. } => {
                 1 + 8
@@ -542,7 +542,7 @@ impl Message {
                     + 4
                     + members
                         .iter()
-                        .map(|m| update_payload_wire_len(&m.update, &m.shielded, codec))
+                        .map(|m| update_payload_wire_len(&m.update.parameters, &m.shielded, codec))
                         .sum::<usize>()
             }
             Message::Nack { reason, .. } => {
@@ -576,17 +576,24 @@ enum WireCodec {
 /// [`Message::Update`] and the members of a [`Message::AggregateUpdate`]).
 /// Sealed blobs are opaque ciphertext and are never compressed.
 fn update_payload_wire_len(
-    update: &ModelUpdate,
+    parameters: &[(String, Tensor)],
     shielded: &[SealedBlob],
     codec: UpdateCodec,
 ) -> usize {
     let blobs: usize = shielded.iter().map(|b| 4 + b.ciphertext().len() + 8).sum();
-    let params = 4 + update
-        .parameters
+    let params = 4 + parameters
         .iter()
         .map(|(name, tensor)| 4 + name.len() + codec.tensor_wire_len(tensor))
         .sum::<usize>();
     3 * 8 + params + 4 + blobs
+}
+
+/// [`Message::wire_size`] of a clear [`Message::Update`] whose parameters
+/// have exactly `schema`'s names and shapes: the size an update that passes
+/// schema validation has once its sealed segments are reassembled, whatever
+/// codec carried it.
+pub(crate) fn clear_update_wire_size(schema: &[(String, Tensor)]) -> usize {
+    HEADER_LEN + 1 + update_payload_wire_len(schema, &[], UpdateCodec::Raw) + CHECKSUM_LEN
 }
 
 /// Encodes one update payload: round, client, weight, clear parameters

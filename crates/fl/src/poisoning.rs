@@ -14,7 +14,7 @@
 //! folds its updates with [`crate::aggregate_with_rule`].
 
 use pelta_data::ClientShard;
-use pelta_models::{accuracy, predict, train_classifier, ImageModel, TrainingConfig};
+use pelta_models::{predict, train_classifier, ImageModel, TrainingConfig};
 use pelta_tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -183,17 +183,6 @@ pub fn backdoor_success_rate<M: ImageModel + ?Sized>(
     Ok(hits as f32 / eligible as f32)
 }
 
-/// Report of one poisoned local round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PoisonReport {
-    /// How many local samples were poisoned this round.
-    pub poisoned_samples: usize,
-    /// Clean accuracy of the poisoned local model on its own (clean) shard.
-    pub local_clean_accuracy: f32,
-    /// Backdoor activation rate of the poisoned local model on its shard.
-    pub local_backdoor_rate: f32,
-}
-
 /// A backdoor-poisoning client: it follows the protocol message flow exactly
 /// (honest-but-curious, §III) but trains its local update on a shard where a
 /// fraction of samples carry the trojan trigger and the attacker's label.
@@ -269,7 +258,10 @@ impl BackdoorClient {
     }
 
     /// One poisoned local round: load the broadcast model, train on the
-    /// poisoned shard, and return the (boosted) update.
+    /// poisoned shard, and return the (boosted) update with the number of
+    /// samples poisoned this round. A caller that wants the local model's
+    /// clean accuracy or [`backdoor_success_rate`] scores the update's
+    /// parameters itself.
     ///
     /// # Errors
     /// Returns an error if the broadcast does not match the local
@@ -278,38 +270,22 @@ impl BackdoorClient {
         &mut self,
         global: &GlobalModel,
         rng: &mut R,
-    ) -> Result<(ModelUpdate, PoisonReport)> {
+    ) -> Result<(ModelUpdate, usize)> {
         import_parameters(self.model.as_mut(), &global.parameters)?;
-        let clean_images = self.shard.dataset.train_images().clone();
-        let clean_labels = self.shard.dataset.train_labels().to_vec();
-        let (images, labels, poisoned_samples) =
-            self.trigger
-                .poison(&clean_images, &clean_labels, self.poison_fraction, rng)?;
-        train_classifier(self.model.as_mut(), &images, &labels, &self.training)?;
-
-        let local_clean_accuracy =
-            accuracy(self.model.as_ref(), &clean_images, &clean_labels).map_err(FlError::from)?;
-        let local_backdoor_rate = backdoor_success_rate(
-            self.model.as_ref(),
-            &clean_images,
-            &clean_labels,
-            &self.trigger,
+        let (images, labels, poisoned_samples) = self.trigger.poison(
+            self.shard.dataset.train_images(),
+            self.shard.dataset.train_labels(),
+            self.poison_fraction,
+            rng,
         )?;
-
+        train_classifier(self.model.as_mut(), &images, &labels, &self.training)?;
         let update = ModelUpdate {
             client_id: self.id,
             round: global.round,
             num_samples: self.shard.len() * self.boost,
             parameters: export_parameters(self.model.as_ref()),
         };
-        Ok((
-            update,
-            PoisonReport {
-                poisoned_samples,
-                local_clean_accuracy,
-                local_backdoor_rate,
-            },
-        ))
+        Ok((update, poisoned_samples))
     }
 }
 
@@ -358,7 +334,7 @@ impl AdaptiveBoost {
         client: &mut BackdoorClient,
         global: &GlobalModel,
         rng: &mut R,
-    ) -> Result<(ModelUpdate, PoisonReport)> {
+    ) -> Result<(ModelUpdate, usize)> {
         if let (Some(sent), Some(previous)) = (&self.last_sent, &self.last_global) {
             let toward_attacker = param_distance(&global.parameters, sent)?;
             let round_step = param_distance(&global.parameters, previous)?;
@@ -373,9 +349,9 @@ impl AdaptiveBoost {
             });
         }
         self.last_global = Some(global.parameters.clone());
-        let (update, report) = client.poisoned_round(global, rng)?;
+        let (update, poisoned_samples) = client.poisoned_round(global, rng)?;
         self.last_sent = Some(update.parameters.clone());
-        Ok((update, report))
+        Ok((update, poisoned_samples))
     }
 }
 
@@ -396,7 +372,7 @@ fn param_distance(a: &[(String, Tensor)], b: &[(String, Tensor)]) -> Result<f64>
 mod tests {
     use super::*;
     use pelta_data::{federated_split, Dataset, DatasetSpec, GeneratorConfig, Partition};
-    use pelta_models::{ViTConfig, VisionTransformer};
+    use pelta_models::{accuracy, ViTConfig, VisionTransformer};
     use pelta_tensor::SeedStream;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -519,7 +495,7 @@ mod tests {
 
         let mut client = BackdoorClient::new(
             5,
-            shard,
+            shard.clone(),
             Box::new(vit),
             TrainingConfig {
                 epochs: 1,
@@ -535,15 +511,26 @@ mod tests {
         assert_eq!(client.id(), 5);
         assert_eq!(client.trigger().target_class, 0);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let (update, report) = client.poisoned_round(&global, &mut rng).unwrap();
+        let (update, poisoned_samples) = client.poisoned_round(&global, &mut rng).unwrap();
         assert_eq!(update.client_id, 5);
         assert_eq!(
             update.num_samples,
             shard_len * 3,
             "boosting multiplies the FedAvg weight"
         );
-        assert!(report.poisoned_samples > 0);
-        assert!((0.0..=1.0).contains(&report.local_clean_accuracy));
-        assert!((0.0..=1.0).contains(&report.local_backdoor_rate));
+        assert!(poisoned_samples > 0);
+        // The local model is the update's parameters, scored on the clean
+        // shard.
+        let mut local = VisionTransformer::new(
+            ViTConfig::vit_b16_scaled(32, 3, 10),
+            &mut seeds.derive("local"),
+        )
+        .unwrap();
+        import_parameters(&mut local, &update.parameters).unwrap();
+        let (images, labels) = (shard.dataset.train_images(), shard.dataset.train_labels());
+        let local_clean_accuracy = accuracy(&local, images, labels).unwrap();
+        assert!((0.0..=1.0).contains(&local_clean_accuracy));
+        let local_backdoor_rate = backdoor_success_rate(&local, images, labels, &trigger).unwrap();
+        assert!((0.0..=1.0).contains(&local_backdoor_rate));
     }
 }

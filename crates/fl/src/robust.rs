@@ -474,11 +474,7 @@ pub(crate) fn validate_update_schema(
     current: &[(String, Tensor)],
     update: &ModelUpdate,
 ) -> Result<()> {
-    if update.num_samples == 0 {
-        return Err(FlError::InvalidConfig {
-            reason: format!("client {} update carries zero samples", update.client_id),
-        });
-    }
+    validate_weight(update)?;
     if update.parameters.len() != current.len() {
         return Err(FlError::SchemaMismatch {
             reason: format!(
@@ -490,24 +486,59 @@ pub(crate) fn validate_update_schema(
         });
     }
     for ((name, reference), (update_name, value)) in current.iter().zip(update.parameters.iter()) {
-        if name != update_name || value.dims() != reference.dims() {
-            return Err(FlError::SchemaMismatch {
-                reason: format!(
-                    "client {} parameter '{update_name}' {:?} does not match '{name}' {:?}",
-                    update.client_id,
-                    value.dims(),
-                    reference.dims()
-                ),
-            });
+        validate_parameter(update.client_id, (name, reference), (update_name, value))?;
+    }
+    Ok(())
+}
+
+/// [`validate_update_schema`] on the clear segment of a shielded update,
+/// which is all an edge aggregator sees of it: a positive sample count, and
+/// for every schema name the segment carries (its first tensor of that
+/// name) a matching shape and finite values. A name the segment lacks may
+/// travel sealed; the root checks the whole update once its enclave has
+/// reassembled it.
+pub(crate) fn validate_clear_segment(
+    current: &[(String, Tensor)],
+    update: &ModelUpdate,
+) -> Result<()> {
+    validate_weight(update)?;
+    for (name, reference) in current {
+        if let Some((update_name, value)) = update.parameters.iter().find(|(n, _)| n == name) {
+            validate_parameter(update.client_id, (name, reference), (update_name, value))?;
         }
-        if value.data().iter().any(|v| !v.is_finite()) {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "client {} parameter '{update_name}' contains non-finite values",
-                    update.client_id
-                ),
-            });
-        }
+    }
+    Ok(())
+}
+
+fn validate_weight(update: &ModelUpdate) -> Result<()> {
+    if update.num_samples == 0 {
+        return Err(FlError::InvalidConfig {
+            reason: format!("client {} update carries zero samples", update.client_id),
+        });
+    }
+    Ok(())
+}
+
+fn validate_parameter(
+    client_id: usize,
+    (name, reference): (&str, &Tensor),
+    (update_name, value): (&str, &Tensor),
+) -> Result<()> {
+    if name != update_name || value.dims() != reference.dims() {
+        return Err(FlError::SchemaMismatch {
+            reason: format!(
+                "client {client_id} parameter '{update_name}' {:?} does not match '{name}' {:?}",
+                value.dims(),
+                reference.dims()
+            ),
+        });
+    }
+    if value.data().iter().any(|v| !v.is_finite()) {
+        return Err(FlError::InvalidConfig {
+            reason: format!(
+                "client {client_id} parameter '{update_name}' contains non-finite values"
+            ),
+        });
     }
     Ok(())
 }

@@ -359,7 +359,7 @@ impl Seat {
                 adaptive,
                 rng,
             } => {
-                let (update, _report) = match adaptive {
+                let (update, _) = match adaptive {
                     Some(adaptive) => adaptive.poisoned_round(client, global, rng)?,
                     None => client.poisoned_round(global, rng)?,
                 };

@@ -21,11 +21,17 @@
 //!    the deployment defends against poisoned updates) and returns to
 //!    *Broadcasting*.
 //!
-//! Aggregation itself — admission, the canonical client-id fold order, the
-//! rule dispatch — lives in [`crate::robust`]'s [`AggregationFold`], the
-//! crate's one fold; the server drives it update by update, and
-//! [`crate::aggregate_with_rule`] drives the same fold over a buffered
-//! update set for call-level use.
+//! The server is two parts. The crate-private `Admission` state machine
+//! decides who participates and which updates are accepted — sampling,
+//! duplicates, the straggler deadline, the quorum, the schema check, the
+//! Nacks and the round's [`RoundSummary`] — and holds no model. The fold
+//! is the root's alone: the global parameters and the round's
+//! [`AggregationFold`] (in [`crate::robust`], the crate's one fold, with the
+//! canonical client-id fold order and the rule dispatch), which the server
+//! drives update by update; [`crate::aggregate_with_rule`] drives the same
+//! fold over a buffered update set for call-level use. Each
+//! [`crate::EdgeAggregator`] runs an `Admission` of its own and folds
+//! nothing.
 //!
 //! The server is codec-agnostic: update frames compressed by an
 //! [`crate::UpdateCodec`] are decoded at the transport boundary, so
@@ -62,7 +68,8 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::robust::AggregationFold;
+use crate::message::clear_update_wire_size;
+use crate::robust::{validate_update_schema, AggregationFold};
 use crate::{AggregationRule, FlError, GlobalModel, Message, ModelUpdate, NackReason, Result};
 
 /// Who participates in a round and when the server stops waiting.
@@ -129,9 +136,11 @@ impl Default for ParticipationPolicy {
 }
 
 /// The server's position in the per-round state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoundPhase {
     /// Between rounds; ready to broadcast the next [`Message::RoundStart`].
+    /// A server starts here.
+    #[default]
     Broadcasting,
     /// Waiting for participant updates.
     Collecting,
@@ -158,20 +167,21 @@ pub struct RoundSummary {
     pub total_weight: usize,
     /// Messages delivered to the server while collecting.
     pub delivered_messages: usize,
-    /// Bytes of the accepted update messages, counted by
-    /// [`Message::wire_size`]: each update's size under the Raw codec after
-    /// reassembly, whatever codec carried it. Under `shield_updates` the
-    /// count covers the unsealed tensors, not the sealed blobs that crossed
-    /// the link. [`crate::RunHistory::total_wire_bytes`] counts the traffic
-    /// as shipped.
+    /// Bytes of the accepted updates, each counted at the
+    /// [`Message::wire_size`] of a complete clear update of the round's
+    /// schema: its size under the Raw codec after reassembly, whatever codec
+    /// carried it. Under `shield_updates` the count covers the unsealed
+    /// tensors, not the sealed blobs that crossed the link, at an edge
+    /// aggregator as at the root. [`crate::RunHistory::total_wire_bytes`]
+    /// counts the traffic as shipped.
     pub update_bytes: usize,
 }
 
 /// The durable state a recovering aggregator re-syncs from: the round it
 /// must rejoin at and the global parameters to re-anchor to. Produced by
 /// [`FedAvgServer::checkpoint`] at the consensus point; consumed by
-/// [`FedAvgServer::restore`] (directly, or through
-/// [`crate::EdgeAggregator::resync`] for a crashed edge).
+/// [`FedAvgServer::restore`], and by [`crate::EdgeAggregator::resync`] for
+/// a crashed edge, which holds no model and takes only the round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundCheckpoint {
     /// The round the checkpoint was taken at.
@@ -180,18 +190,344 @@ pub struct RoundCheckpoint {
     pub parameters: Vec<(String, Tensor)>,
 }
 
+/// The per-round admission state machine: who is connected, who was
+/// sampled, which updates are accepted, when collection may stop, and the
+/// round's [`RoundSummary`]. It holds no model. The root's
+/// [`FedAvgServer`] feeds every update it accepts to the round's fold; an
+/// [`crate::EdgeAggregator`] runs one per subtree and forwards what it
+/// accepts.
+///
+/// An update is judged in a fixed order: the round (`StaleRound`), the
+/// sample (`NotParticipating`), first-wins (`Duplicate`), the straggler
+/// deadline (`StragglerDeadline`, once the quorum is met), then the owner's
+/// schema check (`Rejected`). Every delivery while collecting burns one
+/// unit of the deadline.
+#[derive(Default)]
+pub(crate) struct Admission {
+    round: usize,
+    policy: ParticipationPolicy,
+    phase: RoundPhase,
+    connected: BTreeSet<usize>,
+    participants: BTreeSet<usize>,
+    /// Participants not yet accounted for (not reported, dropped out, or
+    /// straggler-refused).
+    unresolved: BTreeSet<usize>,
+    reporters: BTreeSet<usize>,
+    stragglers: Vec<usize>,
+    dropouts: Vec<usize>,
+    total_weight: usize,
+    delivered: usize,
+}
+
+impl Admission {
+    /// A state machine between rounds, at round 0, with nobody connected.
+    /// The caller has validated `policy`.
+    pub(crate) fn new(policy: ParticipationPolicy) -> Self {
+        Admission {
+            policy,
+            ..Admission::default()
+        }
+    }
+
+    /// Opens round `round` with the participants the coordinator sampled,
+    /// at the coordinator's round number: an edge whose subtree was not
+    /// sampled skips rounds, so its own counter cannot track the
+    /// federation's.
+    ///
+    /// # Errors
+    /// Returns an error if a round is already open, the set is empty, a
+    /// participant is not connected, or `round` would move backwards.
+    pub(crate) fn begin_with(&mut self, round: usize, participants: &[usize]) -> Result<()> {
+        if self.phase != RoundPhase::Broadcasting {
+            return Err(FlError::InvalidConfig {
+                reason: format!("open_round in phase {:?}", self.phase),
+            });
+        }
+        if participants.is_empty() {
+            return Err(FlError::InvalidConfig {
+                reason: "open_round needs at least one participant".to_string(),
+            });
+        }
+        if round < self.round {
+            return Err(FlError::InvalidConfig {
+                reason: format!(
+                    "open_round round {round} is behind the server round {}",
+                    self.round
+                ),
+            });
+        }
+        if let Some(id) = participants.iter().find(|id| !self.connected.contains(id)) {
+            return Err(FlError::InvalidConfig {
+                reason: format!("participant {id} is not connected"),
+            });
+        }
+        self.round = round;
+        self.open(participants.iter().copied().collect());
+        Ok(())
+    }
+
+    /// Samples the next round's participants from the connected clients:
+    /// all of them unless the policy samples fewer.
+    ///
+    /// # Errors
+    /// Returns an error if a round is already open or fewer clients are
+    /// connected than the quorum requires.
+    fn sample(&self, rng: &mut ChaCha8Rng) -> Result<BTreeSet<usize>> {
+        if self.phase != RoundPhase::Broadcasting {
+            return Err(FlError::InvalidConfig {
+                reason: format!("begin_round in phase {:?}", self.phase),
+            });
+        }
+        if self.connected.len() < self.policy.quorum {
+            return Err(FlError::QuorumNotMet {
+                round: self.round,
+                received: 0,
+                quorum: self.policy.quorum,
+            });
+        }
+        let sample = self.policy.sample;
+        if sample == 0 || sample >= self.connected.len() {
+            return Ok(self.connected.clone());
+        }
+        // Partial Fisher–Yates over the sorted id list: deterministic for a
+        // given rng state, unbiased over subsets.
+        let mut pool: Vec<usize> = self.connected.iter().copied().collect();
+        let mut drawn = BTreeSet::new();
+        for i in 0..sample {
+            let j = rng.gen_range(i..pool.len());
+            pool.swap(i, j);
+            drawn.insert(pool[i]);
+        }
+        Ok(drawn)
+    }
+
+    /// Resets the per-round state and opens the *Collecting* phase.
+    fn open(&mut self, participants: BTreeSet<usize>) {
+        self.reset();
+        self.unresolved = participants.clone();
+        self.participants = participants;
+        self.phase = RoundPhase::Collecting;
+    }
+
+    /// Drops the round's state: *Broadcasting*, keeping the round number,
+    /// the policy and who is connected.
+    fn reset(&mut self) {
+        *self = Admission {
+            round: self.round,
+            policy: self.policy,
+            connected: std::mem::take(&mut self.connected),
+            ..Admission::default()
+        };
+    }
+
+    /// Delivers one protocol message and returns the responses to route
+    /// back (Nacks). An update is judged with `check`, the owner's schema
+    /// check, last; an update answered with no Nack was accepted.
+    pub(crate) fn deliver(
+        &mut self,
+        message: &Message,
+        check: impl FnOnce(&ModelUpdate) -> Result<()>,
+    ) -> Vec<Message> {
+        if let Message::Update { update, .. } = message {
+            return self.admit(update, check);
+        }
+        self.count_delivery();
+        match message {
+            Message::Join { client_id } => {
+                // Joins are accepted in any phase; a mid-round join
+                // participates from the next round on.
+                self.connected.insert(*client_id);
+                Vec::new()
+            }
+            Message::Leave { client_id } => {
+                self.connected.remove(client_id);
+                if self.phase == RoundPhase::Collecting
+                    && self.participants.contains(client_id)
+                    && !self.reporters.contains(client_id)
+                    && !self.dropouts.contains(client_id)
+                {
+                    self.dropouts.push(*client_id);
+                    self.unresolved.remove(client_id);
+                }
+                Vec::new()
+            }
+            // A subtree-addressed combined update must be unwrapped by the
+            // topology runtime (which unseals segments and delivers members
+            // individually); a server handed one directly refuses it — and
+            // the refusal is addressed to the forwarding seat's `origin`, not
+            // to a nobody id, so it stays routable through multi-hop
+            // topologies.
+            Message::AggregateUpdate { origin, .. } => vec![Message::Nack {
+                client_id: *origin,
+                round: self.round,
+                reason: NackReason::Rejected(
+                    "server expects unwrapped member updates, not AggregateUpdate frames"
+                        .to_string(),
+                ),
+            }],
+            other => vec![Message::Nack {
+                client_id: usize::MAX,
+                round: self.round,
+                reason: NackReason::Rejected(format!(
+                    "server cannot accept {} messages",
+                    other.kind()
+                )),
+            }],
+        }
+    }
+
+    /// Delivers one update and judges it, `check` last; returns its Nack,
+    /// or nothing when it was accepted.
+    pub(crate) fn admit(
+        &mut self,
+        update: &ModelUpdate,
+        check: impl FnOnce(&ModelUpdate) -> Result<()>,
+    ) -> Vec<Message> {
+        self.count_delivery();
+        let nack = |reason: NackReason| {
+            vec![Message::Nack {
+                client_id: update.client_id,
+                round: update.round,
+                reason,
+            }]
+        };
+        if self.phase != RoundPhase::Collecting || update.round != self.round {
+            return nack(NackReason::StaleRound);
+        }
+        if !self.participants.contains(&update.client_id) {
+            return nack(NackReason::NotParticipating);
+        }
+        if self.reporters.contains(&update.client_id) {
+            return nack(NackReason::Duplicate);
+        }
+        let deadline = self.policy.straggler_deadline;
+        if deadline != 0 && self.delivered > deadline && self.reporters.len() >= self.policy.quorum
+        {
+            self.stragglers.push(update.client_id);
+            self.unresolved.remove(&update.client_id);
+            return nack(NackReason::StragglerDeadline);
+        }
+        if let Err(error) = check(update) {
+            return nack(NackReason::Rejected(error.to_string()));
+        }
+        self.reporters.insert(update.client_id);
+        self.total_weight += update.num_samples;
+        self.unresolved.remove(&update.client_id);
+        Vec::new()
+    }
+
+    /// Accounts a frame that arrived damaged (see
+    /// [`FedAvgServer::deliver_corrupt`]).
+    pub(crate) fn deliver_corrupt(&mut self, client_id: usize, round: usize) -> Vec<Message> {
+        self.count_delivery();
+        vec![Message::Nack {
+            client_id,
+            round,
+            reason: NackReason::CorruptFrame,
+        }]
+    }
+
+    /// Every delivery while collecting burns one unit of the deadline.
+    fn count_delivery(&mut self) {
+        if self.phase == RoundPhase::Collecting {
+            self.delivered += 1;
+        }
+    }
+
+    /// Ends collection: checks the quorum and moves to *Aggregating*.
+    ///
+    /// # Errors
+    /// Returns an error if no round is collecting, or
+    /// [`FlError::QuorumNotMet`] with the round still collecting.
+    pub(crate) fn close(&mut self) -> Result<()> {
+        if self.phase != RoundPhase::Collecting {
+            return Err(FlError::InvalidConfig {
+                reason: format!("close_round in phase {:?}", self.phase),
+            });
+        }
+        if self.reporters.len() < self.policy.quorum {
+            return Err(FlError::QuorumNotMet {
+                round: self.round,
+                received: self.reporters.len(),
+                quorum: self.policy.quorum,
+            });
+        }
+        self.phase = RoundPhase::Aggregating;
+        Ok(())
+    }
+
+    /// Completes a closed round: the next round number, *Broadcasting*, and
+    /// the summary. Every accepted update counts `update_size` bytes, the
+    /// Raw size of a complete clear update of the round's schema (see
+    /// [`RoundSummary::update_bytes`]).
+    pub(crate) fn finish(&mut self, update_size: usize) -> RoundSummary {
+        self.unresolved.clear();
+        let round = self.round;
+        self.round += 1;
+        self.phase = RoundPhase::Broadcasting;
+        let update_bytes = update_size * self.reporters.len();
+        RoundSummary {
+            round,
+            participants: self.participants.iter().copied().collect(),
+            update_bytes,
+            reporters: std::mem::take(&mut self.reporters).into_iter().collect(),
+            stragglers: std::mem::take(&mut self.stragglers),
+            dropouts: std::mem::take(&mut self.dropouts),
+            total_weight: std::mem::take(&mut self.total_weight),
+            delivered_messages: self.delivered,
+        }
+    }
+
+    /// Abandons the open round: back to *Broadcasting* at the same round
+    /// number, with the round's accounting dropped.
+    ///
+    /// # Errors
+    /// Returns an error if no round is open.
+    pub(crate) fn abort(&mut self) -> Result<()> {
+        if self.phase != RoundPhase::Collecting {
+            return Err(FlError::InvalidConfig {
+                reason: format!("abort_round in phase {:?}", self.phase),
+            });
+        }
+        self.reset();
+        Ok(())
+    }
+
+    /// Fast-forwards a recovering aggregator to round `round`.
+    ///
+    /// # Errors
+    /// Returns an error if a round is open or `round` is behind this one.
+    pub(crate) fn restore(&mut self, round: usize) -> Result<()> {
+        if self.phase != RoundPhase::Broadcasting {
+            return Err(FlError::InvalidConfig {
+                reason: format!("restore in phase {:?}", self.phase),
+            });
+        }
+        if round < self.round {
+            return Err(FlError::InvalidConfig {
+                reason: format!(
+                    "checkpoint round {round} is behind the server round {}",
+                    self.round
+                ),
+            });
+        }
+        self.round = round;
+        Ok(())
+    }
+}
+
 /// The trusted federated-learning server of Fig. 1: it never sees raw client
 /// data, only model updates, which it combines with federated averaging
 /// (McMahan et al.) weighted by each client's sample count and renormalised
 /// over the clients that actually reported.
+///
+/// It is the crate's admission state machine (see the module docs) plus the
+/// model: the global parameters, the round's [`AggregationFold`] and its
+/// reorder window.
 pub struct FedAvgServer {
-    round: usize,
+    admission: Admission,
     parameters: Vec<(String, Tensor)>,
-    policy: ParticipationPolicy,
     rule: AggregationRule,
-    phase: RoundPhase,
-    connected: BTreeSet<usize>,
-    participants: BTreeSet<usize>,
     /// The open round's incremental aggregation (present iff Collecting).
     fold: Option<AggregationFold>,
     /// A fold failure deferred from delivery (the message flow cannot
@@ -201,16 +537,6 @@ pub struct FedAvgServer {
     /// The reorder window: accepted updates waiting for every
     /// smaller-id participant to be accounted for before folding.
     pending: BTreeMap<usize, ModelUpdate>,
-    /// Participants not yet accounted for (not reported, dropped out, or
-    /// straggler-refused). The fold may safely consume the smallest pending
-    /// update exactly when no unresolved participant has a smaller id.
-    unresolved: BTreeSet<usize>,
-    reporters: BTreeSet<usize>,
-    stragglers: Vec<usize>,
-    dropouts: Vec<usize>,
-    total_weight: usize,
-    delivered: usize,
-    update_bytes: usize,
 }
 
 impl FedAvgServer {
@@ -248,40 +574,29 @@ impl FedAvgServer {
     ) -> Result<Self> {
         policy.validate(rule)?;
         Ok(FedAvgServer {
-            round: 0,
+            admission: Admission::new(policy),
             parameters: initial_parameters,
-            policy,
             rule,
-            phase: RoundPhase::Broadcasting,
-            connected: BTreeSet::new(),
-            participants: BTreeSet::new(),
             fold: None,
             fold_error: None,
             pending: BTreeMap::new(),
-            unresolved: BTreeSet::new(),
-            reporters: BTreeSet::new(),
-            stragglers: Vec::new(),
-            dropouts: Vec::new(),
-            total_weight: 0,
-            delivered: 0,
-            update_bytes: 0,
         })
     }
 
     /// The current round number.
     pub fn round(&self) -> usize {
-        self.round
+        self.admission.round
     }
 
     /// The server's phase in the round state machine.
     pub fn phase(&self) -> RoundPhase {
-        self.phase
+        self.admission.phase
     }
 
     /// Messages delivered so far in the open round (the straggler-deadline
     /// counter); resets when a round opens.
     pub fn delivered_messages(&self) -> usize {
-        self.delivered
+        self.admission.delivered
     }
 
     /// The aggregation rule applied in the *Aggregating* phase.
@@ -291,7 +606,7 @@ impl FedAvgServer {
 
     /// The currently connected (joined, not left) clients.
     pub fn connected_clients(&self) -> Vec<usize> {
-        self.connected.iter().copied().collect()
+        self.admission.connected.iter().copied().collect()
     }
 
     /// The current global parameters.
@@ -299,41 +614,21 @@ impl FedAvgServer {
         &self.parameters
     }
 
-    /// Re-anchors the server's parameters to an externally supplied snapshot
-    /// — the multi-level hook: an edge aggregator's subtree server is **not**
-    /// the owner of the global model, so before collecting a round it syncs
-    /// to the coordinator's broadcast (otherwise its local aggregate and its
-    /// schema/delta-norm validation would drift from the real global state).
-    ///
-    /// # Errors
-    /// Returns an error if a round is open — the snapshot of an open round
-    /// must stay fixed, or delta-form aggregation would mix reference points.
-    pub fn sync_parameters(&mut self, parameters: Vec<(String, Tensor)>) -> Result<()> {
-        if self.phase != RoundPhase::Broadcasting {
-            return Err(FlError::InvalidConfig {
-                reason: format!("sync_parameters in phase {:?}", self.phase),
-            });
-        }
-        self.parameters = parameters;
-        Ok(())
-    }
-
     /// Overwrites a *subset* of the global parameters in place — the secure
     /// aggregation splice: under masked shielded rounds the regular fold sees
     /// finite zero placeholders for the shielded segment, and once the root
     /// enclave has folded the sealed blobs (after the mask-reconstruction
     /// sweep) the runtime splices the enclave's aggregate over exactly those
-    /// entries. Unlike [`FedAvgServer::sync_parameters`] this is targeted:
-    /// every supplied entry must match an existing parameter by name and
-    /// shape, and parameters not named are left untouched.
+    /// entries. Every supplied entry must match an existing parameter by
+    /// name and shape, and parameters not named are left untouched.
     ///
     /// # Errors
     /// Returns an error if a round is open, a name is unknown, or a tensor's
     /// dims disagree with the parameter it replaces.
     pub fn splice_parameters(&mut self, spliced: &[(String, Tensor)]) -> Result<()> {
-        if self.phase != RoundPhase::Broadcasting {
+        if self.phase() != RoundPhase::Broadcasting {
             return Err(FlError::InvalidConfig {
-                reason: format!("splice_parameters in phase {:?}", self.phase),
+                reason: format!("splice_parameters in phase {:?}", self.phase()),
             });
         }
         for (name, tensor) in spliced {
@@ -361,7 +656,7 @@ impl FedAvgServer {
     /// The broadcast message for the current round.
     pub fn broadcast(&self) -> GlobalModel {
         GlobalModel {
-            round: self.round,
+            round: self.round(),
             parameters: self.parameters.clone(),
         }
     }
@@ -372,7 +667,7 @@ impl FedAvgServer {
     /// checkpoint: a crash loses the round in flight, never the model.
     pub fn checkpoint(&self) -> RoundCheckpoint {
         RoundCheckpoint {
-            round: self.round,
+            round: self.round(),
             parameters: self.parameters.clone(),
         }
     }
@@ -386,21 +681,8 @@ impl FedAvgServer {
     /// Returns an error if a round is open or the checkpoint is older than
     /// the server's round.
     pub fn restore(&mut self, checkpoint: &RoundCheckpoint) -> Result<()> {
-        if self.phase != RoundPhase::Broadcasting {
-            return Err(FlError::InvalidConfig {
-                reason: format!("restore in phase {:?}", self.phase),
-            });
-        }
-        if checkpoint.round < self.round {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "checkpoint round {} is behind the server round {}",
-                    checkpoint.round, self.round
-                ),
-            });
-        }
+        self.admission.restore(checkpoint.round)?;
         self.parameters = checkpoint.parameters.clone();
-        self.round = checkpoint.round;
         Ok(())
     }
 
@@ -409,107 +691,25 @@ impl FedAvgServer {
     // ------------------------------------------------------------------
 
     /// Opens a round: samples this round's participants from the connected
-    /// clients and moves to the *Collecting* phase. The caller broadcasts
-    /// [`Message::RoundStart`] to the returned (sorted) participant ids.
+    /// clients and moves to the *Collecting* phase with a fresh
+    /// [`AggregationFold`] anchored to the current parameters. The caller
+    /// broadcasts [`Message::RoundStart`] to the returned (sorted)
+    /// participant ids.
     ///
     /// # Errors
     /// Returns an error if a round is already open or fewer clients are
     /// connected than the quorum requires.
     pub fn begin_round(&mut self, rng: &mut ChaCha8Rng) -> Result<Vec<usize>> {
-        if self.phase != RoundPhase::Broadcasting {
-            return Err(FlError::InvalidConfig {
-                reason: format!("begin_round in phase {:?}", self.phase),
-            });
-        }
-        if self.connected.len() < self.policy.quorum {
-            return Err(FlError::QuorumNotMet {
-                round: self.round,
-                received: 0,
-                quorum: self.policy.quorum,
-            });
-        }
-        let pool: Vec<usize> = self.connected.iter().copied().collect();
-        let sampled: BTreeSet<usize> =
-            if self.policy.sample == 0 || self.policy.sample >= pool.len() {
-                pool.into_iter().collect()
-            } else {
-                // Partial Fisher–Yates over the sorted id list: deterministic
-                // for a given rng state, unbiased over subsets.
-                let mut pool = pool;
-                let mut drawn = BTreeSet::new();
-                for i in 0..self.policy.sample {
-                    let j = rng.gen_range(i..pool.len());
-                    pool.swap(i, j);
-                    drawn.insert(pool[i]);
-                }
-                drawn
-            };
-        self.participants = sampled;
-        self.open_collecting()?;
-        Ok(self.participants.iter().copied().collect())
-    }
-
-    /// Opens round `round` with an externally selected participant set — the
-    /// multi-level entry point. A star server samples its own participants
-    /// ([`FedAvgServer::begin_round`]); an edge aggregator's subtree server
-    /// is handed the members the **coordinator** sampled, at the
-    /// coordinator's round number (an edge whose subtree was not sampled
-    /// skips rounds entirely, so its own counter cannot be trusted to track
-    /// the federation's).
-    ///
-    /// # Errors
-    /// Returns an error if a round is already open, the set is empty, a
-    /// participant is not connected, or `round` would move backwards.
-    pub fn begin_round_with(&mut self, round: usize, participants: &[usize]) -> Result<()> {
-        if self.phase != RoundPhase::Broadcasting {
-            return Err(FlError::InvalidConfig {
-                reason: format!("begin_round_with in phase {:?}", self.phase),
-            });
-        }
-        if participants.is_empty() {
-            return Err(FlError::InvalidConfig {
-                reason: "begin_round_with needs at least one participant".to_string(),
-            });
-        }
-        if round < self.round {
-            return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "begin_round_with round {round} is behind the server round {}",
-                    self.round
-                ),
-            });
-        }
-        for &id in participants {
-            if !self.connected.contains(&id) {
-                return Err(FlError::InvalidConfig {
-                    reason: format!("participant {id} is not connected"),
-                });
-            }
-        }
-        self.round = round;
-        self.participants = participants.iter().copied().collect();
-        self.open_collecting()
-    }
-
-    /// Resets the per-round state and opens the *Collecting* phase with a
-    /// fresh [`AggregationFold`] anchored to the current parameters.
-    fn open_collecting(&mut self) -> Result<()> {
+        let sampled = self.admission.sample(rng)?;
         self.fold = Some(AggregationFold::new(
             &self.parameters,
-            self.round,
+            self.admission.round,
             self.rule,
         )?);
         self.fold_error = None;
         self.pending.clear();
-        self.unresolved = self.participants.clone();
-        self.reporters.clear();
-        self.stragglers.clear();
-        self.dropouts.clear();
-        self.total_weight = 0;
-        self.delivered = 0;
-        self.update_bytes = 0;
-        self.phase = RoundPhase::Collecting;
-        Ok(())
+        self.admission.open(sampled);
+        Ok(self.admission.participants.iter().copied().collect())
     }
 
     /// Delivers one protocol message to the server and returns the responses
@@ -518,57 +718,15 @@ impl FedAvgServer {
     /// [`crate::ShieldedUpdateChannel`] does this) — the state machine never
     /// touches an enclave.
     pub fn deliver(&mut self, message: &Message) -> Vec<Message> {
-        if self.phase == RoundPhase::Collecting {
-            self.delivered += 1;
+        let parameters = &self.parameters;
+        let responses = self
+            .admission
+            .deliver(message, |update| validate_update_schema(parameters, update));
+        if let (Message::Update { update, .. }, true) = (message, responses.is_empty()) {
+            self.pending.insert(update.client_id, update.clone());
         }
-        match message {
-            Message::Join { client_id } => {
-                // Joins are accepted in any phase; a mid-round join
-                // participates from the next round on.
-                self.connected.insert(*client_id);
-                Vec::new()
-            }
-            Message::Leave { client_id } => {
-                self.connected.remove(client_id);
-                if self.phase == RoundPhase::Collecting
-                    && self.participants.contains(client_id)
-                    && !self.reporters.contains(client_id)
-                    && !self.dropouts.contains(client_id)
-                {
-                    self.dropouts.push(*client_id);
-                    // The dropout is accounted for: updates waiting on it in
-                    // the reorder window may now fold.
-                    self.unresolved.remove(client_id);
-                    self.advance_fold();
-                }
-                Vec::new()
-            }
-            Message::Update { update, .. } => {
-                self.deliver_update(update, message.wire_size(), None)
-            }
-            // A subtree-addressed combined update must be unwrapped by the
-            // topology runtime (which unseals segments and delivers members
-            // individually); a server handed one directly refuses it — and
-            // the refusal is addressed to the forwarding seat's `origin`, not
-            // to a nobody id, so it stays routable through multi-hop
-            // topologies.
-            Message::AggregateUpdate { origin, .. } => vec![Message::Nack {
-                client_id: *origin,
-                round: self.round,
-                reason: NackReason::Rejected(
-                    "server expects unwrapped member updates, not AggregateUpdate frames"
-                        .to_string(),
-                ),
-            }],
-            other => vec![Message::Nack {
-                client_id: usize::MAX,
-                round: self.round,
-                reason: NackReason::Rejected(format!(
-                    "server cannot accept {} messages",
-                    other.kind()
-                )),
-            }],
-        }
+        self.advance_fold();
+        responses
     }
 
     /// Delivers an update whose sealed segments the runtime could not
@@ -576,57 +734,11 @@ impl FedAvgServer {
     /// schema): outside input, refused like an update that fails schema
     /// validation. It counts as a delivery and takes the same admission
     /// checks as [`FedAvgServer::deliver`]; one that passes them is answered
-    /// with [`NackReason::Rejected`] carrying `reason`.
-    pub(crate) fn deliver_refused(&mut self, update: &ModelUpdate, reason: String) -> Vec<Message> {
-        if self.phase == RoundPhase::Collecting {
-            self.delivered += 1;
-        }
-        self.deliver_update(update, 0, Some(reason))
-    }
-
-    fn deliver_update(
-        &mut self,
-        update: &ModelUpdate,
-        wire_size: usize,
-        refusal: Option<String>,
-    ) -> Vec<Message> {
-        let nack = |reason: NackReason| {
-            vec![Message::Nack {
-                client_id: update.client_id,
-                round: update.round,
-                reason,
-            }]
-        };
-        if self.phase != RoundPhase::Collecting || update.round != self.round {
-            return nack(NackReason::StaleRound);
-        }
-        if !self.participants.contains(&update.client_id) {
-            return nack(NackReason::NotParticipating);
-        }
-        if self.reporters.contains(&update.client_id) {
-            return nack(NackReason::Duplicate);
-        }
-        let deadline = self.policy.straggler_deadline;
-        if deadline != 0 && self.delivered > deadline && self.reporters.len() >= self.policy.quorum
-        {
-            self.stragglers.push(update.client_id);
-            // A straggler will never fold: it no longer blocks the window.
-            self.unresolved.remove(&update.client_id);
-            self.advance_fold();
-            return nack(NackReason::StragglerDeadline);
-        }
-        if let Some(reason) =
-            refusal.or_else(|| self.validate_update(update).err().map(|e| e.to_string()))
-        {
-            return nack(NackReason::Rejected(reason));
-        }
-        self.reporters.insert(update.client_id);
-        self.update_bytes += wire_size;
-        self.total_weight += update.num_samples;
-        self.unresolved.remove(&update.client_id);
-        self.pending.insert(update.client_id, update.clone());
+    /// with [`NackReason::Rejected`] carrying `error`.
+    pub(crate) fn deliver_refused(&mut self, update: &ModelUpdate, error: FlError) -> Vec<Message> {
+        let responses = self.admission.admit(update, |_| Err(error));
         self.advance_fold();
-        Vec::new()
+        responses
     }
 
     /// Accounts a frame that arrived *damaged* mid-round — the link
@@ -638,14 +750,7 @@ impl FedAvgServer {
     /// The round is never aborted: if the frame's sender stays silent, the
     /// quorum / straggler path accounts for it.
     pub fn deliver_corrupt(&mut self, client_id: usize, round: usize) -> Vec<Message> {
-        if self.phase == RoundPhase::Collecting {
-            self.delivered += 1;
-        }
-        vec![Message::Nack {
-            client_id,
-            round,
-            reason: NackReason::CorruptFrame,
-        }]
+        self.admission.deliver_corrupt(client_id, round)
     }
 
     /// Drains the reorder window into the fold: the smallest pending update
@@ -657,17 +762,16 @@ impl FedAvgServer {
         let Some(fold) = self.fold.as_mut() else {
             return;
         };
-        loop {
-            let Some(&next) = self.pending.keys().next() else {
+        while let Some(next) = self.pending.first_entry() {
+            if self
+                .admission
+                .unresolved
+                .first()
+                .is_some_and(|blocker| blocker < next.key())
+            {
                 return;
-            };
-            if let Some(&blocker) = self.unresolved.iter().next() {
-                if blocker < next {
-                    return;
-                }
             }
-            let (_, update) = self.pending.pop_first().expect("window is non-empty");
-            if let Err(error) = fold.fold(update) {
+            if let Err(error) = fold.fold(next.remove()) {
                 // Unreachable after delivery validation; surfaced at close.
                 self.fold_error.get_or_insert(error);
             }
@@ -678,17 +782,20 @@ impl FedAvgServer {
     /// accounted for (reported, dropped out, or Nack'd as a straggler), or
     /// the straggler deadline has passed with the quorum met.
     pub fn collecting_done(&self) -> bool {
-        if self.phase != RoundPhase::Collecting {
+        let admission = &self.admission;
+        if admission.phase != RoundPhase::Collecting {
             return false;
         }
         // `unresolved` shrinks as participants report, drop out, or get
         // Nack'd as stragglers — emptiness is the "all accounted" check
         // without an O(population) rescan.
-        if self.unresolved.is_empty() {
+        if admission.unresolved.is_empty() {
             return true;
         }
-        let deadline = self.policy.straggler_deadline;
-        deadline != 0 && self.delivered >= deadline && self.reporters.len() >= self.policy.quorum
+        let deadline = admission.policy.straggler_deadline;
+        deadline != 0
+            && admission.delivered >= deadline
+            && admission.reporters.len() >= admission.policy.quorum
     }
 
     /// Closes the round: checks the quorum, applies the server's
@@ -701,20 +808,7 @@ impl FedAvgServer {
     /// Returns [`FlError::QuorumNotMet`] if too few updates arrived, or the
     /// aggregation's schema errors.
     pub fn close_round(&mut self) -> Result<RoundSummary> {
-        if self.phase != RoundPhase::Collecting {
-            return Err(FlError::InvalidConfig {
-                reason: format!("close_round in phase {:?}", self.phase),
-            });
-        }
-        if self.reporters.len() < self.policy.quorum {
-            return Err(FlError::QuorumNotMet {
-                round: self.round,
-                received: self.reporters.len(),
-                quorum: self.policy.quorum,
-            });
-        }
-        self.phase = RoundPhase::Aggregating;
-        let round = self.round;
+        self.admission.close()?;
         if let Some(error) = self.fold_error.take() {
             return Err(error);
         }
@@ -725,20 +819,9 @@ impl FedAvgServer {
         while let Some((_, update)) = self.pending.pop_first() {
             fold.fold(update)?;
         }
-        self.unresolved.clear();
+        let update_size = clear_update_wire_size(&self.parameters);
         self.parameters = fold.finish()?;
-        self.round += 1;
-        self.phase = RoundPhase::Broadcasting;
-        Ok(RoundSummary {
-            round,
-            participants: self.participants.iter().copied().collect(),
-            reporters: std::mem::take(&mut self.reporters).into_iter().collect(),
-            stragglers: std::mem::take(&mut self.stragglers),
-            dropouts: std::mem::take(&mut self.dropouts),
-            total_weight: std::mem::take(&mut self.total_weight),
-            delivered_messages: self.delivered,
-            update_bytes: self.update_bytes,
-        })
+        Ok(self.admission.finish(update_size))
     }
 
     /// Abandons an open round without aggregating: the collected updates are
@@ -751,32 +834,11 @@ impl FedAvgServer {
     /// # Errors
     /// Returns an error if no round is open.
     pub fn abort_round(&mut self) -> Result<()> {
-        if self.phase != RoundPhase::Collecting {
-            return Err(FlError::InvalidConfig {
-                reason: format!("abort_round in phase {:?}", self.phase),
-            });
-        }
-        self.participants.clear();
+        self.admission.abort()?;
         self.fold = None;
         self.fold_error = None;
         self.pending.clear();
-        self.unresolved.clear();
-        self.reporters.clear();
-        self.stragglers.clear();
-        self.dropouts.clear();
-        self.total_weight = 0;
-        self.delivered = 0;
-        self.update_bytes = 0;
-        self.phase = RoundPhase::Broadcasting;
         Ok(())
-    }
-
-    /// Per-update validation at delivery time — the same schema check the
-    /// aggregation path re-asserts ([`crate::robust::validate_update_schema`]),
-    /// so a refused update is Nack'd immediately instead of failing the
-    /// whole round at close.
-    fn validate_update(&self, update: &ModelUpdate) -> Result<()> {
-        crate::robust::validate_update_schema(&self.parameters, update)
     }
 }
 
@@ -1255,25 +1317,22 @@ mod tests {
         );
     }
 
-    /// The multi-level round APIs: an edge server syncs to the coordinator's
-    /// broadcast and opens rounds at the coordinator's round number with an
+    /// The multi-level round open an edge aggregator uses: the admission
+    /// state machine opens rounds at the coordinator's round number with an
     /// externally sampled participant set.
     #[test]
-    fn multi_level_round_open_and_parameter_sync() {
-        let mut edge = FedAvgServer::new(named(0.0));
-        edge.deliver(&Message::Join { client_id: 2 });
-        edge.deliver(&Message::Join { client_id: 5 });
+    fn admission_opens_rounds_at_the_coordinators_round() {
+        let accept = |_: &ModelUpdate| Ok(());
+        let mut edge = Admission::new(ParticipationPolicy::default());
+        edge.deliver(&Message::Join { client_id: 2 }, accept);
+        edge.deliver(&Message::Join { client_id: 5 }, accept);
 
-        // Re-anchor to the coordinator's round-3 global and open round 3
-        // with only the sampled member.
-        edge.sync_parameters(named(1.5)).unwrap();
-        edge.begin_round_with(3, &[5]).unwrap();
-        assert_eq!(edge.round(), 3);
-        assert_eq!(edge.phase(), RoundPhase::Collecting);
-        // Parameters cannot be re-anchored mid-round.
-        assert!(edge.sync_parameters(named(9.0)).is_err());
+        // Open the coordinator's round 3 with only the sampled member.
+        edge.begin_with(3, &[5]).unwrap();
+        assert_eq!(edge.round, 3);
+        assert_eq!(edge.phase, RoundPhase::Collecting);
         // The unsampled member is refused, the sampled one accepted.
-        let refused = edge.deliver(&update_message(2, 3, 10, 2.0));
+        let refused = edge.admit(&update(2, 3, 10, 2.0), accept);
         assert!(matches!(
             refused[0],
             Message::Nack {
@@ -1281,19 +1340,20 @@ mod tests {
                 ..
             }
         ));
-        assert!(edge.deliver(&update_message(5, 3, 10, 2.0)).is_empty());
-        let summary = edge.close_round().unwrap();
+        assert!(edge.admit(&update(5, 3, 10, 2.0), accept).is_empty());
+        edge.close().unwrap();
+        let summary = edge.finish(0);
         assert_eq!(summary.round, 3);
         assert_eq!(summary.reporters, vec![5]);
-        assert_eq!(edge.round(), 4);
+        assert_eq!(edge.round, 4);
 
         // Degenerate opens are refused: empty set, unknown participant,
         // rewinding the round counter, double-open.
-        assert!(edge.begin_round_with(4, &[]).is_err());
-        assert!(edge.begin_round_with(4, &[9]).is_err());
-        assert!(edge.begin_round_with(1, &[5]).is_err());
-        edge.begin_round_with(7, &[5]).unwrap();
-        assert!(edge.begin_round_with(7, &[5]).is_err());
+        assert!(edge.begin_with(4, &[]).is_err());
+        assert!(edge.begin_with(4, &[9]).is_err());
+        assert!(edge.begin_with(1, &[5]).is_err());
+        edge.begin_with(7, &[5]).unwrap();
+        assert!(edge.begin_with(7, &[5]).is_err());
     }
 
     /// The secure-aggregation splice: targeted overwrite of named entries,

@@ -8,7 +8,7 @@
 //! * [`Topology::Star`] — every client links directly to the central server
 //!   (the original behaviour).
 //! * [`Topology::Hierarchical`] — clients are partitioned into subtrees,
-//!   each under an [`EdgeAggregator`] that reuses the [`FedAvgServer`] state
+//!   each under an [`EdgeAggregator`] that runs the root's admission state
 //!   machine per subtree (quorum and straggler deadlines apply **per
 //!   level**) and forwards a single combined
 //!   [`Message::AggregateUpdate`] upstream.
@@ -34,10 +34,11 @@
 //! changes routing, per-level participation policy and accounting — never
 //! the aggregate's bits.
 //!
-//! The edge's own [`FedAvgServer`] still closes each subtree round with a
-//! plain FedAvg over the clear segments it can see — the **edge-local
-//! model**, the operational artifact a real edge deployment serves locally —
-//! but that view never feeds the global fold.
+//! So an edge folds nothing and holds no model. It admits each member
+//! update against the schema of the root's broadcast frame, which it shares
+//! with the member links (only the clear segment of a shielded update: the
+//! root checks the whole update once its enclave has reassembled it), and
+//! forwards the accepted updates exactly as they arrived.
 //!
 //! Control plane vs data plane: the `Federation` runtime (the scheduler)
 //! opens rounds on edges and meshes by direct call; everything the paper's
@@ -50,12 +51,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use pelta_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-use crate::robust::{aggregate_with_rule, validate_update_schema};
-use crate::server::{RoundCheckpoint, RoundSummary};
+use crate::message::clear_update_wire_size;
+use crate::robust::{aggregate_with_rule, validate_clear_segment, validate_update_schema};
+use crate::server::{Admission, RoundCheckpoint, RoundSummary};
 use crate::sweep::{self, Arrival, SweepLinks, SweepOutcome};
 use crate::{
-    AggregationRule, BroadcastFrame, FedAvgServer, FlError, MemberUpdate, Message, ModelUpdate,
-    NackReason, ParticipationPolicy, Result, Transport, TransportKind, UpdateCodec,
+    AggregationRule, BroadcastFrame, FlError, MemberUpdate, Message, ModelUpdate, NackReason,
+    ParticipationPolicy, Result, Transport, TransportKind, UpdateCodec,
 };
 
 /// How a federation routes updates to the consensus point.
@@ -64,8 +66,8 @@ pub enum Topology {
     /// Every client links directly to the central server.
     Star,
     /// Two-level tree: clients are partitioned into subtrees, each under an
-    /// edge aggregator that collects the subtree over its own
-    /// [`FedAvgServer`] state machine and forwards one combined
+    /// edge aggregator that admits the subtree's updates with the root's
+    /// admission state machine and forwards one combined
     /// [`Message::AggregateUpdate`] to the root.
     Hierarchical {
         /// The subtree partition: `groups[e]` lists the client ids under
@@ -156,8 +158,8 @@ impl Topology {
                         reason: "edges do not sample participants; only the root does".to_string(),
                     });
                 }
-                // An edge's subtree server folds with FedAvg whatever the
-                // root's rule (`FedAvgServer::with_policy`).
+                // An edge folds nothing; its policy is checked as FedAvg's
+                // whatever the root's rule, as `EdgeAggregator::new` does.
                 edge_policy.validate(AggregationRule::FedAvg)?;
                 let mut seen = BTreeSet::new();
                 for (edge_id, group) in groups.iter().enumerate() {
@@ -234,24 +236,29 @@ struct EdgeMember {
 /// An edge aggregator of a two-level hierarchical federation.
 ///
 /// It holds the edge-side ends of its members' links and the edge-side end
-/// of the uplink to the root, runs a [`FedAvgServer`] state machine over its
-/// subtree (per-level quorum, straggler deadline counted in messages the
-/// *edge* delivered, dropout accounting), and forwards the members it
-/// accepted as a single subtree-addressed [`Message::AggregateUpdate`] —
-/// sealed segments untouched, member granularity preserved (see the module
-/// docs for why the defense rule must fold at the root).
+/// of the uplink to the root, admits its subtree's updates with the root's
+/// admission state machine (per-level quorum, straggler deadline counted in
+/// messages the *edge* delivered, dropout accounting, the schema check on
+/// what it can see), and forwards the members it accepted as a single
+/// subtree-addressed [`Message::AggregateUpdate`] — sealed segments
+/// untouched, member granularity preserved (see the module docs for why
+/// the defense rule must fold at the root). An edge folds nothing and
+/// holds no model: the schema it checks against is the root's broadcast
+/// frame, shared with the member links.
 pub struct EdgeAggregator {
     edge_id: usize,
-    server: FedAvgServer,
+    admission: Admission,
     uplink: Box<dyn Transport>,
     /// Member links in ascending client-id order.
     members: Vec<EdgeMember>,
+    /// The open round's broadcast, whose parameters are the schema;
+    /// `Some` exactly while a subtree round is open.
+    broadcast: Option<BroadcastFrame>,
     /// Sampled participants of the open round.
     sampled: BTreeSet<usize>,
     left: BTreeSet<usize>,
     stash: BTreeMap<usize, MemberUpdate>,
     round: Option<usize>,
-    open: bool,
     /// Member indices with queued uplink traffic during a sweep phase
     /// (rebuilt at sweep 0; only ever shrinks within a phase).
     active: Option<BTreeSet<usize>>,
@@ -259,9 +266,9 @@ pub struct EdgeAggregator {
 
 impl EdgeAggregator {
     /// Creates an edge aggregator speaking upstream over `uplink` under the
-    /// given per-level policy. Its subtree state machine always runs plain
-    /// FedAvg — the configured defense rule folds once, at the root, over
-    /// the full population.
+    /// given per-level policy. The policy is checked as FedAvg's, though an
+    /// edge folds nothing: the configured defense rule folds once, at the
+    /// root, over the full population.
     ///
     /// # Errors
     /// Returns an error if the policy is degenerate.
@@ -270,16 +277,17 @@ impl EdgeAggregator {
         edge_policy: ParticipationPolicy,
         uplink: Box<dyn Transport>,
     ) -> Result<Self> {
+        edge_policy.validate(AggregationRule::FedAvg)?;
         Ok(EdgeAggregator {
             edge_id,
-            server: FedAvgServer::with_policy(Vec::new(), edge_policy)?,
+            admission: Admission::new(edge_policy),
             uplink,
             members: Vec::new(),
+            broadcast: None,
             sampled: BTreeSet::new(),
             left: BTreeSet::new(),
             stash: BTreeMap::new(),
             round: None,
-            open: false,
             active: None,
         })
     }
@@ -319,16 +327,9 @@ impl EdgeAggregator {
             .is_ok()
     }
 
-    /// The edge-local model: the subtree's plain-FedAvg view over the clear
-    /// segments (sealed segments are opaque to the edge by design and
-    /// contribute zero delta here).
-    pub fn parameters(&self) -> &[(String, Tensor)] {
-        self.server.parameters()
-    }
-
     /// Whether a subtree round is currently collecting.
     pub fn round_open(&self) -> bool {
-        self.open
+        self.broadcast.is_some()
     }
 
     /// Whether this edge served the given round (had sampled members).
@@ -336,18 +337,17 @@ impl EdgeAggregator {
         self.round == Some(round)
     }
 
-    /// Opens a subtree round: re-anchors the edge-local model to the root's
-    /// broadcast, opens the state machine at the root's round number with
-    /// the members the root sampled, and relays the shared
-    /// [`Message::RoundStart`] frame to them — every member link shares the
-    /// one broadcast payload instead of receiving its own clone.
+    /// Opens a subtree round at the root's round number with the members
+    /// the root sampled, keeps the broadcast frame as the round's schema,
+    /// and relays the frame to those members — every member link and the
+    /// edge share the one broadcast payload instead of each holding a copy.
     ///
     /// # Errors
     /// Returns an error if the frame is not a `RoundStart`, a participant
     /// is not a member of this edge, or the state machine refuses the
     /// round.
     pub fn open_round(&mut self, frame: &BroadcastFrame, participants: &[usize]) -> Result<()> {
-        let Message::RoundStart { round, global } = frame.message() else {
+        let Message::RoundStart { round, .. } = frame.message() else {
             return Err(FlError::InvalidConfig {
                 reason: format!(
                     "edge {} can only open a round from a RoundStart frame",
@@ -363,13 +363,12 @@ impl EdgeAggregator {
                 });
             }
         }
-        self.server.sync_parameters(global.parameters.clone())?;
-        self.server.begin_round_with(round, participants)?;
+        self.admission.begin_with(round, participants)?;
+        self.broadcast = Some(frame.clone());
         self.sampled = participants.iter().copied().collect();
         self.left.clear();
         self.stash.clear();
         self.round = Some(round);
-        self.open = true;
         self.active = None;
         for member in &self.members {
             if self.sampled.contains(&member.client_id) {
@@ -377,6 +376,14 @@ impl EdgeAggregator {
             }
         }
         Ok(())
+    }
+
+    /// The open round's schema: the broadcast's parameters.
+    fn schema(broadcast: Option<&BroadcastFrame>) -> &[(String, Tensor)] {
+        match broadcast.map(BroadcastFrame::message) {
+            Some(Message::RoundStart { global, .. }) => &global.parameters,
+            _ => &[],
+        }
     }
 
     /// One delivery sweep over the member links with the runtime's sweep
@@ -400,7 +407,7 @@ impl EdgeAggregator {
                 |edge, index, arrival| match arrival {
                     Arrival::Frame(message) => edge.route_upward(index, message),
                     Arrival::Damaged { sender, round } => {
-                        edge.server.deliver_corrupt(sender, round);
+                        edge.admission.deliver_corrupt(sender, round);
                         Ok(())
                     }
                 },
@@ -423,21 +430,20 @@ impl EdgeAggregator {
         Ok(delivered)
     }
 
-    /// Routes one member message: Join/Leave are mirrored into the subtree
+    /// Routes one member message: Join/Leave are delivered to the subtree
     /// state machine *and* relayed upstream (the root tracks the global
     /// connected set); a [`Message::MaskShare`] is relayed upstream
     /// unopened — it is root-addressed secure-aggregation control traffic
-    /// only the root's enclave context can verify; an Update is mirrored
-    /// (with broadcast-value placeholders spliced over its sealed segment,
-    /// which the edge cannot open) and, if the subtree state machine accepts
-    /// it, the **original** update is stashed for upstream forwarding;
-    /// anything else is answered by the subtree state machine's Nack — junk
-    /// frames burn the *edge's* straggler budget, which is exactly the
-    /// per-level semantics.
+    /// only the root's enclave context can verify; an Update is admitted
+    /// against the schema (only its clear segment when it carries sealed
+    /// segments, which the edge cannot open) and, if accepted, stashed
+    /// as it arrived for upstream forwarding; anything else is answered by
+    /// the subtree state machine's Nack — junk frames burn the *edge's*
+    /// straggler budget, which is exactly the per-level semantics.
     fn route_upward(&mut self, index: usize, message: Message) -> Result<()> {
         match message {
             Message::Join { .. } => {
-                self.server.deliver(&message);
+                self.admission.deliver(&message, |_| Ok(()));
                 self.uplink.send(&message)?;
             }
             Message::MaskShare { .. } => {
@@ -445,18 +451,17 @@ impl EdgeAggregator {
             }
             Message::Leave { client_id } => {
                 self.left.insert(client_id);
-                self.server.deliver(&message);
+                self.admission.deliver(&message, |_| Ok(()));
                 self.uplink.send(&message)?;
             }
             Message::Update { update, shielded } => {
-                let mirrored = if shielded.is_empty() {
-                    update.clone()
-                } else {
-                    splice_placeholders(self.server.parameters(), &update)
-                };
-                let responses = self.server.deliver(&Message::Update {
-                    update: mirrored,
-                    shielded: Vec::new(),
+                let schema = Self::schema(self.broadcast.as_ref());
+                let responses = self.admission.admit(&update, |update| {
+                    if shielded.is_empty() {
+                        validate_update_schema(schema, update)
+                    } else {
+                        validate_clear_segment(schema, update)
+                    }
                 });
                 if responses.is_empty() {
                     self.stash
@@ -468,7 +473,7 @@ impl EdgeAggregator {
                 }
             }
             other => {
-                for response in self.server.deliver(&other) {
+                for response in self.admission.deliver(&other, |_| Ok(())) {
                     self.members[index].link.send(&response)?;
                 }
             }
@@ -479,41 +484,27 @@ impl EdgeAggregator {
     /// Closes the subtree round and forwards the accepted members upstream
     /// as one [`Message::AggregateUpdate`] (ascending client id, sealed
     /// segments intact). If the subtree missed its per-level quorum, the
-    /// whole subtree is **withheld** — an empty combined frame goes up, the
-    /// edge-local model stays untouched, and the returned summary carries
-    /// zero reporters and weight.
+    /// whole subtree is **withheld** — an empty combined frame goes up and
+    /// the returned summary carries zero reporters and weight.
     ///
     /// # Errors
     /// Returns an error if no round is open or the state machine fails for
     /// a reason other than the quorum.
     pub fn close_and_forward(&mut self) -> Result<RoundSummary> {
-        if !self.open {
+        let Some(broadcast) = self.broadcast.take() else {
             return Err(FlError::InvalidConfig {
                 reason: format!("edge {} has no open round to close", self.edge_id),
             });
-        }
-        self.open = false;
+        };
         let round = self.round.expect("open round has a round number");
-        match self.server.close_round() {
-            Ok(summary) => {
-                let members: Vec<MemberUpdate> =
-                    std::mem::take(&mut self.stash).into_values().collect();
-                self.uplink.send(&Message::AggregateUpdate {
-                    origin: self.edge_id,
-                    round,
-                    members,
-                })?;
-                Ok(summary)
-            }
+        let summary = match self.admission.close() {
+            Ok(()) => self
+                .admission
+                .finish(clear_update_wire_size(Self::schema(Some(&broadcast)))),
             Err(FlError::QuorumNotMet { .. }) => {
-                self.server.abort_round()?;
+                self.admission.abort()?;
                 self.stash.clear();
-                self.uplink.send(&Message::AggregateUpdate {
-                    origin: self.edge_id,
-                    round,
-                    members: Vec::new(),
-                })?;
-                Ok(RoundSummary {
+                RoundSummary {
                     round,
                     participants: self.sampled.iter().copied().collect(),
                     reporters: Vec::new(),
@@ -522,25 +513,30 @@ impl EdgeAggregator {
                     total_weight: 0,
                     delivered_messages: 0,
                     update_bytes: 0,
-                })
+                }
             }
-            Err(e) => Err(e),
-        }
+            Err(e) => return Err(e),
+        };
+        self.uplink.send(&Message::AggregateUpdate {
+            origin: self.edge_id,
+            round,
+            members: std::mem::take(&mut self.stash).into_values().collect(),
+        })?;
+        Ok(summary)
     }
 
     /// Kills the edge mid-round: the subtree round in flight is lost. The
-    /// state machine aborts (its parameters and round counter survive, as
-    /// a real edge's durable store would), the stash and every queued
-    /// member/uplink frame die with the process, and nothing is forwarded
-    /// upstream — the root sees silence from this subtree and degrades
-    /// through its quorum/withholding path.
+    /// state machine aborts (its round counter survives, as a real edge's
+    /// durable store would), the stash and every queued member/uplink frame
+    /// die with the process, and nothing is forwarded upstream — the root
+    /// sees silence from this subtree and degrades through its
+    /// quorum/withholding path.
     ///
     /// # Errors
     /// Returns an error if a transport fails or the abort is refused.
     pub fn crash(&mut self) -> Result<()> {
-        if self.open {
-            self.open = false;
-            self.server.abort_round()?;
+        if self.broadcast.take().is_some() {
+            self.admission.abort()?;
         }
         // The crashed edge never served the round in flight: no RoundEnd
         // relay may reach its members for it.
@@ -557,16 +553,16 @@ impl EdgeAggregator {
     /// Re-handshakes a crashed edge back into the federation from the
     /// coordinator's [`RoundCheckpoint`]: traffic queued while the edge was
     /// dark is discarded (it belongs to rounds the edge missed), and the
-    /// subtree state machine re-anchors to the checkpointed round and
-    /// parameters — forward-only — so the next [`EdgeAggregator::open_round`]
-    /// lands exactly where the federation is, with the streaming-fold
-    /// reorder window starting from a clean (empty) state.
+    /// subtree state machine fast-forwards to the checkpointed round —
+    /// forward-only — so the next [`EdgeAggregator::open_round`] lands
+    /// exactly where the federation is. The edge holds no model, so the
+    /// checkpoint's parameters are not its to keep.
     ///
     /// # Errors
     /// Returns an error if a round is open, the checkpoint would rewind the
     /// subtree, or a transport fails.
     pub fn resync(&mut self, checkpoint: &RoundCheckpoint) -> Result<()> {
-        if self.open {
+        if self.round_open() {
             return Err(FlError::InvalidConfig {
                 reason: format!("edge {} cannot resync with an open round", self.edge_id),
             });
@@ -577,7 +573,7 @@ impl EdgeAggregator {
         while self.uplink.recv()?.is_some() {}
         self.stash.clear();
         self.active = None;
-        self.server.restore(checkpoint)
+        self.admission.restore(checkpoint.round)
     }
 
     /// Relays downstream traffic from the root: a [`Message::Nack`] goes to
@@ -656,28 +652,6 @@ impl SweepLinks for EdgeAggregator {
 
     fn latency(&self, index: usize) -> usize {
         self.members[index].latency
-    }
-}
-
-/// Fills the parameters missing from a (shielded) update's clear segment
-/// with the current broadcast values, in canonical order — the edge-local
-/// mirror of the root's enclave reassembly: sealed segments contribute zero
-/// delta to the subtree view the edge is allowed to see.
-fn splice_placeholders(current: &[(String, Tensor)], update: &ModelUpdate) -> ModelUpdate {
-    let parameters = current
-        .iter()
-        .map(
-            |(name, reference)| match update.parameters.iter().find(|(n, _)| n == name) {
-                Some((n, t)) => (n.clone(), t.clone()),
-                None => (name.clone(), reference.clone()),
-            },
-        )
-        .collect();
-    ModelUpdate {
-        client_id: update.client_id,
-        round: update.round,
-        num_samples: update.num_samples,
-        parameters,
     }
 }
 
@@ -941,7 +915,7 @@ impl GossipMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultConfig, FaultPlan, GlobalModel, InMemoryTransport, NackReason};
+    use crate::{FaultConfig, FaultPlan, FedAvgServer, GlobalModel, InMemoryTransport, NackReason};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -1078,9 +1052,9 @@ mod tests {
         assert_eq!(Topology::Gossip { fanout: 1 }.name(), "gossip");
     }
 
-    /// An edge collects its subtree over member links, mirrors the updates
-    /// into its per-level state machine, and forwards the originals upstream
-    /// as one combined frame in ascending client-id order — which the root
+    /// An edge collects its subtree over member links, admits the updates
+    /// with its per-level state machine, and forwards them upstream as sent,
+    /// in one combined frame in ascending client-id order — which the root
     /// folds into exactly the bits a flat aggregation produces.
     #[test]
     fn edge_aggregator_forwards_member_granularity() {
@@ -1135,10 +1109,9 @@ mod tests {
         assert!(edge.served_round(0));
         assert_eq!(summary.reporters, vec![1, 3]);
         assert_eq!(summary.total_weight, 40);
-        // The edge-local model tracks the subtree view.
-        assert!(bits(edge.parameters()) != bits(&named(&[0.0, 0.0])));
 
-        // The combined frame carries both members, ascending.
+        // The combined frame carries both members, ascending, each exactly
+        // as it was sent.
         let Some(Message::AggregateUpdate {
             origin,
             round,
@@ -1148,8 +1121,10 @@ mod tests {
             panic!("edge must forward one combined frame");
         };
         assert_eq!((origin, round), (0, 0));
-        let ids: Vec<usize> = members.iter().map(|m| m.update.client_id).collect();
-        assert_eq!(ids, vec![1, 3]);
+        let sent: Vec<MemberUpdate> = [1, 3]
+            .map(|id| MemberUpdate::clear(update(id, 0, 10 * id, id as f32)))
+            .into();
+        assert_eq!(members, sent);
 
         // Root folds the members — bit-identical to the flat aggregate.
         for member in &members {
@@ -1224,12 +1199,18 @@ mod tests {
         let Some(Message::Leave { client_id: 1 }) = root_end.recv().unwrap() else {
             panic!("Leave must be relayed upstream");
         };
-        let Some(Message::AggregateUpdate { members, .. }) = root_end.recv().unwrap() else {
+        let Some(Message::AggregateUpdate {
+            origin,
+            round,
+            members,
+        }) = root_end.recv().unwrap()
+        else {
             panic!("a withheld subtree still sends its (empty) frame");
         };
+        assert_eq!((origin, round), (1, 0));
+        // Client 0's accepted update is withheld with its subtree.
         assert!(members.is_empty());
-        // The edge-local model never moved.
-        assert_eq!(bits(edge.parameters()), bits(&named(&[0.0, 0.0])));
+        assert!(root_end.recv().unwrap().is_none());
     }
 
     /// The straggler deadline applies per level: junk frames delivered to
@@ -1296,6 +1277,222 @@ mod tests {
             panic!("straggler must be Nack'd by the edge");
         };
         assert_eq!(reason, NackReason::StragglerDeadline);
+    }
+
+    /// One subtree round under an edge with members 0 and 1: member 0
+    /// sends `frame` `sends` times, member 1 reports `reference`, and the
+    /// edge closes. Returns the edge's summary and the Nacks member 0 got.
+    fn edge_round(
+        schema: &[(String, Tensor)],
+        participants: &[usize],
+        frame: &Message,
+        sends: usize,
+        reference: ModelUpdate,
+    ) -> (RoundSummary, Vec<NackReason>) {
+        let (edge_end, _root_end) = InMemoryTransport::pair();
+        let mut edge =
+            EdgeAggregator::new(0, ParticipationPolicy::default(), Box::new(edge_end)).unwrap();
+        let mut agent_ends = Vec::new();
+        for client_id in 0..2usize {
+            let (agent_end, server_end) = InMemoryTransport::pair();
+            edge.attach_member(client_id, Box::new(server_end), 0);
+            agent_end.send(&Message::Join { client_id }).unwrap();
+            agent_ends.push(agent_end);
+        }
+        edge.pump_idle().unwrap();
+        let broadcast = GlobalModel {
+            round: 0,
+            parameters: schema.to_vec(),
+        };
+        edge.open_round(&round_start(broadcast), participants)
+            .unwrap();
+        for _ in 0..sends {
+            agent_ends[0].send(frame).unwrap();
+        }
+        agent_ends[1]
+            .send(&Message::Update {
+                update: reference,
+                shielded: Vec::new(),
+            })
+            .unwrap();
+        while edge.pump(0).unwrap().delivered {}
+        let summary = edge.close_and_forward().unwrap();
+        let mut nacks = Vec::new();
+        while let Some(message) = agent_ends[0].recv().unwrap() {
+            if let Message::Nack { reason, .. } = message {
+                nacks.push(reason);
+            }
+        }
+        (summary, nacks)
+    }
+
+    /// Edge admission for a clear and a shielded member: the Nack each
+    /// case earns and the summary the subtree round closes with. The edge
+    /// sees only the clear segment of a shielded update, so it checks the
+    /// names that segment carries and no others: a name missing from it may
+    /// travel sealed, which only the root's enclave can tell. Every accepted
+    /// member counts the Raw size of a clear update of the whole schema,
+    /// sealed segment or not.
+    #[test]
+    fn edge_admission_refuses_and_counts_clear_and_shielded_members() {
+        let schema = vec![
+            ("a".to_string(), Tensor::zeros(&[2])),
+            ("s".to_string(), Tensor::zeros(&[3])),
+        ];
+        let valid = |client_id: usize| ModelUpdate {
+            client_id,
+            round: 0,
+            num_samples: 10,
+            parameters: vec![
+                ("a".to_string(), Tensor::full(&[2], 1.0)),
+                ("s".to_string(), Tensor::full(&[3], 1.0)),
+            ],
+        };
+        let full_size = Message::Update {
+            update: valid(0),
+            shielded: Vec::new(),
+        }
+        .wire_size();
+        // A shielded member sends "a" in clear and "s" sealed. The edge
+        // forwards blobs unopened, so any bytes serve.
+        let frame = |update: ModelUpdate, sealed: bool| {
+            if !sealed {
+                return Message::Update {
+                    update,
+                    shielded: Vec::new(),
+                };
+            }
+            let parameters = update
+                .parameters
+                .into_iter()
+                .filter(|(name, _)| name != "s")
+                .collect();
+            Message::Update {
+                update: ModelUpdate {
+                    parameters,
+                    ..update
+                },
+                shielded: vec![pelta_tee::SealedBlob::from_parts(vec![1, 2, 3], 7)],
+            }
+        };
+        let rejected = |reason: &str| Some(NackReason::Rejected(reason.to_string()));
+
+        let mut wrong_shape = valid(0);
+        wrong_shape.parameters[0].1 = Tensor::full(&[4], 1.0);
+        let mut non_finite = valid(0);
+        non_finite.parameters[0].1 = Tensor::from_vec(vec![f32::NAN, 1.0], &[2]).unwrap();
+        let mut missing_clear = valid(0);
+        missing_clear.parameters.remove(0);
+        let shape_error =
+            rejected("update schema mismatch: client 0 parameter 'a' [4] does not match 'a' [2]");
+        let finite_error = rejected(
+            "invalid federation config: client 0 parameter 'a' contains non-finite values",
+        );
+        let samples_error =
+            rejected("invalid federation config: client 0 update carries zero samples");
+        // (case, member 0's update, copies sent, participants, Nack to a
+        // clear member, Nack to a shielded member, whether it is accepted
+        // when clear and when shielded)
+        #[allow(clippy::type_complexity)]
+        let cases: Vec<(
+            &str,
+            ModelUpdate,
+            usize,
+            &[usize],
+            Option<NackReason>,
+            Option<NackReason>,
+            [bool; 2],
+        )> = vec![
+            (
+                "wrong shape",
+                wrong_shape,
+                1,
+                &[0, 1],
+                shape_error.clone(),
+                shape_error,
+                [false, false],
+            ),
+            (
+                "non-finite value",
+                non_finite,
+                1,
+                &[0, 1],
+                finite_error.clone(),
+                finite_error,
+                [false, false],
+            ),
+            (
+                "zero samples",
+                ModelUpdate {
+                    num_samples: 0,
+                    ..valid(0)
+                },
+                1,
+                &[0, 1],
+                samples_error.clone(),
+                samples_error,
+                [false, false],
+            ),
+            (
+                "missing clear parameter",
+                missing_clear,
+                1,
+                &[0, 1],
+                rejected("update schema mismatch: client 0 sent 1 parameters, expected 2"),
+                None,
+                [false, true],
+            ),
+            (
+                "duplicate",
+                valid(0),
+                2,
+                &[0, 1],
+                Some(NackReason::Duplicate),
+                Some(NackReason::Duplicate),
+                [true, true],
+            ),
+            (
+                "stale round",
+                ModelUpdate {
+                    round: 1,
+                    ..valid(0)
+                },
+                1,
+                &[0, 1],
+                Some(NackReason::StaleRound),
+                Some(NackReason::StaleRound),
+                [false, false],
+            ),
+            (
+                "non-participant",
+                valid(0),
+                1,
+                &[1],
+                Some(NackReason::NotParticipating),
+                Some(NackReason::NotParticipating),
+                [false, false],
+            ),
+        ];
+        for (case, update, sends, participants, clear_nack, shielded_nack, accepted) in cases {
+            for (sealed, nack, accepted) in [
+                (false, clear_nack, accepted[0]),
+                (true, shielded_nack, accepted[1]),
+            ] {
+                let (summary, nacks) = edge_round(
+                    &schema,
+                    participants,
+                    &frame(update.clone(), sealed),
+                    sends,
+                    valid(1),
+                );
+                let what = format!("{case}, sealed: {sealed}");
+                assert_eq!(nacks, nack.into_iter().collect::<Vec<_>>(), "{what}");
+                let reporters = if accepted { vec![0, 1] } else { vec![1] };
+                assert_eq!(summary.total_weight, 10 * reporters.len(), "{what}");
+                assert_eq!(summary.update_bytes, full_size * reporters.len(), "{what}");
+                assert_eq!(summary.reporters, reporters, "{what}");
+            }
+        }
     }
 
     /// A member sweep polls only the member links that hold traffic: with

@@ -113,6 +113,7 @@ fn encode_frame_bytes(message: &Message, codec: UpdateCodec) -> Vec<u8> {
 /// exactly once (lazily, on the first byte-path send). This is what keeps a
 /// `RoundStart` broadcast O(model + population) instead of
 /// O(model × population).
+#[derive(Clone)]
 pub struct BroadcastFrame {
     message: Arc<Message>,
     encoded: OnceLock<Arc<Vec<u8>>>,

@@ -95,7 +95,14 @@ pub fn run() -> Result<(), Box<dyn Error>> {
             updates.push(update);
         }
         let mut rng = seeds.derive(&format!("poison-{name}"));
-        let (poisoned, report) = attacker.poisoned_round(&broadcast, &mut rng)?;
+        let (poisoned, poisoned_samples) = attacker.poisoned_round(&broadcast, &mut rng)?;
+        // The attacker's local model is the update it sends: score its
+        // backdoor on the attacker's own clean shard.
+        let mut local = VisionTransformer::new(vit_config.clone(), &mut seeds.derive("eval"))?;
+        import_parameters(&mut local, &poisoned.parameters)?;
+        let shard = &shards[3].dataset;
+        let local_backdoor =
+            backdoor_success_rate(&local, shard.train_images(), shard.train_labels(), &trigger)?;
         updates.push(poisoned);
         let aggregated = aggregate_with_rule(&broadcast.parameters, 0, updates, rule)?;
 
@@ -107,8 +114,8 @@ pub fn run() -> Result<(), Box<dyn Error>> {
             "{name:<30} global clean accuracy {:>6.1}%   backdoor activation {:>6.1}%   (attacker poisoned {} samples, local backdoor {:.0}%)",
             clean * 100.0,
             backdoor * 100.0,
-            report.poisoned_samples,
-            report.local_backdoor_rate * 100.0,
+            poisoned_samples,
+            local_backdoor * 100.0,
         );
     }
 

@@ -14,10 +14,16 @@ use pelta_attacks::eval::outcome_from_samples;
 use pelta_attacks::{select_correctly_classified, AdversarialPatch, EvasionAttack, PatchPlacement};
 use pelta_core::{ClearWhiteBox, GradientOracle, ShieldedWhiteBox};
 use pelta_data::{Dataset, DatasetSpec, GeneratorConfig};
-use pelta_models::{train_classifier, TrainingConfig, ViTConfig, VisionTransformer};
+use pelta_models::{accuracy, train_classifier, TrainingConfig, ViTConfig, VisionTransformer};
 use pelta_tensor::SeedStream;
 
 fn main() -> Result<(), Box<dyn Error>> {
+    run()
+}
+
+/// The example body, exposed so `tests/examples_smoke.rs` can drive the
+/// exact flow `cargo run --example patch_attack` executes.
+pub fn run() -> Result<(), Box<dyn Error>> {
     let mut seeds = SeedStream::new(11);
 
     // The collaboratively trained model the compromised client holds: a
@@ -35,7 +41,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         ViTConfig::vit_b16_scaled(32, 3, 10),
         &mut seeds.derive("model"),
     )?;
-    let report = train_classifier(
+    train_classifier(
         &mut vit,
         dataset.train_images(),
         dataset.train_labels(),
@@ -48,7 +54,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     )?;
     println!(
         "defender trained: clean training accuracy {:.1}%",
-        report.final_accuracy * 100.0
+        accuracy(&vit, dataset.train_images(), dataset.train_labels())? * 100.0
     );
 
     let model = Arc::new(vit);

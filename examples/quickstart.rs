@@ -12,7 +12,7 @@ use std::sync::Arc;
 use pelta_attacks::{robust_accuracy, select_correctly_classified, Pgd};
 use pelta_core::{ClearWhiteBox, ShieldedWhiteBox};
 use pelta_data::{Dataset, DatasetSpec, GeneratorConfig};
-use pelta_models::{train_classifier, TrainingConfig, ViTConfig, VisionTransformer};
+use pelta_models::{accuracy, train_classifier, TrainingConfig, ViTConfig, VisionTransformer};
 use pelta_tensor::SeedStream;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -41,7 +41,7 @@ pub fn run() -> Result<(), Box<dyn Error>> {
         ViTConfig::vit_b16_scaled(32, 3, 10),
         &mut seeds.derive("model"),
     )?;
-    let report = train_classifier(
+    train_classifier(
         &mut vit,
         dataset.train_images(),
         dataset.train_labels(),
@@ -54,7 +54,7 @@ pub fn run() -> Result<(), Box<dyn Error>> {
     )?;
     println!(
         "trained ViT-B/16 (scaled): final training accuracy {:.1}%",
-        report.final_accuracy * 100.0
+        accuracy(&vit, dataset.train_images(), dataset.train_labels())? * 100.0
     );
 
     // 3. Select correctly classified samples — the attacker's starting pool.

@@ -43,6 +43,10 @@ mod secure_aggregation;
 #[allow(dead_code)]
 mod backdoor_poisoning;
 
+#[path = "../examples/patch_attack.rs"]
+#[allow(dead_code)]
+mod patch_attack;
+
 #[test]
 fn quickstart_example_runs() {
     quickstart::run().expect("quickstart example should run to completion");
@@ -87,4 +91,9 @@ fn secure_aggregation_example_runs() {
 #[test]
 fn backdoor_poisoning_example_runs() {
     backdoor_poisoning::run().expect("backdoor_poisoning example should run to completion");
+}
+
+#[test]
+fn patch_attack_example_runs() {
+    patch_attack::run().expect("patch_attack example should run to completion");
 }

@@ -79,14 +79,17 @@ fn one_poisoned_round(seed: u64, rule: AggregationRule) -> (f32, f32) {
 
     let mut updates = Vec::new();
     for client in &mut honest {
-        let (update, report) = client.local_round(&broadcast).unwrap();
+        let (update, _) = client.local_round(&broadcast).unwrap();
         assert_eq!(update.round, 0);
-        assert!(report.local_accuracy >= 0.0);
+        let shard = &client.shard().dataset;
+        let local_accuracy =
+            accuracy(client.model(), shard.train_images(), shard.train_labels()).unwrap();
+        assert!(local_accuracy >= 0.0);
         updates.push(update);
     }
     let mut rng = seeds.derive("poison");
-    let (poisoned, report) = attacker.poisoned_round(&broadcast, &mut rng).unwrap();
-    assert!(report.poisoned_samples > 0);
+    let (poisoned, poisoned_samples) = attacker.poisoned_round(&broadcast, &mut rng).unwrap();
+    assert!(poisoned_samples > 0);
     updates.push(poisoned);
     let aggregated = aggregate_with_rule(&broadcast.parameters, 0, updates, rule).unwrap();
 
@@ -200,7 +203,7 @@ fn local_backdoor_training_plants_the_trigger() {
     let mut attacker = BackdoorClient::new(
         0,
         shards[0].clone(),
-        Box::new(VisionTransformer::new(vit_config, &mut seeds.derive("a")).unwrap()),
+        Box::new(VisionTransformer::new(vit_config.clone(), &mut seeds.derive("a")).unwrap()),
         TrainingConfig {
             epochs: 4,
             batch_size: 6,
@@ -217,13 +220,19 @@ fn local_backdoor_training_plants_the_trigger() {
         parameters: export_parameters(&init),
     };
     let mut rng = seeds.derive("poison");
-    let (_, report) = attacker.poisoned_round(&broadcast, &mut rng).unwrap();
-    assert_eq!(report.poisoned_samples, shards[0].len());
+    let (poisoned, poisoned_samples) = attacker.poisoned_round(&broadcast, &mut rng).unwrap();
+    assert_eq!(poisoned_samples, shards[0].len());
     // With every local sample poisoned and several epochs, the local model
-    // should activate the backdoor on a clear majority of triggered inputs.
+    // (the update's parameters) should activate the backdoor on a clear
+    // majority of the triggered clean shard.
+    let mut local = VisionTransformer::new(vit_config, &mut seeds.derive("local")).unwrap();
+    import_parameters(&mut local, &poisoned.parameters).unwrap();
+    let shard = &shards[0].dataset;
+    let local_backdoor_rate =
+        backdoor_success_rate(&local, shard.train_images(), shard.train_labels(), &trigger)
+            .unwrap();
     assert!(
-        report.local_backdoor_rate >= 0.5,
-        "local backdoor rate {} too low for a fully poisoned shard",
-        report.local_backdoor_rate
+        local_backdoor_rate >= 0.5,
+        "local backdoor rate {local_backdoor_rate} too low for a fully poisoned shard"
     );
 }
