@@ -65,7 +65,8 @@ pub enum CrashTarget {
         seat: usize,
     },
     /// An edge aggregator (hierarchical topologies only): its subtree round
-    /// is lost and it re-syncs from a [`crate::RoundCheckpoint`] on rejoin.
+    /// is lost and it re-syncs to the root's round on rejoin
+    /// ([`crate::EdgeAggregator::resync`]).
     Edge {
         /// The crashing edge index.
         edge: usize,

@@ -27,21 +27,25 @@
 //! boosting after observing the broadcast) play out deterministically and
 //! every scenario replays bit-identically.
 //!
-//! Shielded parameter segments arriving inside updates are reassembled
-//! through the server's attested [`ShieldedUpdateChannel`] before delivery,
-//! with their byte accounting surfaced in the [`RoundRecord`]. Sealed
-//! segments are outside input: an update they cannot complete is refused
-//! with a `Rejected` Nack, like a clear update with a bad schema, and the
-//! round closes over the other seats.
+//! Every phase hands the server each update it collects by value — star
+//! seats, edge members and the gossip union alike — through one intake. The
+//! intake first reassembles the update's shielded parameter segments in the
+//! root's enclave, whose state (the attested [`ShieldedUpdateChannel`] and,
+//! under secure aggregation, the mask context and the round's stash) has
+//! one owner, with their byte accounting surfaced in the [`RoundRecord`].
+//! Sealed segments are outside input: an update they cannot complete is
+//! refused with a `Rejected` Nack, like a clear update with a bad schema,
+//! and the round closes over the other seats.
 //!
 //! Under [`FederationConfig::secure_aggregation`] the runtime never opens an
 //! individual member's sealed segment at all (see [`crate::secure_agg`]):
-//! clients pairwise-mask the shielded segment before sealing, delivery
+//! clients pairwise-mask the shielded segment before sealing, the intake
 //! stashes the sealed blobs and feeds the state machine finite zero
 //! placeholders, and after the round closes the runtime runs the
 //! [`Message::MaskShare`] reconstruction sweep for any dead seats, folds the
 //! blobs inside the root enclave ([`ShieldedUpdateChannel::fold_masked_segments`])
-//! and splices the aggregate over the placeholder entries
+//! against the round-open model of the round's one broadcast frame, and
+//! splices the aggregate over the placeholder entries
 //! ([`FedAvgServer::splice_parameters`]). The result is bit-identical to a
 //! clear shielded run — see `docs/determinism.md`.
 //!
@@ -57,24 +61,24 @@ use std::collections::BTreeMap;
 
 use pelta_data::{federated_split, Dataset, Partition};
 use pelta_models::{accuracy, ImageModel, TrainingConfig, ViTConfig, VisionTransformer};
-use pelta_tee::{CostLedger, SealedBlob};
-use pelta_tensor::{pool, SeedStream, Tensor};
+use pelta_tee::CostLedger;
+use pelta_tensor::{pool, SeedStream};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::client::{export_parameters, import_parameters, split_segments};
+use crate::client::{export_parameters, import_parameters};
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
 use crate::scenario::{AgentRole, ScenarioSpec};
 use crate::seat::Seat;
-use crate::secure_agg::{pair_seeds_for_client, AggregatorMaskContext, ClientMaskContext};
+use crate::secure_agg::{pair_seeds_for_client, ClientMaskContext};
 use crate::server::RoundSummary;
+use crate::shielded::{MaskShares, RootEnclave};
 use crate::sweep::{self, Arrival, SweepLinks, SweepOutcome, MAX_DELAY_SWEEPS};
 use crate::topology::{EdgeAggregator, GossipMesh, Topology};
 use crate::{
-    AggregationRule, BroadcastFrame, FedAvgServer, FlError, MemberUpdate, Message, ModelUpdate,
-    NackReason, ParticipationPolicy, Result, ShieldedUpdateChannel, Transport, TransportKind,
-    UpdateCodec,
+    AggregationRule, BroadcastFrame, FedAvgServer, FlError, MemberUpdate, Message, NackReason,
+    ParticipationPolicy, Result, ShieldedUpdateChannel, Transport, TransportKind, UpdateCodec,
 };
 
 /// Scenario schedule for one client: when it drops out, when it rejoins,
@@ -403,11 +407,8 @@ impl Fabric {
 /// evaluation replica.
 pub struct Federation {
     server: FedAvgServer,
-    server_shield: Option<ShieldedUpdateChannel>,
-    /// The root's secure-aggregation context — the attested roster nonces it
-    /// verifies reconstruction shares against (`None` unless
-    /// [`FederationConfig::secure_aggregation`] is set).
-    masks: Option<AggregatorMaskContext>,
+    /// The root's enclave state when the deployment shields updates.
+    root: Option<RootEnclave>,
     seats: Vec<Seat>,
     fabric: Fabric,
     eval_model: Box<dyn ImageModel>,
@@ -486,13 +487,57 @@ fn arrived(server: &mut FedAvgServer, arrival: Arrival) -> Option<Message> {
     }
 }
 
-/// Delivers `message` to the server and sends its answers back over the
-/// link it came in on.
-fn answer(server: &mut FedAvgServer, link: &dyn Transport, message: &Message) -> Result<()> {
-    for response in server.deliver(message) {
+/// Hands `message` to the server and sends its answers back over the link
+/// it came in on, returning the sealed bytes it reassembled: an update
+/// through the root's intake ([`intake_update`]), control traffic to the state
+/// machine.
+fn intake(
+    server: &mut FedAvgServer,
+    root: Option<&mut RootEnclave>,
+    link: &dyn Transport,
+    message: Message,
+) -> Result<usize> {
+    if let Message::Update { update, shielded } = message {
+        return intake_update(server, root, link, MemberUpdate { update, shielded });
+    }
+    for response in server.deliver(&message) {
         link.send(&response)?;
     }
-    Ok(())
+    Ok(0)
+}
+
+/// The root's one intake: hands the server an update it owns, by value,
+/// and sends the answers back over `link`, returning the sealed bytes
+/// reassembled. Its sealed segments are reassembled through `root` first;
+/// an update they cannot complete — a blob that fails to open, segments
+/// that miss the schema, blobs sent to a server that shields nothing — is
+/// outside input, refused with [`NackReason::Rejected`] like an update
+/// that fails schema validation, and the round goes on without it.
+fn intake_update(
+    server: &mut FedAvgServer,
+    root: Option<&mut RootEnclave>,
+    link: &dyn Transport,
+    member: MemberUpdate,
+) -> Result<usize> {
+    let MemberUpdate {
+        mut update,
+        shielded,
+    } = member;
+    let reassembled = match root {
+        _ if shielded.is_empty() => Ok(0),
+        Some(root) => root.reassemble(server.parameters(), &mut update, shielded),
+        None => Err(FlError::InvalidConfig {
+            reason: format!(
+                "client {} sent sealed segments but the server shields nothing",
+                update.client_id
+            ),
+        }),
+    };
+    let sealed = *reassembled.as_ref().unwrap_or(&0);
+    for response in server.admit(update, reassembled.map(drop)) {
+        link.send(&response)?;
+    }
+    Ok(sealed)
 }
 
 impl Federation {
@@ -555,12 +600,13 @@ impl Federation {
             config.policy,
             config.rule,
         )?;
-        let server_shield = if config.shield_updates {
+        let channel = if config.shield_updates {
             let nonce = seeds.derive_indexed("attest", u64::MAX).gen::<u64>();
             Some(ShieldedUpdateChannel::connect(nonce)?)
         } else {
             None
         };
+        let measurement = channel.as_ref().map(ShieldedUpdateChannel::measurement);
         // Secure aggregation: the attestation nonces double as the pairwise
         // key material (`derive_indexed` is order-independent, so these are
         // exactly the nonces each handshake below draws for itself).
@@ -582,13 +628,13 @@ impl Federation {
         let mut runtime_ends: Vec<Option<Box<dyn Transport>>> = Vec::with_capacity(config.clients);
         for (id, shard) in shards.into_iter().enumerate() {
             let (client_end, server_end) = config.transport.duplex_with(config.codec);
-            let mask = mask_nonces.as_ref().map(|nonces| {
-                let measurement = server_shield
-                    .as_ref()
-                    .expect("secure aggregation implies shield_updates")
-                    .measurement();
-                ClientMaskContext::new(id, pair_seeds_for_client(measurement, nonces, id))
-            });
+            // Validation makes secure aggregation imply shield_updates.
+            let mask = mask_nonces
+                .as_ref()
+                .zip(measurement)
+                .map(|(nonces, measurement)| {
+                    ClientMaskContext::new(id, pair_seeds_for_client(measurement, nonces, id))
+                });
             let schedule = schedule_of
                 .get(&id)
                 .map(|s| (*s).clone())
@@ -641,17 +687,9 @@ impl Federation {
                 mesh: GossipMesh::new(config.transport, config.codec, config.clients, *fanout),
             },
         };
-        let masks = mask_nonces.map(|nonces| {
-            let measurement = server_shield
-                .as_ref()
-                .expect("secure aggregation implies shield_updates")
-                .measurement();
-            AggregatorMaskContext::new(measurement, nonces)
-        });
         let mut federation = Federation {
             server,
-            server_shield,
-            masks,
+            root: channel.map(|channel| RootEnclave::new(channel, mask_nonces)),
             seats,
             fabric,
             eval_model,
@@ -724,7 +762,7 @@ impl Federation {
     /// shielding is enabled — the §VI byte accounting next to the
     /// `ShieldReport` of `pelta-core`.
     pub fn server_shield_ledger(&self) -> Option<CostLedger> {
-        self.server_shield.as_ref().map(|s| s.ledger())
+        self.root.as_ref().map(|root| root.channel().ledger())
     }
 
     /// How many times the server-side enclave unsealed an *individual*
@@ -732,7 +770,7 @@ impl Federation {
     /// secure aggregation this must stay 0 — the whole point of the masked
     /// fold is that no single member's blob is ever opened alone.
     pub fn server_raw_unseals(&self) -> Option<u64> {
-        self.server_shield.as_ref().map(|s| s.unseal_count())
+        self.root.as_ref().map(|root| root.channel().unseal_count())
     }
 
     /// What the fault plan actually did so far (`None` when the federation
@@ -768,8 +806,8 @@ impl Federation {
             // every other fault is drawn against its instant, which only the
             // sweep engine moves. Crash recovery: a seat whose dark window
             // ends here restarts with a fresh Join handshake; an edge
-            // re-syncs its subtree state machine from the coordinator's
-            // checkpoint before any round can open over it.
+            // re-syncs its subtree state machine to the coordinator's round
+            // before any round can open over it.
             if let Some(plan) = &self.faults {
                 plan.begin_round(round_index);
                 let rejoins = |crash: Option<(usize, usize)>| {
@@ -783,7 +821,7 @@ impl Federation {
                 if let Fabric::Hierarchical { edges, .. } = &mut self.fabric {
                     for edge in edges.iter_mut() {
                         if rejoins(plan.edge_crash(edge.edge_id())) {
-                            edge.resync(&self.server.checkpoint())?;
+                            edge.resync(self.server.round())?;
                         }
                     }
                 }
@@ -799,14 +837,13 @@ impl Federation {
             // fabric, or via the edge aggregators' relays.
             let mut sample_rng = seeds.derive_indexed("participants", round_index as u64);
             let participants = self.server.begin_round(&mut sample_rng)?;
-            let broadcast = self.server.broadcast();
             // One frame holds the round's global model: every link shares
             // the same payload (and, on serialized transports, the same
-            // encoding) instead of cloning the model per link.
-            let frame = BroadcastFrame::new(Message::RoundStart {
-                round: broadcast.round,
-                global: broadcast.clone(),
-            });
+            // encoding) instead of cloning the model per link, and the
+            // round's readers of the round-open model share it too.
+            let global = self.server.broadcast();
+            let round = global.round;
+            let frame = BroadcastFrame::new(Message::RoundStart { round, global });
             match &mut self.fabric {
                 Fabric::Star { links } | Fabric::Gossip { links, .. } => {
                     for &id in &participants {
@@ -833,7 +870,7 @@ impl Federation {
                 }
             }
             if let Fabric::Gossip { mesh, .. } = &mut self.fabric {
-                mesh.open_round(broadcast.round, &participants);
+                mesh.open_round(round, &participants);
             }
 
             // Parallel local training: each seat drains its own inbox and
@@ -857,15 +894,9 @@ impl Federation {
 
             // Deterministic delivery through the fabric, then close the
             // round at the consensus point.
-            let (shielded_bytes, edge_summaries, gossip_messages, mask_stash) =
-                self.deliver_round()?;
+            let (shielded_bytes, edge_summaries, gossip_messages) = self.deliver_round()?;
             let summary = self.server.close_round()?;
-            // Secure aggregation: reconstruct dead seats' masks, fold the
-            // stashed blobs inside the root enclave and splice the aggregate
-            // over the placeholder entries the regular fold produced.
-            if let Some(stash) = mask_stash {
-                self.fold_masked_round(&broadcast.parameters, &summary, stash)?;
-            }
+            self.fold_masked_round(&frame, &summary)?;
             if let Fabric::Gossip { mesh, .. } = &self.fabric {
                 // The final deterministic consensus fold: every participant
                 // peer folds its converged knowledge with the same rule and
@@ -877,7 +908,7 @@ impl Federation {
                     .map(|(_, t)| t.data().iter().map(|v| v.to_bits()).collect())
                     .collect();
                 for (peer, fold) in
-                    mesh.consensus_folds(&broadcast.parameters, summary.round, self.config.rule)?
+                    mesh.consensus_folds(frame.parameters(), summary.round, self.config.rule)?
                 {
                     let peer_bits: Vec<Vec<u32>> = fold
                         .iter()
@@ -948,10 +979,15 @@ impl Federation {
             Fabric::Star { links } | Fabric::Gossip { links, .. } => {
                 let mut root = SeatLinks { links, seats };
                 let mut active = None;
+                // Nothing is collected between rounds: an update that
+                // arrives now is stale whatever its segments, so it is
+                // judged without opening them.
                 sweep::run(faults.as_ref(), max_latency, |sweep| {
                     sweep::sweep_active(&mut root, sweep, &mut active, |root, index, arrival| {
                         match arrived(server, arrival) {
-                            Some(message) => answer(server, root.link(index), &message),
+                            Some(message) => {
+                                intake(server, None, root.link(index), message).map(drop)
+                            }
                             None => Ok(()),
                         }
                     })
@@ -966,7 +1002,9 @@ impl Federation {
                 sweep::run(faults.as_ref(), 0, |sweep| {
                     sweep::sweep_every(uplinks, sweep, 0..edge_count, |uplinks, edge, arrival| {
                         match arrived(server, arrival) {
-                            Some(message) => answer(server, uplinks.link(edge), &message),
+                            Some(message) => {
+                                intake(server, None, uplinks.link(edge), message).map(drop)
+                            }
                             None => Ok(()),
                         }
                     })
@@ -985,11 +1023,12 @@ impl Federation {
 
     /// Drains the round's update traffic through the fabric with the sweep
     /// engine ([`crate::sweep`], `docs/determinism.md` §3) and returns
-    /// `(sealed bytes, edge summaries, gossip frames, mask stash)`.
+    /// `(sealed bytes, edge summaries, gossip frames)`. Every update reaches
+    /// the server by value through the root's intake ([`intake_update`]).
     ///
     /// * **Star** — the active seats, each gated by its scheduled latency;
-    ///   shielded segments are reassembled through the server's enclave
-    ///   channel before delivery.
+    ///   shielded segments are reassembled through the root's enclave
+    ///   before admission.
     /// * **Hierarchical** — every live edge sweeps its active members in
     ///   lockstep; edges then close in ascending edge order (per-level
     ///   quorum/straggler semantics) and forward combined frames, which the
@@ -1000,20 +1039,16 @@ impl Federation {
     ///   links feed each peer's daemon, the mesh floods to quiescence, and
     ///   the coordinator folds the converged union through the same state
     ///   machine.
-    fn deliver_round(&mut self) -> Result<(usize, Vec<RoundSummary>, usize, Option<MaskStash>)> {
+    fn deliver_round(&mut self) -> Result<(usize, Vec<RoundSummary>, usize)> {
         let Federation {
             server,
-            server_shield,
-            masks,
+            root,
             seats,
             fabric,
             faults,
             ..
         } = self;
         let faults = &*faults;
-        // Under secure aggregation sealed blobs are stashed instead of
-        // opened; the stash feeds the post-round enclave fold.
-        let mut mask_stash: Option<MaskStash> = masks.as_ref().map(|_| MaskStash::new());
         let max_latency = seats.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
         let mut shielded_bytes = 0usize;
         match fabric {
@@ -1022,25 +1057,14 @@ impl Federation {
                 let mut active = None;
                 sweep::run(faults.as_ref(), max_latency, |sweep| {
                     sweep::sweep_active(&mut star, sweep, &mut active, |star, index, arrival| {
-                        let link = star.link(index);
-                        match arrived(server, arrival) {
-                            Some(Message::Update { update, shielded }) => {
-                                shielded_bytes += deliver_update(
-                                    server,
-                                    server_shield.as_ref(),
-                                    mask_stash.as_mut(),
-                                    link,
-                                    update,
-                                    shielded,
-                                )?;
-                                Ok(())
-                            }
-                            Some(message) => answer(server, link, &message),
-                            None => Ok(()),
+                        if let Some(message) = arrived(server, arrival) {
+                            shielded_bytes +=
+                                intake(server, root.as_mut(), star.link(index), message)?;
                         }
+                        Ok(())
                     })
                 })?;
-                Ok((shielded_bytes, Vec::new(), 0, mask_stash))
+                Ok((shielded_bytes, Vec::new(), 0))
             }
             Fabric::Hierarchical { edges, uplinks } => {
                 // Phase 1: member → edge sweeps, all subtrees in lockstep.
@@ -1094,7 +1118,8 @@ impl Federation {
                             members,
                         } = message
                         else {
-                            return answer(server, uplink, &message);
+                            shielded_bytes += intake(server, root.as_mut(), uplink, message)?;
+                            return Ok(());
                         };
                         if !folded_origins.insert(origin) {
                             return uplink.send(&Message::Nack {
@@ -1104,14 +1129,7 @@ impl Federation {
                             });
                         }
                         for member in members {
-                            shielded_bytes += deliver_update(
-                                server,
-                                server_shield.as_ref(),
-                                mask_stash.as_mut(),
-                                uplink,
-                                member.update,
-                                member.shielded,
-                            )?;
+                            shielded_bytes += intake_update(server, root.as_mut(), uplink, member)?;
                         }
                         Ok(())
                     })
@@ -1123,7 +1141,7 @@ impl Federation {
                     }
                     edge.pump_downstream()?;
                 }
-                Ok((shielded_bytes, edge_summaries, 0, mask_stash))
+                Ok((shielded_bytes, edge_summaries, 0))
             }
             Fabric::Gossip { links, mesh } => {
                 // Phase 1: collect each peer's own update and the round's
@@ -1137,7 +1155,7 @@ impl Federation {
                         };
                         let link = peers.link(peer);
                         match mesh.admit(link, peer, message)? {
-                            Some(control) => answer(server, link, &control),
+                            Some(control) => intake(server, None, link, control).map(drop),
                             None => Ok(()),
                         }
                     })
@@ -1147,15 +1165,10 @@ impl Federation {
                 // Phase 3: the coordinator folds the converged union through
                 // the state machine (ascending client id).
                 for member in mesh.union().into_values() {
-                    let MemberUpdate { update, .. } = member;
-                    let client_id = update.client_id;
-                    let message = Message::Update {
-                        update,
-                        shielded: Vec::new(),
-                    };
-                    answer(server, peers.link(client_id), &message)?;
+                    let link = peers.link(member.update.client_id);
+                    intake_update(server, None, link, member)?;
                 }
-                Ok((0, Vec::new(), gossip_messages, None))
+                Ok((0, Vec::new(), gossip_messages))
             }
         }
     }
@@ -1190,304 +1203,161 @@ impl Federation {
     }
 
     /// Completes a secure-aggregation round after the state machine closed
-    /// it: reconstructs the masks of dead seats from the reporters' shares,
-    /// folds the stashed sealed blobs inside the root enclave (no individual
-    /// blob is ever opened) against the round-open reference, and splices
-    /// the aggregate over the zero placeholders in the global model. A model
-    /// with no shielded parameters leaves nothing to mask, unseal or splice.
-    fn fold_masked_round(
-        &mut self,
-        round_open: &[(String, Tensor)],
-        summary: &RoundSummary,
-        mut stash: MaskStash,
-    ) -> Result<()> {
-        // The enclave folds against the round-open snapshot of the shielded
-        // names — the reference every client's delta was trained from.
-        let (shielded_reference, _clear) =
-            split_segments(self.eval_model.as_ref(), round_open.to_vec());
-        if shielded_reference.is_empty() {
-            return Ok(());
-        }
-        // Exactly the members the state machine folded, at the weights it
-        // folded them with.
-        let mut members: BTreeMap<usize, (usize, Vec<SealedBlob>)> = BTreeMap::new();
-        for &reporter in &summary.reporters {
-            let entry = stash.remove(&reporter).ok_or_else(|| FlError::Wire {
-                reason: format!(
-                    "reporter {reporter} was folded in round {} without a sealed segment",
-                    summary.round
-                ),
-            })?;
-            members.insert(reporter, entry);
-        }
-        let masks = self
-            .masks
-            .as_ref()
-            .expect("a mask stash implies a mask context");
-        // Every roster seat whose update was not folded left orphaned masks
-        // in the reporters' segments; their pair seeds must be reconstructed
-        // from the reporters' shares before the fold can cancel them.
-        let dead: Vec<usize> = masks
-            .roster()
-            .into_iter()
-            .filter(|id| !members.contains_key(id))
-            .collect();
-        let shares = if dead.is_empty() {
-            BTreeMap::new()
-        } else {
-            self.sweep_mask_shares(summary.round, &dead, &summary.reporters)?
-        };
-        let masks = self
-            .masks
-            .as_ref()
-            .expect("a mask stash implies a mask context");
-        let shield = self
-            .server_shield
-            .as_ref()
-            .expect("secure aggregation implies shield_updates");
-        let (folded, _report) = shield.fold_masked_segments(
-            &shielded_reference,
-            summary.round,
-            &members,
-            masks,
-            &dead,
-            &shares,
-        )?;
-        self.server.splice_parameters(&folded)
-    }
-
-    /// The in-protocol mask-reconstruction sweep: broadcasts a
-    /// [`Message::MaskShare`] request naming the dead seats to every
-    /// reporter (directly over the star links, or relayed through the
-    /// edges, which pass it to their reporters only), steps every reporter
-    /// so they answer, and drains the responses with the sweep engine —
-    /// latency gates, the fault plan's instant (one tick per sweep of every
-    /// attempt) and `CorruptFrame`-Nack retransmission included
-    /// (`docs/determinism.md` §3). A reporter whose
-    /// response is lost is re-asked (fresh fate draws) up to a bounded
-    /// number of attempts; a reporter that never answers is a protocol
-    /// failure, because its orphaned masks cannot be cancelled.
-    fn sweep_mask_shares(
-        &mut self,
-        round: usize,
-        dead: &[usize],
-        reporters: &[usize],
-    ) -> Result<BTreeMap<usize, BTreeMap<usize, u64>>> {
-        const MASK_SHARE_ATTEMPTS: usize = 3;
+    /// it: the root enclave folds the round's masked blobs — with the
+    /// reporters' shares for any dead seats, collected in protocol by
+    /// [`sweep_mask_shares`] — against the round-open model, and the
+    /// aggregate is spliced over the zero placeholders in the global model.
+    /// A round that masks nothing leaves nothing to splice.
+    fn fold_masked_round(&mut self, frame: &BroadcastFrame, summary: &RoundSummary) -> Result<()> {
         let Federation {
+            server,
+            root,
             seats,
             fabric,
+            eval_model,
             faults,
             ..
         } = self;
-        let faults = &*faults;
-        let request = BroadcastFrame::new(Message::MaskShare {
-            client_id: usize::MAX,
-            round,
-            seats: dead.to_vec(),
-            seeds: Vec::new(),
-        });
-        let mut shares: BTreeMap<usize, BTreeMap<usize, u64>> = BTreeMap::new();
-        let max_latency = seats.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
-        for _attempt in 0..MASK_SHARE_ATTEMPTS {
-            let pending: Vec<usize> = reporters
-                .iter()
-                .copied()
-                .filter(|id| !shares.contains_key(id))
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            // Deliver the request. It is control traffic: the fault shims
-            // pass it clean apart from crash suppression, and crashed seats
-            // are never reporters. Validation keeps secure aggregation off
-            // gossip meshes, so only a star asks over its seat links.
-            match fabric {
-                Fabric::Star { links } | Fabric::Gossip { links, .. } => {
-                    for &id in &pending {
-                        links[id].send_broadcast(&request)?;
-                    }
-                }
-                Fabric::Hierarchical { edges, uplinks } => {
-                    for (edge, uplink) in edges.iter_mut().zip(uplinks.iter_mut()) {
-                        if edge.served_round(round) && pending.iter().any(|&id| edge.contains(id)) {
-                            uplink.send_broadcast(&request)?;
-                            edge.pump_downstream()?;
-                        }
-                    }
-                }
-            }
-            // Seats answer from their mask contexts; no training happens
-            // outside a RoundStart, so sequential stepping is cheap and
-            // trivially deterministic. Every reporter steps: an edge relays
-            // a retry to all of its reporters, and one already answered
-            // must answer again inside this drain, not in the next round.
-            for &id in reporters {
-                seats[id].step(round)?;
-            }
-            // Drain the responses: every pending reporter's star link, or
-            // the edges' member sweeps followed by every uplink.
-            let mut collect = |arrival| {
-                if let Arrival::Frame(Message::MaskShare {
-                    client_id,
-                    round: share_round,
+        let Some(root) = root else {
+            return Ok(());
+        };
+        let folded =
+            root.fold_masked(eval_model.as_ref(), frame.parameters(), summary, |dead| {
+                sweep_mask_shares(
                     seats,
-                    seeds,
-                }) = arrival
-                {
-                    if !seeds.is_empty() && share_round == round {
-                        shares
-                            .entry(client_id)
-                            .or_insert_with(|| seats.into_iter().zip(seeds).collect());
-                    }
-                }
-                Ok(())
-            };
-            sweep::run(faults.as_ref(), max_latency, |sweep| match &mut *fabric {
-                Fabric::Star { links } | Fabric::Gossip { links, .. } => sweep::sweep_every(
-                    &mut SeatLinks { links, seats },
-                    sweep,
-                    pending.iter().copied(),
-                    |_, _, arrival| collect(arrival),
-                ),
-                Fabric::Hierarchical { edges, uplinks } => {
-                    let mut outcome = pump_live_edges(edges, faults, round, sweep)?;
-                    let edge_count = uplinks.len();
-                    outcome |=
-                        sweep::sweep_every(uplinks, sweep, 0..edge_count, |_, _, arrival| {
-                            collect(arrival)
-                        })?;
-                    Ok(outcome)
-                }
+                    fabric,
+                    faults,
+                    summary.round,
+                    dead,
+                    &summary.reporters,
+                )
             })?;
+        match folded {
+            Some(folded) => server.splice_parameters(&folded),
+            None => Ok(()),
         }
-        let missing: Vec<usize> = reporters
+    }
+}
+
+/// The in-protocol mask-reconstruction sweep: broadcasts a
+/// [`Message::MaskShare`] request naming the dead seats to every
+/// reporter (directly over the star links, or relayed through the
+/// edges, which pass it to their reporters only), steps every reporter
+/// so they answer, and drains the responses with the sweep engine —
+/// latency gates, the fault plan's instant (one tick per sweep of every
+/// attempt) and `CorruptFrame`-Nack retransmission included
+/// (`docs/determinism.md` §3). A reporter whose
+/// response is lost is re-asked (fresh fate draws) up to a bounded
+/// number of attempts; a reporter that never answers is a protocol
+/// failure, because its orphaned masks cannot be cancelled.
+fn sweep_mask_shares(
+    seats: &mut [Seat],
+    fabric: &mut Fabric,
+    faults: &Option<FaultPlan>,
+    round: usize,
+    dead: &[usize],
+    reporters: &[usize],
+) -> Result<MaskShares> {
+    const MASK_SHARE_ATTEMPTS: usize = 3;
+    let request = BroadcastFrame::new(Message::MaskShare {
+        client_id: usize::MAX,
+        round,
+        seats: dead.to_vec(),
+        seeds: Vec::new(),
+    });
+    let mut shares = MaskShares::new();
+    let max_latency = seats.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
+    for _attempt in 0..MASK_SHARE_ATTEMPTS {
+        let pending: Vec<usize> = reporters
             .iter()
             .copied()
             .filter(|id| !shares.contains_key(id))
             .collect();
-        if !missing.is_empty() {
-            return Err(FlError::Wire {
-                reason: format!(
-                    "mask reconstruction for round {round} is missing shares \
-                     from reporters {missing:?}"
-                ),
-            });
+        if pending.is_empty() {
+            break;
         }
-        Ok(shares)
-    }
-}
-
-/// The sealed blobs a secure-aggregation round stashes per member while the
-/// state machine folds placeholders: `client id → (FedAvg weight, blobs)`.
-type MaskStash = BTreeMap<usize, (usize, Vec<SealedBlob>)>;
-
-/// Delivers an update to the server and sends the answers back over
-/// `link`, returning the sealed bytes it reassembled. Its sealed segments
-/// are reassembled first; an update they cannot complete — a blob that fails
-/// to open, segments that miss the schema, blobs sent to a server that
-/// shields nothing — is outside input, refused with [`NackReason::Rejected`]
-/// like an update that fails schema validation
-/// ([`FedAvgServer::deliver_refused`]), and the round goes on without it.
-fn deliver_update(
-    server: &mut FedAvgServer,
-    server_shield: Option<&ShieldedUpdateChannel>,
-    stash: Option<&mut MaskStash>,
-    link: &dyn Transport,
-    update: ModelUpdate,
-    shielded: Vec<SealedBlob>,
-) -> Result<usize> {
-    let (update, sealed) = if shielded.is_empty() {
-        (update, 0)
-    } else {
-        match reassemble(server.parameters(), server_shield, stash, &update, shielded) {
-            Ok((parameters, sealed)) => (
-                ModelUpdate {
-                    parameters,
-                    ..update
-                },
-                sealed,
-            ),
-            Err(error) => {
-                for response in server.deliver_refused(&update, error) {
-                    link.send(&response)?;
+        // Deliver the request. It is control traffic: the fault shims
+        // pass it clean apart from crash suppression, and crashed seats
+        // are never reporters. Validation keeps secure aggregation off
+        // gossip meshes, so only a star asks over its seat links.
+        match fabric {
+            Fabric::Star { links } | Fabric::Gossip { links, .. } => {
+                for &id in &pending {
+                    links[id].send_broadcast(&request)?;
                 }
-                return Ok(0);
+            }
+            Fabric::Hierarchical { edges, uplinks } => {
+                for (edge, uplink) in edges.iter_mut().zip(uplinks.iter_mut()) {
+                    if edge.served_round(round) && pending.iter().any(|&id| edge.contains(id)) {
+                        uplink.send_broadcast(&request)?;
+                        edge.pump_downstream()?;
+                    }
+                }
             }
         }
-    };
-    let message = Message::Update {
-        update,
-        shielded: Vec::new(),
-    };
-    answer(server, link, &message)?;
-    Ok(sealed)
-}
-
-/// Opens the sealed segments of an update through the server's enclave
-/// channel and splices them into the canonical parameter order, so the
-/// state machine sees a complete update, and returns that parameter list
-/// with the sealed bytes.
-///
-/// Under secure aggregation (`stash` is `Some`) the blobs are **not**
-/// opened: they are stashed first-wins for the post-round enclave fold, and
-/// the state machine receives finite zero placeholders for the shielded
-/// names — FedAvg folds every parameter independently, so the clear
-/// parameters come out bit-identical and the placeholder entries are
-/// overwritten by [`FedAvgServer::splice_parameters`] after the fold.
-///
-/// # Errors
-/// Returns an error if the server shields nothing, a blob fails to open or
-/// the opened and clear segments do not complete the schema.
-fn reassemble(
-    current: &[(String, Tensor)],
-    server_shield: Option<&ShieldedUpdateChannel>,
-    stash: Option<&mut MaskStash>,
-    update: &ModelUpdate,
-    shielded: Vec<SealedBlob>,
-) -> Result<(Vec<(String, Tensor)>, usize)> {
-    let Some(server_shield) = server_shield else {
-        return Err(FlError::InvalidConfig {
+        // Seats answer from their mask contexts; no training happens
+        // outside a RoundStart, so sequential stepping is cheap and
+        // trivially deterministic. Every reporter steps: an edge relays
+        // a retry to all of its reporters, and one already answered
+        // must answer again inside this drain, not in the next round.
+        for &id in reporters {
+            seats[id].step(round)?;
+        }
+        // Drain the responses: every pending reporter's star link, or
+        // the edges' member sweeps followed by every uplink.
+        let mut collect = |arrival| {
+            if let Arrival::Frame(Message::MaskShare {
+                client_id,
+                round: share_round,
+                seats,
+                seeds,
+            }) = arrival
+            {
+                if !seeds.is_empty() && share_round == round {
+                    shares
+                        .entry(client_id)
+                        .or_insert_with(|| seats.into_iter().zip(seeds).collect());
+                }
+            }
+            Ok(())
+        };
+        sweep::run(faults.as_ref(), max_latency, |sweep| match &mut *fabric {
+            Fabric::Star { links } | Fabric::Gossip { links, .. } => sweep::sweep_every(
+                &mut SeatLinks { links, seats },
+                sweep,
+                pending.iter().copied(),
+                |_, _, arrival| collect(arrival),
+            ),
+            Fabric::Hierarchical { edges, uplinks } => {
+                let mut outcome = pump_live_edges(edges, faults, round, sweep)?;
+                let edge_count = uplinks.len();
+                outcome |= sweep::sweep_every(uplinks, sweep, 0..edge_count, |_, _, arrival| {
+                    collect(arrival)
+                })?;
+                Ok(outcome)
+            }
+        })?;
+    }
+    let missing: Vec<usize> = reporters
+        .iter()
+        .copied()
+        .filter(|id| !shares.contains_key(id))
+        .collect();
+    if !missing.is_empty() {
+        return Err(FlError::Wire {
             reason: format!(
-                "client {} sent sealed segments but the server shields nothing",
-                update.client_id
+                "mask reconstruction for round {round} is missing shares \
+                 from reporters {missing:?}"
             ),
         });
-    };
-    let clear = |name: &String| update.parameters.iter().find(|(n, _)| n == name);
-    if let Some(stash) = stash {
-        let sealed_bytes: usize = shielded.iter().map(SealedBlob::len).sum();
-        let parameters = current
-            .iter()
-            .map(|(name, reference)| match clear(name) {
-                Some((n, t)) => (n.clone(), t.clone()),
-                None => (name.clone(), Tensor::zeros(reference.dims())),
-            })
-            .collect();
-        stash
-            .entry(update.client_id)
-            .or_insert((update.num_samples, shielded));
-        return Ok((parameters, sealed_bytes));
     }
-    let (opened, report) = server_shield.open_segments(&shielded)?;
-    let mut parameters = Vec::with_capacity(current.len());
-    for (name, _) in current {
-        let Some((n, t)) = clear(name).or_else(|| opened.iter().find(|(n, _)| n == name)) else {
-            return Err(FlError::SchemaMismatch {
-                reason: format!(
-                    "client {} update is missing parameter '{name}' in both segments",
-                    update.client_id
-                ),
-            });
-        };
-        parameters.push((n.clone(), t.clone()));
-    }
-    Ok((parameters, report.sealed_bytes))
+    Ok(shares)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{split_segments, ModelUpdate};
     use pelta_data::{DatasetSpec, GeneratorConfig};
 
     fn small_dataset(seed: u64) -> Dataset {

@@ -69,7 +69,11 @@
 //!   through the attested [`ShieldedUpdateChannel`] (`pelta-tee` sealing +
 //!   WaTZ-style attestation), never in plaintext — including through the
 //!   aggregator hop, which forwards blobs it cannot open; byte accounting
-//!   is surfaced per round next to the core `ShieldReport`.
+//!   is surfaced per round next to the core `ShieldReport`. At the root,
+//!   one owner holds the enclave's state (the channel and, under secure
+//!   aggregation, the mask context and the round's stash), and every
+//!   update reaches the server by value through one intake that reassembles
+//!   its sealed segments first.
 //!
 //! * **Fault model** — a [`FaultConfig`] attached to the scenario (see
 //!   [`mod@fault`]) wraps every runtime-side link in a deterministic chaos
@@ -84,7 +88,7 @@
 //!   at the wrapper; a duplicated frame is refused first-wins with
 //!   [`NackReason::Duplicate`] and never folds twice; a crashed edge
 //!   aborts its subtree round (degrading through the quorum/withholding
-//!   path) and re-syncs from a root [`RoundCheckpoint`] on rejoin. All
+//!   path) and re-syncs to the root's round on rejoin. All
 //!   faults are scheduled in rounds and delivery sweeps and drawn from the
 //!   plan's seed — never wall clock — so a faulted run replays
 //!   bit-identically.
@@ -166,7 +170,7 @@ pub use poisoning::{backdoor_success_rate, BackdoorClient, TrojanTrigger};
 pub use robust::{aggregate_with_rule, AggregationFold, AggregationRule};
 pub use scenario::{AgentRole, RoleAssignment, ScenarioSpec};
 pub use secure_agg::{pair_seeds_for_client, AggregatorMaskContext, ClientMaskContext};
-pub use server::{FedAvgServer, ParticipationPolicy, RoundCheckpoint, RoundPhase, RoundSummary};
+pub use server::{FedAvgServer, ParticipationPolicy, RoundPhase, RoundSummary};
 pub use shielded::{ShieldedTransferReport, ShieldedUpdateChannel};
 pub use sweep::{SweepOutcome, MAX_DELAY_SWEEPS};
 pub use topology::{EdgeAggregator, Topology};

@@ -38,6 +38,14 @@
 //! [`FedAvgServer::deliver`] always receives plain dequantized `f32`
 //! payloads and the fold below never touches wire bytes.
 //!
+//! **One intake.** The runtime hands the server every update by value,
+//! through one crate-private call that takes the update and the outcome of
+//! reassembling its sealed segments (see [`crate::ShieldedUpdateChannel`]);
+//! that outcome is judged last, where the schema check sits, and an
+//! accepted update moves into the reorder window without a copy. The public
+//! [`FedAvgServer::deliver`] is an adapter over the same intake for callers
+//! that lend a message: it copies the update it is lent.
+//!
 //! **Streaming collection.** The Collecting phase does not buffer the
 //! round's update payloads: accepted updates feed the round's
 //! [`AggregationFold`], which under a streaming rule (FedAvg, norm
@@ -177,19 +185,6 @@ pub struct RoundSummary {
     pub update_bytes: usize,
 }
 
-/// The durable state a recovering aggregator re-syncs from: the round it
-/// must rejoin at and the global parameters to re-anchor to. Produced by
-/// [`FedAvgServer::checkpoint`] at the consensus point; consumed by
-/// [`FedAvgServer::restore`], and by [`crate::EdgeAggregator::resync`] for
-/// a crashed edge, which holds no model and takes only the round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoundCheckpoint {
-    /// The round the checkpoint was taken at.
-    pub round: usize,
-    /// The global parameters at that round.
-    pub parameters: Vec<(String, Tensor)>,
-}
-
 /// The per-round admission state machine: who is connected, who was
 /// sampled, which updates are accepted, when collection may stop, and the
 /// round's [`RoundSummary`]. It holds no model. The root's
@@ -200,8 +195,9 @@ pub struct RoundCheckpoint {
 /// An update is judged in a fixed order: the round (`StaleRound`), the
 /// sample (`NotParticipating`), first-wins (`Duplicate`), the straggler
 /// deadline (`StragglerDeadline`, once the quorum is met), then the owner's
-/// schema check (`Rejected`). Every delivery while collecting burns one
-/// unit of the deadline.
+/// check (`Rejected`): at the root, the reassembly of the update's sealed
+/// segments and then the schema; at an edge, the schema of what it can see.
+/// Every delivery while collecting burns one unit of the deadline.
 #[derive(Default)]
 pub(crate) struct Admission {
     round: usize,
@@ -320,17 +316,9 @@ impl Admission {
         };
     }
 
-    /// Delivers one protocol message and returns the responses to route
-    /// back (Nacks). An update is judged with `check`, the owner's schema
-    /// check, last; an update answered with no Nack was accepted.
-    pub(crate) fn deliver(
-        &mut self,
-        message: &Message,
-        check: impl FnOnce(&ModelUpdate) -> Result<()>,
-    ) -> Vec<Message> {
-        if let Message::Update { update, .. } = message {
-            return self.admit(update, check);
-        }
+    /// Delivers one control message and returns the responses to route
+    /// back (Nacks). Updates take [`Admission::admit`].
+    pub(crate) fn deliver(&mut self, message: &Message) -> Vec<Message> {
         self.count_delivery();
         match message {
             Message::Join { client_id } => {
@@ -500,15 +488,12 @@ impl Admission {
     pub(crate) fn restore(&mut self, round: usize) -> Result<()> {
         if self.phase != RoundPhase::Broadcasting {
             return Err(FlError::InvalidConfig {
-                reason: format!("restore in phase {:?}", self.phase),
+                reason: format!("resync in phase {:?}", self.phase),
             });
         }
         if round < self.round {
             return Err(FlError::InvalidConfig {
-                reason: format!(
-                    "checkpoint round {round} is behind the server round {}",
-                    self.round
-                ),
+                reason: format!("resync round {round} is behind the round {}", self.round),
             });
         }
         self.round = round;
@@ -661,31 +646,6 @@ impl FedAvgServer {
         }
     }
 
-    /// Snapshots the server's durable state — the round counter and the
-    /// global parameters. Everything else (the open round's fold, reorder
-    /// window, accounting) is per-round and deliberately *not* part of the
-    /// checkpoint: a crash loses the round in flight, never the model.
-    pub fn checkpoint(&self) -> RoundCheckpoint {
-        RoundCheckpoint {
-            round: self.round(),
-            parameters: self.parameters.clone(),
-        }
-    }
-
-    /// Restores a checkpoint into a server that crashed and rejoined:
-    /// re-anchors the parameters and fast-forwards the round counter to the
-    /// coordinator's. Forward-only — a checkpoint can never rewind a server
-    /// past rounds it already folded, which would fork the replay.
-    ///
-    /// # Errors
-    /// Returns an error if a round is open or the checkpoint is older than
-    /// the server's round.
-    pub fn restore(&mut self, checkpoint: &RoundCheckpoint) -> Result<()> {
-        self.admission.restore(checkpoint.round)?;
-        self.parameters = checkpoint.parameters.clone();
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Round state machine
     // ------------------------------------------------------------------
@@ -713,30 +673,37 @@ impl FedAvgServer {
     }
 
     /// Delivers one protocol message to the server and returns the responses
-    /// to route back (Nacks). Shielded update segments must be reassembled
-    /// into the update's parameter list *before* delivery (the runtime's
-    /// [`crate::ShieldedUpdateChannel`] does this) — the state machine never
-    /// touches an enclave.
+    /// to route back (Nacks). An update is admitted as a copy of the one
+    /// lent, its parameter list taken as complete: shielded segments must be
+    /// reassembled into it *before* delivery — the state machine never
+    /// touches an enclave. The runtime hands its updates over by value
+    /// instead.
     pub fn deliver(&mut self, message: &Message) -> Vec<Message> {
-        let parameters = &self.parameters;
-        let responses = self
-            .admission
-            .deliver(message, |update| validate_update_schema(parameters, update));
-        if let (Message::Update { update, .. }, true) = (message, responses.is_empty()) {
-            self.pending.insert(update.client_id, update.clone());
+        match message {
+            Message::Update { update, .. } => self.admit(update.clone(), Ok(())),
+            control => {
+                let responses = self.admission.deliver(control);
+                self.advance_fold();
+                responses
+            }
         }
-        self.advance_fold();
-        responses
     }
 
-    /// Delivers an update whose sealed segments the runtime could not
-    /// reassemble (a blob that fails to open, segments that miss the
-    /// schema): outside input, refused like an update that fails schema
-    /// validation. It counts as a delivery and takes the same admission
-    /// checks as [`FedAvgServer::deliver`]; one that passes them is answered
-    /// with [`NackReason::Rejected`] carrying `error`.
-    pub(crate) fn deliver_refused(&mut self, update: &ModelUpdate, error: FlError) -> Vec<Message> {
-        let responses = self.admission.admit(update, |_| Err(error));
+    /// The root's one intake of an update it owns. The update counts as a
+    /// delivery and takes the admission checks in their order (see
+    /// `Admission`); `reassembled` — the outcome of reassembling its sealed
+    /// segments, outside input like the rest — is judged last, where the
+    /// schema check sits: a failure is refused with [`NackReason::Rejected`]
+    /// like an update that fails the schema. An accepted update moves into
+    /// the reorder window.
+    pub(crate) fn admit(&mut self, update: ModelUpdate, reassembled: Result<()>) -> Vec<Message> {
+        let parameters = &self.parameters;
+        let responses = self.admission.admit(&update, |update| {
+            reassembled.and_then(|()| validate_update_schema(parameters, update))
+        });
+        if responses.is_empty() {
+            self.pending.insert(update.client_id, update);
+        }
         self.advance_fold();
         responses
     }
@@ -1099,35 +1066,75 @@ mod tests {
         assert!(matches!(refused[0], Message::Nack { .. }));
     }
 
+    /// The intake judges a failed reassembly last: an update that fails an
+    /// admission check earns that check's reason, and only one that passes
+    /// them all is `Rejected` with the reassembly error — a delivery that
+    /// burns a deadline unit, adds no weight and folds nothing.
     #[test]
-    fn checkpoint_restore_fast_forwards_a_rejoining_server() {
-        let mut server = FedAvgServer::new(named(0.0));
-        server.deliver(&Message::Join { client_id: 0 });
-        server.begin_round(&mut rng()).unwrap();
-        server.deliver(&update_message(0, 0, 5, 2.0));
-        server.close_round().unwrap();
-        let checkpoint = server.checkpoint();
-        assert_eq!(checkpoint.round, 1);
-
-        // A replacement replica restores and lands exactly on the
-        // coordinator's round and parameter bits.
-        let mut replica = FedAvgServer::new(named(9.9));
-        replica.restore(&checkpoint).unwrap();
-        assert_eq!(replica.round(), 1);
-        assert_eq!(
-            replica.parameters()[0].1.data()[0].to_bits(),
-            server.parameters()[0].1.data()[0].to_bits()
-        );
-        // Forward-only: an older checkpoint is refused.
-        let stale = RoundCheckpoint {
-            round: 0,
-            parameters: checkpoint.parameters.clone(),
+    fn the_intake_judges_a_failed_reassembly_after_admission() {
+        let mut server = FedAvgServer::with_policy(
+            named(0.0),
+            ParticipationPolicy {
+                quorum: 1,
+                sample: 3,
+                straggler_deadline: 5,
+            },
+        )
+        .unwrap();
+        for id in 0..4 {
+            server.deliver(&Message::Join { client_id: id });
+        }
+        let sampled = server.begin_round(&mut rng()).unwrap();
+        let outsider = (0..4).find(|id| !sampled.contains(id)).unwrap();
+        let failed = || {
+            Err(FlError::SchemaMismatch {
+                reason: "sealed segment does not open".to_string(),
+            })
         };
-        assert!(replica.restore(&stale).is_err());
-        // And never mid-round.
-        replica.deliver(&Message::Join { client_id: 0 });
-        replica.begin_round(&mut rng()).unwrap();
-        assert!(replica.restore(&checkpoint).is_err());
+        let reason = |responses: Vec<Message>| match &responses[..] {
+            [Message::Nack { reason, .. }] => reason.clone(),
+            other => panic!("expected one Nack, got {other:?}"),
+        };
+        assert!(server
+            .admit(update(sampled[0], 0, 10, 1.0), Ok(()))
+            .is_empty());
+        let cases = [
+            (
+                "stale",
+                update(sampled[1], 3, 10, 99.0),
+                NackReason::StaleRound,
+            ),
+            (
+                "unsampled",
+                update(outsider, 0, 10, 99.0),
+                NackReason::NotParticipating,
+            ),
+            (
+                "duplicate",
+                update(sampled[0], 0, 10, 99.0),
+                NackReason::Duplicate,
+            ),
+        ];
+        for (case, refused, expected) in cases {
+            assert_eq!(reason(server.admit(refused, failed())), expected, "{case}");
+        }
+        let delivered = server.delivered_messages();
+        assert_eq!(
+            reason(server.admit(update(sampled[1], 0, 10, 99.0), failed())),
+            NackReason::Rejected(failed().unwrap_err().to_string())
+        );
+        assert_eq!(server.delivered_messages(), delivered + 1);
+        // The deadline of 5 has passed with the quorum met.
+        assert_eq!(
+            reason(server.admit(update(sampled[2], 0, 10, 99.0), failed())),
+            NackReason::StragglerDeadline
+        );
+        let summary = server.close_round().unwrap();
+        assert_eq!(summary.reporters, vec![sampled[0]]);
+        assert_eq!(summary.stragglers, vec![sampled[2]]);
+        assert_eq!(summary.total_weight, 10);
+        assert_eq!(summary.delivered_messages, 6);
+        assert_eq!(server.parameters()[0].1.data(), &[1.0, 1.0]);
     }
 
     #[test]
@@ -1324,8 +1331,8 @@ mod tests {
     fn admission_opens_rounds_at_the_coordinators_round() {
         let accept = |_: &ModelUpdate| Ok(());
         let mut edge = Admission::new(ParticipationPolicy::default());
-        edge.deliver(&Message::Join { client_id: 2 }, accept);
-        edge.deliver(&Message::Join { client_id: 5 }, accept);
+        edge.deliver(&Message::Join { client_id: 2 });
+        edge.deliver(&Message::Join { client_id: 5 });
 
         // Open the coordinator's round 3 with only the sampled member.
         edge.begin_with(3, &[5]).unwrap();

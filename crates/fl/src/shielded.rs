@@ -29,6 +29,14 @@
 //!    [`crate::AggregationFold`] itself, and releases only the
 //!    **aggregated** shielded segment.
 //!
+//! The root's side of this path has one owner, the runtime-private root
+//! enclave: the channel plus, under secure aggregation, the roster's mask
+//! context and the round's stash of masked blobs. It reassembles each
+//! update the runtime hands it by value — moving every clear and opened
+//! tensor into place, or stashing the blobs and leaving zero placeholders
+//! — before the server's admission judges the update, and folds the stash
+//! once the round has closed.
+//!
 //! The sealing path is **bitwise lossless**: tensors are framed with the
 //! binary wire encoding of [`crate::Message`] before sealing, so a shielded
 //! federation produces the same global model bits as a clear one — masked
@@ -40,15 +48,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use pelta_models::ImageModel;
 use pelta_tee::{
     AttestationReport, CostLedger, Enclave, EnclaveConfig, SealedBlob, SecureChannel, TeeError,
 };
 use pelta_tensor::Tensor;
 
+use crate::client::split_segments;
 use crate::message::{tensor_from_wire_bytes, tensor_to_wire_bytes};
 use crate::robust::{accumulate, normalize};
 use crate::secure_agg::{accumulated_mask, unmask_tensor_bits, AggregatorMaskContext};
-use crate::{FlError, Result};
+use crate::{FlError, ModelUpdate, Result, RoundSummary};
 
 /// Byte accounting of one shielded segment transfer (client sealing or
 /// server opening), mirroring the paper's Table I conventions.
@@ -308,6 +318,161 @@ impl ShieldedUpdateChannel {
         self.channel.enclave().record_world_switch();
         self.channel.enclave().record_transfer(report.channel_bytes);
         Ok((aggregated, report))
+    }
+}
+
+/// Reconstruction shares for a masked fold: reporter → dead seat → seed.
+pub(crate) type MaskShares = BTreeMap<usize, BTreeMap<usize, u64>>;
+
+/// The masked blobs a secure-aggregation round stashes per member while the
+/// state machine folds placeholders: `client id → (FedAvg weight, blobs)`.
+type MaskStash = BTreeMap<usize, (usize, Vec<SealedBlob>)>;
+
+/// The root's enclave state, with one owner: the attested channel that
+/// opens members' sealed segments and, under secure aggregation, the
+/// roster's mask context with the round's [`MaskStash`], which the enclave
+/// folds once the state machine has closed the round.
+pub(crate) struct RootEnclave {
+    channel: ShieldedUpdateChannel,
+    masked: Option<(AggregatorMaskContext, MaskStash)>,
+}
+
+impl RootEnclave {
+    /// The root behind `channel`; `mask_nonces` (the attested roster's
+    /// nonces) turns on secure aggregation.
+    pub(crate) fn new(
+        channel: ShieldedUpdateChannel,
+        mask_nonces: Option<BTreeMap<usize, u64>>,
+    ) -> Self {
+        let masked = mask_nonces.map(|nonces| {
+            let context = AggregatorMaskContext::new(channel.measurement(), nonces);
+            (context, MaskStash::new())
+        });
+        RootEnclave { channel, masked }
+    }
+
+    /// The root's channel endpoint.
+    pub(crate) fn channel(&self) -> &ShieldedUpdateChannel {
+        &self.channel
+    }
+
+    /// Reassembles an update's sealed segments into its parameter list in
+    /// the canonical order of `schema`, moving each tensor (the first of
+    /// each name, clear segment first), and returns the sealed bytes.
+    ///
+    /// Under secure aggregation the blobs are **not** opened: they are
+    /// stashed first-wins for the post-round enclave fold, whatever
+    /// admission then makes of the update, and the state machine gets
+    /// finite zero placeholders for the names the clear segment lacks —
+    /// FedAvg folds every parameter independently, so the clear parameters
+    /// come out bit-identical, and [`crate::FedAvgServer::splice_parameters`]
+    /// overwrites the placeholders after the fold.
+    ///
+    /// # Errors
+    /// Returns an error if a blob fails to open or the opened and clear
+    /// segments do not complete the schema; the update is then refused, and
+    /// its parameter list is spent.
+    pub(crate) fn reassemble(
+        &mut self,
+        schema: &[(String, Tensor)],
+        update: &mut ModelUpdate,
+        shielded: Vec<SealedBlob>,
+    ) -> Result<usize> {
+        let (mut opened, sealed_bytes) = match &mut self.masked {
+            Some((_, stash)) => {
+                let sealed_bytes = shielded.iter().map(SealedBlob::len).sum();
+                stash
+                    .entry(update.client_id)
+                    .or_insert((update.num_samples, shielded));
+                (Vec::new(), sealed_bytes)
+            }
+            None => {
+                let (opened, report) = self.channel.open_segments(&shielded)?;
+                (opened, report.sealed_bytes)
+            }
+        };
+        let take = |segment: &mut Vec<(String, Tensor)>, name: &String| {
+            let index = segment.iter().position(|(n, _)| n == name)?;
+            Some(segment.remove(index))
+        };
+        let mut clear = std::mem::replace(&mut update.parameters, Vec::with_capacity(schema.len()));
+        for (name, reference) in schema {
+            let entry = match take(&mut clear, name).or_else(|| take(&mut opened, name)) {
+                Some(entry) => entry,
+                None if self.masked.is_some() => (name.clone(), Tensor::zeros(reference.dims())),
+                None => {
+                    return Err(FlError::SchemaMismatch {
+                        reason: format!(
+                            "client {} update is missing parameter '{name}' in both segments",
+                            update.client_id
+                        ),
+                    })
+                }
+            };
+            update.parameters.push(entry);
+        }
+        Ok(sealed_bytes)
+    }
+
+    /// Secure aggregation, once the state machine has closed the round:
+    /// folds the stashed blobs of exactly the round's reporters, at the
+    /// weights the state machine folded them with, inside the enclave (no
+    /// individual blob is ever opened) against the round-open shielded
+    /// segment of `round_open`, and returns the aggregate to splice over the
+    /// placeholders. Every roster seat that was not folded left orphaned
+    /// masks in the reporters' segments; `shares_for` collects the
+    /// reporters' reconstruction shares for those dead seats. The round's
+    /// stash is spent. Returns `None` when the deployment does not mask or
+    /// the model has no shielded parameters, which leaves nothing to mask,
+    /// unseal or splice.
+    ///
+    /// # Errors
+    /// Returns an error if a reporter stashed no blobs, the shares cannot
+    /// be collected, or the enclave fold fails.
+    pub(crate) fn fold_masked(
+        &mut self,
+        model: &dyn ImageModel,
+        round_open: &[(String, Tensor)],
+        summary: &RoundSummary,
+        shares_for: impl FnOnce(&[usize]) -> Result<MaskShares>,
+    ) -> Result<Option<Vec<(String, Tensor)>>> {
+        let Some((masks, stash)) = &mut self.masked else {
+            return Ok(None);
+        };
+        let mut stash = std::mem::take(stash);
+        let (reference, _clear) = split_segments(model, round_open.to_vec());
+        if reference.is_empty() {
+            return Ok(None);
+        }
+        let mut members = BTreeMap::new();
+        for &reporter in &summary.reporters {
+            let entry = stash.remove(&reporter).ok_or_else(|| FlError::Wire {
+                reason: format!(
+                    "reporter {reporter} was folded in round {} without a sealed segment",
+                    summary.round
+                ),
+            })?;
+            members.insert(reporter, entry);
+        }
+        let dead: Vec<usize> = masks
+            .roster()
+            .into_iter()
+            .filter(|id| !members.contains_key(id))
+            .collect();
+        let shares = if dead.is_empty() {
+            BTreeMap::new()
+        } else {
+            shares_for(&dead)?
+        };
+        let (folded, _report) = self.channel.fold_masked_segments(
+            &reference,
+            summary.round,
+            &members,
+            masks,
+            &dead,
+            &shares,
+        )?;
+        Ok(Some(folded))
     }
 }
 

@@ -53,7 +53,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::message::clear_update_wire_size;
 use crate::robust::{aggregate_with_rule, validate_clear_segment, validate_update_schema};
-use crate::server::{Admission, RoundCheckpoint, RoundSummary};
+use crate::server::{Admission, RoundSummary};
 use crate::sweep::{self, Arrival, SweepLinks, SweepOutcome};
 use crate::{
     AggregationRule, BroadcastFrame, FlError, MemberUpdate, Message, ModelUpdate, NackReason,
@@ -378,14 +378,6 @@ impl EdgeAggregator {
         Ok(())
     }
 
-    /// The open round's schema: the broadcast's parameters.
-    fn schema(broadcast: Option<&BroadcastFrame>) -> &[(String, Tensor)] {
-        match broadcast.map(BroadcastFrame::message) {
-            Some(Message::RoundStart { global, .. }) => &global.parameters,
-            _ => &[],
-        }
-    }
-
     /// One delivery sweep over the member links with the runtime's sweep
     /// engine (`docs/determinism.md` §3): ascending client id, one poll per
     /// member, each gated by its latency. The caller ticks the fault clock.
@@ -443,7 +435,7 @@ impl EdgeAggregator {
     fn route_upward(&mut self, index: usize, message: Message) -> Result<()> {
         match message {
             Message::Join { .. } => {
-                self.admission.deliver(&message, |_| Ok(()));
+                self.admission.deliver(&message);
                 self.uplink.send(&message)?;
             }
             Message::MaskShare { .. } => {
@@ -451,11 +443,14 @@ impl EdgeAggregator {
             }
             Message::Leave { client_id } => {
                 self.left.insert(client_id);
-                self.admission.deliver(&message, |_| Ok(()));
+                self.admission.deliver(&message);
                 self.uplink.send(&message)?;
             }
             Message::Update { update, shielded } => {
-                let schema = Self::schema(self.broadcast.as_ref());
+                let schema = self
+                    .broadcast
+                    .as_ref()
+                    .map_or(&[][..], BroadcastFrame::parameters);
                 let responses = self.admission.admit(&update, |update| {
                     if shielded.is_empty() {
                         validate_update_schema(schema, update)
@@ -473,7 +468,7 @@ impl EdgeAggregator {
                 }
             }
             other => {
-                for response in self.admission.deliver(&other, |_| Ok(())) {
+                for response in self.admission.deliver(&other) {
                     self.members[index].link.send(&response)?;
                 }
             }
@@ -500,7 +495,7 @@ impl EdgeAggregator {
         let summary = match self.admission.close() {
             Ok(()) => self
                 .admission
-                .finish(clear_update_wire_size(Self::schema(Some(&broadcast)))),
+                .finish(clear_update_wire_size(broadcast.parameters())),
             Err(FlError::QuorumNotMet { .. }) => {
                 self.admission.abort()?;
                 self.stash.clear();
@@ -550,18 +545,17 @@ impl EdgeAggregator {
         Ok(())
     }
 
-    /// Re-handshakes a crashed edge back into the federation from the
-    /// coordinator's [`RoundCheckpoint`]: traffic queued while the edge was
-    /// dark is discarded (it belongs to rounds the edge missed), and the
-    /// subtree state machine fast-forwards to the checkpointed round —
-    /// forward-only — so the next [`EdgeAggregator::open_round`] lands
-    /// exactly where the federation is. The edge holds no model, so the
-    /// checkpoint's parameters are not its to keep.
+    /// Re-handshakes a crashed edge back into the federation at the
+    /// coordinator's `round`: traffic queued while the edge was dark is
+    /// discarded (it belongs to rounds the edge missed), and the subtree
+    /// state machine fast-forwards to `round` — forward-only — so the next
+    /// [`EdgeAggregator::open_round`] lands exactly where the federation
+    /// is. The edge holds no model, so the round is all it needs.
     ///
     /// # Errors
-    /// Returns an error if a round is open, the checkpoint would rewind the
+    /// Returns an error if a round is open, `round` would rewind the
     /// subtree, or a transport fails.
-    pub fn resync(&mut self, checkpoint: &RoundCheckpoint) -> Result<()> {
+    pub fn resync(&mut self, round: usize) -> Result<()> {
         if self.round_open() {
             return Err(FlError::InvalidConfig {
                 reason: format!("edge {} cannot resync with an open round", self.edge_id),
@@ -573,7 +567,7 @@ impl EdgeAggregator {
         while self.uplink.recv()?.is_some() {}
         self.stash.clear();
         self.active = None;
-        self.admission.restore(checkpoint.round)
+        self.admission.restore(round)
     }
 
     /// Relays downstream traffic from the root: a [`Message::Nack`] goes to
@@ -1528,6 +1522,42 @@ mod tests {
         plan.tick();
         assert!(edge.pump(1).unwrap().delivered);
         assert_eq!(plan.stats().partitions, 1);
+    }
+
+    /// A crashed edge re-syncs to the coordinator's round: the traffic
+    /// queued while it was dark is discarded, and the subtree state machine
+    /// moves forward only, never mid-round.
+    #[test]
+    fn resync_fast_forwards_an_idle_edge_only() {
+        let (edge_end, _root_end) = InMemoryTransport::pair();
+        let mut edge =
+            EdgeAggregator::new(0, ParticipationPolicy::default(), Box::new(edge_end)).unwrap();
+        let (agent_end, server_end) = InMemoryTransport::pair();
+        edge.attach_member(0, Box::new(server_end), 0);
+        agent_end.send(&Message::Join { client_id: 0 }).unwrap();
+        edge.pump_idle().unwrap();
+        let frame = |round| {
+            round_start(GlobalModel {
+                round,
+                parameters: named(&[0.0, 0.0]),
+            })
+        };
+        // An update of a round the edge missed waits on the member link.
+        agent_end
+            .send(&Message::Update {
+                update: update(0, 1, 10, 1.0),
+                shielded: Vec::new(),
+            })
+            .unwrap();
+        edge.resync(3).unwrap();
+        assert!(!edge.pump_idle().unwrap(), "the dark-time traffic is gone");
+        assert!(agent_end.recv().unwrap().is_none(), "and never answered");
+        // Forward-only: neither a resync nor a round may rewind to round 2.
+        assert!(edge.resync(2).is_err());
+        assert!(edge.open_round(&frame(2), &[0]).is_err());
+        // And never mid-round.
+        edge.open_round(&frame(3), &[0]).unwrap();
+        assert!(edge.resync(4).is_err());
     }
 
     /// Downstream relays: root Nacks reach the addressed member, RoundEnd

@@ -47,6 +47,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
+use pelta_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::{Message, Result, UpdateCodec};
@@ -131,6 +132,16 @@ impl BroadcastFrame {
     /// The wrapped message.
     pub fn message(&self) -> &Message {
         &self.message
+    }
+
+    /// The model a `RoundStart` frame opens its round with — the one copy
+    /// of the round-open parameters that every reader of the round shares
+    /// (empty for any other frame).
+    pub(crate) fn parameters(&self) -> &[(String, Tensor)] {
+        match self.message() {
+            Message::RoundStart { global, .. } => &global.parameters,
+            _ => &[],
+        }
     }
 
     /// The shared raw wire encoding, produced at most once per frame
