@@ -97,7 +97,7 @@ pub fn chaos_topologies() -> [Topology; 3] {
 /// The scripted fault plan for a soak of `rounds` rounds: every fault class
 /// live at once, a seat crash a quarter of the way in, and — when the
 /// topology has edges to kill — an edge crash at the halfway mark that
-/// re-syncs from the root checkpoint two rounds later.
+/// re-syncs to the root's round two rounds later.
 pub fn chaos_fault_config(seed: u64, topology: &Topology, rounds: usize) -> FaultConfig {
     assert!(rounds >= 8, "the scripted crashes need at least 8 rounds");
     let mut crashes = vec![CrashPoint {

@@ -32,7 +32,8 @@
 //! payloads suffer.
 //!
 //! A partition is a property of the link, not of a frame: while a window
-//! is open the wrapper holds **every** inbound frame, control frames
+//! is open the wrapper holds **every** inbound frame, control frames and
+//! the frames it holds itself (reordered, duplicated, retransmitted)
 //! included, and the sweep that polls the link waits for it. A window
 //! drawn at instant `t` holds the link through instant `t +
 //! partition_sweeps - 1`, whichever phase or round those instants fall in;
@@ -574,9 +575,12 @@ impl Transport for FaultyTransport {
             return Ok(Delivery::Empty);
         }
         loop {
-            // Due held frames first (earliest release, then FIFO: the first
-            // of equal keys wins), then the live link — unless a partition
-            // window blocks it.
+            // A partition window holds everything, held frames included;
+            // then due held frames (earliest release, then FIFO: the first
+            // of equal keys wins), then the live link.
+            if self.partition_active(&mut state, now) {
+                return Ok(Delivery::Empty);
+            }
             let due = state
                 .held
                 .iter()
@@ -587,8 +591,6 @@ impl Transport for FaultyTransport {
             let (message, budget_used, refate, retransmit) = if let Some(index) = due {
                 let held = state.held.remove(index);
                 (held.message, held.budget_used, held.refate, held.retransmit)
-            } else if self.partition_active(&mut state, now) {
-                return Ok(Delivery::Empty);
             } else if let Some(message) = self.inner.recv()? {
                 (message, 0, true, false)
             } else {
@@ -1003,6 +1005,42 @@ mod tests {
         };
         assert_eq!(first, second, "the duplicate must be bit-identical");
         assert_eq!(plan.stats().duplicated, 1);
+        assert!(!link.has_pending());
+    }
+
+    /// A held frame that falls due inside a partition window waits for the
+    /// window's heal instant: the window holds every inbound frame of its
+    /// link, held ones included.
+    #[test]
+    fn a_partition_window_holds_a_due_duplicate() {
+        let plan = FaultPlan::new(FaultConfig {
+            duplicate: 1.0,
+            partition: 1.0,
+            partition_sweeps: 2,
+            ..FaultConfig::default()
+        })
+        .unwrap();
+        let (agent_end, runtime_end) = TransportKind::InMemory.duplex();
+        let link = plan.wrap_seat(0, runtime_end);
+        plan.begin_round(0);
+        agent_end.send(&update(0, 0, 2.5)).unwrap();
+        // Windows open at instants 1, 4 and 7, each healing two instants
+        // later.
+        let mut arrivals = Vec::new();
+        for instant in 1..=7u64 {
+            plan.tick();
+            if let Delivery::Frame(message) = link.recv_checked().unwrap() {
+                arrivals.push((instant, message));
+            }
+        }
+        let instants: Vec<u64> = arrivals.iter().map(|(instant, _)| *instant).collect();
+        assert_eq!(
+            instants,
+            vec![3, 6],
+            "the copy fell due at 4, inside a window"
+        );
+        assert_eq!(arrivals[0].1, arrivals[1].1, "the copy is intact");
+        assert_eq!(plan.stats().partitions, 3);
         assert!(!link.has_pending());
     }
 }

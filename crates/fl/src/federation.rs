@@ -489,8 +489,8 @@ fn arrived(server: &mut FedAvgServer, arrival: Arrival) -> Option<Message> {
 
 /// Hands `message` to the server and sends its answers back over the link
 /// it came in on, returning the sealed bytes it reassembled: an update
-/// through the root's intake ([`intake_update`]), control traffic to the state
-/// machine.
+/// through the root's intake ([`intake_update`]), control traffic to the
+/// state machine.
 fn intake(
     server: &mut FedAvgServer,
     root: Option<&mut RootEnclave>,

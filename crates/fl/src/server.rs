@@ -485,7 +485,7 @@ impl Admission {
     ///
     /// # Errors
     /// Returns an error if a round is open or `round` is behind this one.
-    pub(crate) fn restore(&mut self, round: usize) -> Result<()> {
+    pub(crate) fn resync(&mut self, round: usize) -> Result<()> {
         if self.phase != RoundPhase::Broadcasting {
             return Err(FlError::InvalidConfig {
                 reason: format!("resync in phase {:?}", self.phase),

@@ -567,7 +567,7 @@ impl EdgeAggregator {
         while self.uplink.recv()?.is_some() {}
         self.stash.clear();
         self.active = None;
-        self.admission.restore(round)
+        self.admission.resync(round)
     }
 
     /// Relays downstream traffic from the root: a [`Message::Nack`] goes to
